@@ -4,6 +4,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::sync::Arc;
 use xsac_core::evaluator::{CompiledPolicy, CompilerMode, EvalConfig, Evaluator};
+use xsac_datagen::profiles::{stacked_researcher_policy, View};
 use xsac_datagen::{hospital::physician_name, Dataset, Profile};
 use xsac_xml::Event;
 
@@ -73,6 +74,28 @@ fn bench_minimization(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_compile(c: &mut Criterion) {
+    // The policy compiler alone — what a fresh login pays before its
+    // first event: containment minimization plus flat-IR lowering.
+    let doc = Dataset::Hospital.generate(0.05, 42);
+    let mut dict = doc.dict.clone();
+    let (frequent, rare) = (physician_name(0), physician_name(1));
+    let policies = [
+        ("Researcher", Profile::Researcher { groups: 10 }.policy("r", &mut dict)),
+        ("SR", View::Sr.policy(&mut dict, &frequent, &rare)),
+        ("JR", View::Jr.policy(&mut dict, &frequent, &rare)),
+        ("Doctor", Profile::Doctor.policy(&frequent, &mut dict)),
+        ("Researcherx4", stacked_researcher_policy("r", 10, 4, &mut dict)),
+    ];
+    let mut group = c.benchmark_group("evaluator/compile");
+    for (name, policy) in &policies {
+        group.bench_with_input(BenchmarkId::from_parameter(name), policy, |b, policy| {
+            b.iter(|| CompiledPolicy::compile(policy).rule_count())
+        });
+    }
+    group.finish();
+}
+
 fn bench_rule_count_scaling(c: &mut Criterion) {
     // Access-control cost grows with the number of ARA (Figure 9's
     // discussion); sweep the Researcher group count.
@@ -95,5 +118,11 @@ fn bench_rule_count_scaling(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_profiles, bench_minimization, bench_rule_count_scaling);
+criterion_group!(
+    benches,
+    bench_profiles,
+    bench_minimization,
+    bench_compile,
+    bench_rule_count_scaling
+);
 criterion_main!(benches);

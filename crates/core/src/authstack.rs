@@ -20,6 +20,12 @@
 //! where `deny(d)`/`grant(d)` are the disjunctions of the negative/positive
 //! rule instances registered at level `d` (an instance is the conjunction
 //! of its predicate-instance variables).
+//!
+//! Both folds are memoized per level under the registry's resolution epoch
+//! ([`PredRegistry::epoch`]): level `d`'s result depends only on levels
+//! `1..=d` and on instance states, so between two resolutions each open or
+//! text event folds only the levels pushed since the last query, and
+//! pending elements share one `Arc<Cond>` per level as §5 prescribes.
 
 use crate::condition::{Cond, Ternary};
 use crate::predicate::PredRegistry;
@@ -74,6 +80,13 @@ pub struct AuthStack {
     /// Peak number of registered instances (SOE memory accounting).
     pub peak_entries: usize,
     live_entries: usize,
+    /// Registry epoch the memoized folds below were computed at.
+    memo_epoch: u64,
+    /// `decisions[k]`: `DecideNode` over levels `1..=k+1` (a prefix of
+    /// the stack; extended on demand, truncated on pop).
+    decisions: Vec<Decision>,
+    /// `conds[k]`: the delivery condition over levels `1..=k+1`.
+    conds: Vec<Arc<Cond>>,
 }
 
 /// The access decision for a node.
@@ -106,7 +119,14 @@ impl Default for AuthStack {
 impl AuthStack {
     /// Stack containing only the implicit closed-policy level 0.
     pub fn new() -> Self {
-        AuthStack { levels: vec![AuthLevel::default()], peak_entries: 0, live_entries: 0 }
+        AuthStack {
+            levels: vec![AuthLevel::default()],
+            peak_entries: 0,
+            live_entries: 0,
+            memo_epoch: 0,
+            decisions: Vec::new(),
+            conds: Vec::new(),
+        }
     }
 
     /// Pushes the level for a newly opened element.
@@ -121,6 +141,9 @@ impl AuthStack {
         assert!(self.levels.len() > 1, "cannot pop the closed-policy level");
         let level = self.levels.pop().expect("checked");
         self.live_entries -= level.entries.len() + level.query_entries.len();
+        let depth = self.depth();
+        self.decisions.truncate(depth);
+        self.conds.truncate(depth);
         level
     }
 
@@ -140,67 +163,38 @@ impl AuthStack {
     /// starting from the closed policy, each level overrides the decision
     /// carried from below according to Denial-Takes-Precedence at the level
     /// and Most-Specific-Object-Takes-Precedence across levels.
-    pub fn decide_node(&self, reg: &PredRegistry) -> Decision {
-        let mut cur = Decision::Deny; // level 0: closed policy
-        for level in self.levels() {
-            let mut pos_active = false;
-            let mut pos_pending = false;
-            let mut neg_active = false;
-            let mut neg_pending = false;
-            for e in &level.entries {
-                match (e.sign, e.status(reg)) {
-                    (_, Ternary::False) => {}
-                    (Sign::Permit, Ternary::True) => pos_active = true,
-                    (Sign::Permit, Ternary::Unknown) => pos_pending = true,
-                    (Sign::Deny, Ternary::True) => neg_active = true,
-                    (Sign::Deny, Ternary::Unknown) => neg_pending = true,
-                }
-            }
-            let pending_overrides = (pos_active && neg_pending)
-                || (pos_pending && cur == Decision::Deny)
-                || (neg_pending && cur == Decision::Permit);
-            cur = if neg_active {
-                Decision::Deny
-            } else if pos_active && !neg_pending {
-                Decision::Permit
-            } else if pending_overrides {
-                Decision::Pending
-            } else {
-                cur
-            };
+    pub fn decide_node(&mut self, reg: &PredRegistry) -> Decision {
+        self.sync(reg);
+        while self.decisions.len() < self.depth() {
+            let below = self.decisions.last().copied().unwrap_or(Decision::Deny);
+            let level = &self.levels[self.decisions.len() + 1];
+            self.decisions.push(decide_level(level, below, reg));
         }
-        cur
+        self.decisions.last().copied().unwrap_or(Decision::Deny) // level 0: closed policy
     }
 
     /// The delivery condition of the current node as a boolean expression —
     /// the symbolic counterpart of [`AuthStack::decide_node`], stored with
     /// pending elements (§5). Constant-folds against already-resolved
     /// instances; yields `Const` exactly when `decide_node` is decisive.
-    pub fn delivery_cond(&self, reg: &PredRegistry) -> Arc<Cond> {
-        let mut cur = Cond::f(); // closed policy
-        for level in self.levels() {
-            let mut grants: Vec<Arc<Cond>> = Vec::new();
-            let mut denies: Vec<Arc<Cond>> = Vec::new();
-            for e in &level.entries {
-                // Fold resolved instances into constants.
-                let c = match e.status(reg) {
-                    Ternary::True => Cond::t(),
-                    Ternary::False => continue,
-                    Ternary::Unknown => e.cond(),
-                };
-                match e.sign {
-                    Sign::Permit => grants.push(c),
-                    Sign::Deny => denies.push(c),
-                }
-            }
-            if grants.is_empty() && denies.is_empty() {
-                continue;
-            }
-            let deny = Cond::or(denies);
-            let grant = Cond::or(grants);
-            cur = Cond::and([Cond::not(deny), Cond::or([grant, cur])]);
+    pub fn delivery_cond(&mut self, reg: &PredRegistry) -> Arc<Cond> {
+        self.sync(reg);
+        while self.conds.len() < self.depth() {
+            let below = self.conds.last().cloned().unwrap_or_else(Cond::f);
+            let level = &self.levels[self.conds.len() + 1];
+            self.conds.push(cond_level(level, below, reg));
         }
-        cur
+        self.conds.last().cloned().unwrap_or_else(Cond::f) // closed policy
+    }
+
+    /// Drops the memoized folds when an instance resolved since they were
+    /// computed.
+    fn sync(&mut self, reg: &PredRegistry) {
+        if self.memo_epoch != reg.epoch() {
+            self.memo_epoch = reg.epoch();
+            self.decisions.clear();
+            self.conds.clear();
+        }
     }
 
     /// Query coverage of the current node: true when some query instance at
@@ -250,10 +244,77 @@ impl AuthStack {
     }
 }
 
+/// One step of `DecideNode`: the decision at `level` given the decision
+/// `below` it.
+fn decide_level(level: &AuthLevel, below: Decision, reg: &PredRegistry) -> Decision {
+    let mut pos_active = false;
+    let mut pos_pending = false;
+    let mut neg_active = false;
+    let mut neg_pending = false;
+    for e in &level.entries {
+        match (e.sign, e.status(reg)) {
+            (_, Ternary::False) => {}
+            (Sign::Permit, Ternary::True) => pos_active = true,
+            (Sign::Permit, Ternary::Unknown) => pos_pending = true,
+            (Sign::Deny, Ternary::True) => neg_active = true,
+            (Sign::Deny, Ternary::Unknown) => neg_pending = true,
+        }
+    }
+    let pending_overrides = (pos_active && neg_pending)
+        || (pos_pending && below == Decision::Deny)
+        || (neg_pending && below == Decision::Permit);
+    if neg_active {
+        Decision::Deny
+    } else if pos_active && !neg_pending {
+        Decision::Permit
+    } else if pending_overrides {
+        Decision::Pending
+    } else {
+        below
+    }
+}
+
+/// One step of the delivery-condition fold:
+/// `cond(d) = ¬deny(d) ∧ (grant(d) ∨ cond(d-1))`, sharing `below` when the
+/// level holds no live instance.
+fn cond_level(level: &AuthLevel, below: Arc<Cond>, reg: &PredRegistry) -> Arc<Cond> {
+    let mut grants: Vec<Arc<Cond>> = Vec::new();
+    let mut denies: Vec<Arc<Cond>> = Vec::new();
+    for e in &level.entries {
+        // Fold resolved instances into constants.
+        let c = match e.status(reg) {
+            Ternary::True => Cond::t(),
+            Ternary::False => continue,
+            Ternary::Unknown => e.cond(),
+        };
+        match e.sign {
+            Sign::Permit => grants.push(c),
+            Sign::Deny => denies.push(c),
+        }
+    }
+    if grants.is_empty() && denies.is_empty() {
+        return below;
+    }
+    Cond::and([Cond::not(Cond::or(denies)), Cond::or([Cond::or(grants), below])])
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::condition::PredInstId;
+    use proptest::prelude::*;
+
+    impl AuthStack {
+        /// `DecideNode` folded from scratch — the memo's oracle.
+        fn decide_node_scratch(&self, reg: &PredRegistry) -> Decision {
+            self.levels().iter().fold(Decision::Deny, |below, l| decide_level(l, below, reg))
+        }
+
+        /// The delivery condition folded from scratch — the memo's oracle.
+        fn delivery_cond_scratch(&self, reg: &PredRegistry) -> Arc<Cond> {
+            self.levels().iter().fold(Cond::f(), |below, l| cond_level(l, below, reg))
+        }
+    }
 
     fn entry(sign: Sign, bindings: &[PredInstId]) -> AuthEntry {
         AuthEntry {
@@ -269,7 +330,7 @@ mod tests {
 
     #[test]
     fn closed_policy_denies() {
-        let s = AuthStack::new();
+        let mut s = AuthStack::new();
         let reg = PredRegistry::new();
         assert_eq!(s.decide_node(&reg), Decision::Deny);
         assert_eq!(*s.delivery_cond(&reg), Cond::Const(false));
@@ -416,5 +477,127 @@ mod tests {
         s.push(level(vec![entry(Sign::Deny, &[p])]));
         assert!(s.has_pending_of_sign(Sign::Deny, &reg));
         assert!(!s.has_pending_of_sign(Sign::Permit, &reg));
+    }
+
+    /// Replays `ops` against a stack and a registry, checking after every
+    /// step that the memoized folds equal the from-scratch ones. Each op is
+    /// `(kind, a, b)`: push a level (instances created at the new depth,
+    /// entries binding random instances), pop (then close the popped
+    /// depth, as the evaluator does), satisfy, resolve to a condition, or
+    /// close an arbitrary depth.
+    fn replay(ops: &[(u8, u32, u32)]) -> Result<(), TestCaseError> {
+        let mut s = AuthStack::new();
+        let mut reg = PredRegistry::new();
+        let mut ids: Vec<PredInstId> = Vec::new();
+        for (step, &(kind, a, b)) in ops.iter().enumerate() {
+            let pick = |ids: &[PredInstId], x: u32| ids[x as usize % ids.len()];
+            match kind % 6 {
+                0 | 1 => {
+                    let depth = s.depth() as u32 + 1;
+                    ids.extend((0..a % 3).map(|_| reg.create(depth)));
+                    let entries = (0..b % 4)
+                        .map(|k| {
+                            let sign = if (a >> k) & 1 == 0 { Sign::Permit } else { Sign::Deny };
+                            let n = if ids.is_empty() { 0 } else { (b >> (2 * k + 2)) % 3 };
+                            let binds: Vec<PredInstId> =
+                                (0..n).map(|j| pick(&ids, a.rotate_left(5 * (j + k)))).collect();
+                            entry(sign, &binds)
+                        })
+                        .collect();
+                    s.push(level(entries));
+                }
+                2 if s.depth() > 0 => {
+                    let depth = s.depth() as u32;
+                    s.pop();
+                    reg.close_depth(depth);
+                }
+                3 if !ids.is_empty() => reg.satisfy(pick(&ids, a)),
+                // Gate on an earlier instance only, keeping `Expr` chains
+                // acyclic as the evaluator's are.
+                4 if !ids.is_empty() => {
+                    let id = pick(&ids, a);
+                    let gate = match b % 4 {
+                        0 => Cond::t(),
+                        1 => Cond::f(),
+                        _ if id.0 == 0 => Cond::t(),
+                        _ => Cond::var(PredInstId(b % id.0)),
+                    };
+                    reg.satisfy_with_condition(id, gate);
+                }
+                5 => reg.close_depth(a % (s.depth() as u32 + 2)),
+                _ => {}
+            }
+            prop_assert_eq!(
+                s.decide_node(&reg),
+                s.decide_node_scratch(&reg),
+                "decide_node diverged at step {} of {:?}",
+                step,
+                ops
+            );
+            prop_assert_eq!(
+                &*s.delivery_cond(&reg),
+                &*s.delivery_cond_scratch(&reg),
+                "delivery_cond diverged at step {} of {:?}",
+                step,
+                ops
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 400, ..Default::default() })]
+
+        #[test]
+        fn memoized_folds_match_scratch_folds(
+            ops in prop::collection::vec((0u8..6, any::<u32>(), any::<u32>()), 1..60),
+        ) {
+            replay(&ops)?;
+        }
+    }
+
+    #[test]
+    fn memo_survives_until_a_resolution() {
+        let mut s = AuthStack::new();
+        let mut reg = PredRegistry::new();
+        let p = reg.create(1);
+        s.push(level(vec![entry(Sign::Permit, &[p])]));
+        s.push(level(vec![]));
+        let first = s.delivery_cond(&reg);
+        assert!(Arc::ptr_eq(&first, &s.delivery_cond(&reg)), "same epoch: shared condition");
+        s.push(level(vec![]));
+        assert!(Arc::ptr_eq(&first, &s.delivery_cond(&reg)), "an empty level shares below");
+        reg.satisfy(p);
+        assert_eq!(*s.delivery_cond(&reg), Cond::Const(true), "a resolution refolds");
+        assert_eq!(s.decide_node(&reg), Decision::Permit);
+    }
+
+    #[test]
+    fn every_state_transition_advances_the_epoch() {
+        let mut reg = PredRegistry::new();
+        let other = PredRegistry::new();
+        assert_ne!(reg.epoch(), other.epoch(), "registries never share an epoch");
+        let (a, b, c, d) = (reg.create(1), reg.create(2), reg.create(2), reg.create(3));
+        let mut last = reg.epoch();
+        let mut advanced = |reg: &PredRegistry, expect: bool, what: &str| {
+            assert_eq!(reg.epoch() != last, expect, "{what}");
+            last = reg.epoch();
+        };
+        advanced(&reg, false, "creating an instance");
+        reg.satisfy(a);
+        advanced(&reg, true, "Unknown → Known(true)");
+        reg.satisfy(a);
+        advanced(&reg, false, "satisfying a resolved instance");
+        reg.satisfy_with_condition(b, Cond::f());
+        advanced(&reg, false, "a false gate resolves nothing");
+        reg.satisfy_with_condition(b, Cond::var(a));
+        advanced(&reg, true, "Unknown → Expr");
+        reg.satisfy_with_condition(c, Cond::t());
+        advanced(&reg, true, "Unknown → Known(true) through a true gate");
+        reg.close_depth(2);
+        advanced(&reg, false, "closing a depth with nothing left open");
+        reg.close_depth(3);
+        advanced(&reg, true, "Unknown → Known(false) at scope exit");
+        assert!(matches!(reg.state(d), crate::predicate::InstState::Known(false)));
     }
 }

@@ -91,15 +91,21 @@ pub enum Cond {
     Or(Vec<Arc<Cond>>),
 }
 
+thread_local! {
+    /// The two constants, shared instead of allocated per use. Per thread,
+    /// so that concurrent sessions do not contend on one reference count.
+    static CONSTS: [Arc<Cond>; 2] = [Arc::new(Cond::Const(false)), Arc::new(Cond::Const(true))];
+}
+
 impl Cond {
     /// `true`.
     pub fn t() -> Arc<Cond> {
-        Arc::new(Cond::Const(true))
+        CONSTS.with(|c| Arc::clone(&c[1]))
     }
 
     /// `false`.
     pub fn f() -> Arc<Cond> {
-        Arc::new(Cond::Const(false))
+        CONSTS.with(|c| Arc::clone(&c[0]))
     }
 
     /// A single variable.
@@ -111,7 +117,8 @@ impl Cond {
     #[allow(clippy::should_implement_trait)]
     pub fn not(c: Arc<Cond>) -> Arc<Cond> {
         match &*c {
-            Cond::Const(b) => Arc::new(Cond::Const(!b)),
+            Cond::Const(true) => Cond::f(),
+            Cond::Const(false) => Cond::t(),
             Cond::Not(inner) => inner.clone(),
             _ => Arc::new(Cond::Not(c)),
         }
@@ -264,6 +271,14 @@ mod tests {
         assert_eq!(*Cond::not(Cond::not(v.clone())), *v);
         assert_eq!(*Cond::and([] as [Arc<Cond>; 0]), Cond::Const(true));
         assert_eq!(*Cond::or([] as [Arc<Cond>; 0]), Cond::Const(false));
+    }
+
+    #[test]
+    fn constants_are_shared() {
+        assert!(Arc::ptr_eq(&Cond::t(), &Cond::t()));
+        assert!(Arc::ptr_eq(&Cond::f(), &Cond::not(Cond::t())));
+        assert!(Arc::ptr_eq(&Cond::t(), &Cond::and([] as [Arc<Cond>; 0])));
+        assert!(Arc::ptr_eq(&Cond::f(), &Cond::or([] as [Arc<Cond>; 0])));
     }
 
     #[test]

@@ -504,12 +504,12 @@ impl Evaluator {
         // (4c) Decision for this node — after every satisfaction carried
         // by this very event (a node can complete the query match that
         // puts itself in scope).
-        let disposition = disposition_of(auth, registry, has_query);
+        let decision = auth.decide_node(registry);
+        let disposition = disposition_of(decision, auth, registry, has_query);
 
         // (5) Subtree-level conclusions (§3.3). Prune rule tokens when the
         // subtree decision is reached and no opposite-signed rule can fire
         // inside.
-        let decision = auth.decide_node(registry);
         if config.enable_skip_directives {
             if let Decision::Permit | Decision::Deny = decision {
                 let contrary = match decision {
@@ -773,12 +773,13 @@ impl Evaluator {
     }
 
     /// Access decision combined with query coverage.
-    fn disposition(&self) -> Disposition {
-        disposition_of(&self.auth, &self.registry, self.extended.is_some())
+    fn disposition(&mut self) -> Disposition {
+        let decision = self.auth.decide_node(&self.registry);
+        disposition_of(decision, &mut self.auth, &self.registry, self.extended.is_some())
     }
 
     /// Access condition alone (gates query predicate matches).
-    fn access_cond(&self) -> Arc<Cond> {
+    fn access_cond(&mut self) -> Arc<Cond> {
         self.auth.delivery_cond(&self.registry)
     }
 
@@ -914,10 +915,15 @@ fn advance_pred(
     }
 }
 
-/// Access decision combined with query coverage (free-function form for
-/// use under split borrows).
-fn disposition_of(auth: &AuthStack, registry: &PredRegistry, has_query: bool) -> Disposition {
-    let access = match auth.decide_node(registry) {
+/// Access `decision` (the stack's `DecideNode`) combined with query
+/// coverage (free-function form for use under split borrows).
+fn disposition_of(
+    decision: Decision,
+    auth: &mut AuthStack,
+    registry: &PredRegistry,
+    has_query: bool,
+) -> Disposition {
+    let access = match decision {
         Decision::Permit => Ternary::True,
         Decision::Deny => Ternary::False,
         Decision::Pending => Ternary::Unknown,

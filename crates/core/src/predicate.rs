@@ -20,7 +20,11 @@
 //! in-scope instances (Predicate-Set equivalent) from archived resolutions.
 
 use crate::condition::{Cond, PredInstId, VarState};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Source of registry epoch bases (see [`PredRegistry::epoch`]).
+static NEXT_REGISTRY: AtomicU64 = AtomicU64::new(0);
 
 /// State of one predicate instance.
 #[derive(Clone, Debug)]
@@ -41,7 +45,6 @@ struct Instance {
 }
 
 /// Registry of all predicate instances created during one evaluation.
-#[derive(Default)]
 pub struct PredRegistry {
     instances: Vec<Instance>,
     /// Instances per anchor depth, for scope-exit resolution (mirrors the
@@ -54,12 +57,40 @@ pub struct PredRegistry {
     open_count: usize,
     /// Peak of `open_count` (SOE memory accounting).
     pub peak_open: usize,
+    /// Resolution epoch, advanced by every instance state transition.
+    epoch: u64,
+}
+
+impl Default for PredRegistry {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl PredRegistry {
     /// Fresh registry.
     pub fn new() -> Self {
-        Self::default()
+        PredRegistry {
+            instances: Vec::new(),
+            by_depth: Vec::new(),
+            newly_resolved: Vec::new(),
+            open_count: 0,
+            peak_open: 0,
+            // Each registry counts from its own base, 2^32 apart: an
+            // instance changes state at most once and ids are `u32`, so
+            // two registries never share an epoch.
+            epoch: NEXT_REGISTRY.fetch_add(1, Ordering::Relaxed) << 32,
+        }
+    }
+
+    /// The resolution epoch. It changes whenever any instance changes
+    /// state (Unknown → Known / Expr) and at no other time, and no two
+    /// registries share one, so anything computed from instance states
+    /// stays valid while the epoch reads the same. Creating an instance
+    /// does not advance it: a new instance is Unknown and nothing computed
+    /// earlier refers to it.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
     /// Creates an instance anchored at `anchor_depth`.
@@ -95,9 +126,7 @@ impl PredRegistry {
     /// Marks an instance satisfied.
     pub fn satisfy(&mut self, id: PredInstId) {
         if self.is_unknown(id) {
-            self.instances[id.0 as usize].state = InstState::Known(true);
-            self.open_count -= 1;
-            self.newly_resolved.push(id);
+            self.resolve(id, InstState::Known(true));
         }
     }
 
@@ -112,11 +141,7 @@ impl PredRegistry {
                     } else { // an unsatisfied gate resolves nothing
                     }
                 }
-                _ => {
-                    self.instances[id.0 as usize].state = InstState::Expr(cond);
-                    self.open_count -= 1;
-                    self.newly_resolved.push(id);
-                }
+                _ => self.resolve(id, InstState::Expr(cond)),
             }
         }
     }
@@ -130,11 +155,17 @@ impl PredRegistry {
         }
         for id in std::mem::take(&mut self.by_depth[d]) {
             if self.is_unknown(id) {
-                self.instances[id.0 as usize].state = InstState::Known(false);
-                self.open_count -= 1;
-                self.newly_resolved.push(id);
+                self.resolve(id, InstState::Known(false));
             }
         }
+    }
+
+    /// The one state transition: an Unknown instance takes its resolution.
+    fn resolve(&mut self, id: PredInstId, state: InstState) {
+        self.instances[id.0 as usize].state = state;
+        self.open_count -= 1;
+        self.newly_resolved.push(id);
+        self.epoch += 1;
     }
 
     /// Drains the instances resolved since the previous call.

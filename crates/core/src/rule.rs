@@ -79,10 +79,10 @@ impl Policy {
     /// number of rules removed.
     pub fn minimize(&mut self) -> usize {
         // Rule scopes are the object node-sets extended by the cascading
-        // propagation of §2; `redundant_rules` compares scopes.
+        // propagation of §2; the minimizer compares scopes.
         let signed: Vec<(bool, Path)> =
             self.rules.iter().map(|r| (r.sign.is_permit(), r.path.clone())).collect();
-        let redundant = xsac_xpath::containment::redundant_rules(&signed);
+        let redundant = xsac_xpath::redundant_rules_report(&signed).redundant;
         let mut removed = 0;
         let mut keep = Vec::with_capacity(self.rules.len());
         for (i, r) in self.rules.drain(..).enumerate() {

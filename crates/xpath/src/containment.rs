@@ -91,10 +91,15 @@ impl Pattern {
 /// True when `sup` is guaranteed to contain `sub` (sufficient condition:
 /// a pattern homomorphism exists). A `false` answer is inconclusive.
 pub fn contains(sup: &Path, sub: &Path) -> bool {
-    let p = Pattern::from_path(sup);
-    let q = Pattern::from_path(sub);
-    let mut memo = vec![None; p.nodes.len() * q.nodes.len()];
-    can_map(&p, &q, p.root, q.root, &mut memo)
+    Pattern::from_path(sup).contains(&Pattern::from_path(sub))
+}
+
+impl Pattern {
+    /// True when a homomorphism maps `self` into `sub` (`self ⊇ sub`).
+    fn contains(&self, sub: &Pattern) -> bool {
+        let mut memo = vec![None; self.nodes.len() * sub.nodes.len()];
+        can_map(self, sub, self.root, sub.root, &mut memo)
+    }
 }
 
 /// Memoized check: can `p_id` (and its whole subtree) map onto `q_id`?
@@ -203,10 +208,49 @@ fn implies(a: &(CmpOp, Value), b: &(CmpOp, Value)) -> bool {
 /// `scope(P) = nodes(P) ∪ nodes(P//*)`, so the test decomposes into two
 /// sufficient disjunctions.
 pub fn scope_contains(sup: &Path, sub: &Path) -> bool {
-    let sup_ext = extend_descendants(sup);
-    let sub_ext = extend_descendants(sub);
-    (contains(sup, sub) || contains(&sup_ext, sub))
-        && (contains(sup, &sub_ext) || contains(&sup_ext, &sub_ext))
+    ScopePattern::new(sup).contains(&ScopePattern::new(sub))
+}
+
+/// A rule's scope as the two tree patterns [`scope_contains`] compares —
+/// the object pattern `P` and its `//*`-extended form — built once per
+/// minimization, plus a signature of the element names they mention.
+struct ScopePattern {
+    object: Pattern,
+    extended: Pattern,
+    /// One bit per element name (hashed into 128 bits). A homomorphism
+    /// maps each named node onto a node with the same name, so
+    /// `sup ⊇ sub` requires `names(sup) ⊆ names(sub)` and hence
+    /// `sig(sup) ⊆ sig(sub)`: a pair failing the bit test is rejected
+    /// exactly; a hash collision only sends a pair on to the full test.
+    names: u128,
+}
+
+impl ScopePattern {
+    fn new(path: &Path) -> ScopePattern {
+        let object = Pattern::from_path(path);
+        let extended = Pattern::from_path(&extend_descendants(path));
+        let names = object
+            .nodes
+            .iter()
+            .filter_map(|n| match &n.test {
+                Some(NameTest::Name(name)) => Some(1u128 << (fnv1a(name) % 128)),
+                _ => None,
+            })
+            .fold(0, |acc, bit| acc | bit);
+        ScopePattern { object, extended, names }
+    }
+
+    /// `scope(self) ⊇ scope(sub)` — [`scope_contains`] over prebuilt
+    /// patterns.
+    fn contains(&self, sub: &ScopePattern) -> bool {
+        (self.object.contains(&sub.object) || self.extended.contains(&sub.object))
+            && (self.object.contains(&sub.extended) || self.extended.contains(&sub.extended))
+    }
+}
+
+/// FNV-1a: a fixed, dependency-free hash for the name signatures.
+fn fnv1a(s: &str) -> u32 {
+    s.bytes().fold(0x811c_9dc5, |h, b| (h ^ u32::from(b)).wrapping_mul(0x0100_0193))
 }
 
 /// Appends a `//*` step (the propagated scope below the object nodes).
@@ -220,36 +264,22 @@ fn extend_descendants(p: &Path) -> Path {
     out
 }
 
-/// Report produced by [`redundant_paths`]: indexes of redundant paths.
+/// Outcome of policy minimization: the redundant rules and the containment
+/// structure found along the way (policy-compiler observability).
 ///
-/// A path `S` is flagged redundant when another *same-signed* path `R`
-/// contains it and no opposite-signed path could carve an exception inside
-/// `S` but outside... — following §3.3, we use the *strong* elimination
-/// condition: `S` is redundant iff some same-signed `R ⊇ S` and **every**
-/// opposite-signed rule `T` is either disjoint-by-containment from `S`
-/// (`¬(S ⊇ T)` conservative proxy) or also contains `S`'s container...
-/// In keeping with the paper ("this strong elimination condition is
-/// sufficient but not necessary"), we only eliminate `S` when there are no
-/// opposite-signed rules at all, or every opposite-signed rule `T`
-/// satisfies `T ⊇ R` (so the exception applies equally with or without S).
+/// A rule `S` is flagged redundant when another *same-signed* rule `R`
+/// contains it and no opposite-signed rule could carve an exception inside
+/// `S` but outside `R` — following §3.3, we use the *strong* elimination
+/// condition. In keeping with the paper ("this strong elimination
+/// condition is sufficient but not necessary"), we only eliminate `S` when
+/// there are no opposite-signed rules at all, or every opposite-signed
+/// rule `T` satisfies `T ⊇ R` (so the exception applies equally with or
+/// without S).
 ///
 /// One case needs no guard at all: *mutually* contained same-signed rules
 /// have identical match sets on every document, so duplicates beyond the
 /// first are idempotent under the conflict-resolution policies and are
 /// always dropped.
-pub fn redundant_paths(paths: &[(bool, Path)]) -> Vec<usize> {
-    redundant_by(paths, contains).redundant
-}
-
-/// Same as [`redundant_paths`] but comparing rule *scopes* (propagation
-/// included) — the variant used by policy minimization.
-pub fn redundant_rules(paths: &[(bool, Path)]) -> Vec<usize> {
-    redundant_by(paths, scope_contains).redundant
-}
-
-/// Full minimization report: what [`redundant_rules`] returns, plus the
-/// containment structure found along the way (policy-compiler
-/// observability).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RedundancyReport {
     /// Indexes of paths proven redundant (droppable without changing any
@@ -261,24 +291,39 @@ pub struct RedundancyReport {
     pub containment_pairs: usize,
 }
 
-/// Scope-containment variant of [`redundant_paths`] returning the full
-/// [`RedundancyReport`] — the entry point used by `CompiledPolicy`.
+/// Minimizes signed rules by comparing their *scopes* (propagation
+/// included) — the entry point used by `CompiledPolicy` and
+/// `Policy::minimize`.
+///
+/// Each rule's patterns are built once, and a pair runs the homomorphism
+/// test only when its name signatures allow a containment, so rules over
+/// disjoint vocabularies cost one bit test per pair. The report is the one
+/// [`scope_contains`] over every ordered pair would give.
 pub fn redundant_rules_report(paths: &[(bool, Path)]) -> RedundancyReport {
-    redundant_by(paths, scope_contains)
+    let scopes: Vec<ScopePattern> = paths.iter().map(|(_, p)| ScopePattern::new(p)).collect();
+    redundant_by(paths, |r, s| {
+        let (sup, sub) = (&scopes[r], &scopes[s]);
+        sup.names & !sub.names == 0 && sup.contains(sub)
+    })
 }
 
-fn redundant_by(paths: &[(bool, Path)], le: impl Fn(&Path, &Path) -> bool) -> RedundancyReport {
+/// The elimination of [`RedundancyReport`] over the containment relation
+/// `le(r, s)` ⇔ `paths[r] ⊇ paths[s]` (queried once per ordered pair).
+fn redundant_by(
+    paths: &[(bool, Path)],
+    mut le: impl FnMut(usize, usize) -> bool,
+) -> RedundancyReport {
     let n = paths.len();
-    // Containment matrix: m[r][s] ⇔ le(paths[r], paths[s]) — computed once
-    // so the elimination scan below costs no further homomorphism tests.
+    // Containment matrix: m[r][s] ⇔ le(r, s) — computed once so the
+    // elimination scan below costs no further homomorphism tests.
     let mut m = vec![false; n * n];
     let mut containment_pairs = 0usize;
-    for (r, (sign_r, pr)) in paths.iter().enumerate() {
-        for (s, (sign_s, ps)) in paths.iter().enumerate() {
+    for (r, (sign_r, _)) in paths.iter().enumerate() {
+        for (s, (sign_s, _)) in paths.iter().enumerate() {
             if r == s {
                 continue;
             }
-            let c = le(pr, ps);
+            let c = le(r, s);
             m[r * n + s] = c;
             if c && sign_r == sign_s {
                 containment_pairs += 1;
@@ -332,6 +377,17 @@ fn redundant_by(paths: &[(bool, Path)], le: impl Fn(&Path, &Path) -> bool) -> Re
 mod tests {
     use super::*;
     use crate::parser::parse_path;
+
+    /// Elimination over plain node-set containment.
+    fn redundant_paths(paths: &[(bool, Path)]) -> Vec<usize> {
+        redundant_by(paths, |r, s| contains(&paths[r].1, &paths[s].1)).redundant
+    }
+
+    /// The exhaustive minimizer: every ordered pair runs `scope_contains`
+    /// from scratch — the oracle `redundant_rules_report` must reproduce.
+    fn exhaustive_report(paths: &[(bool, Path)]) -> RedundancyReport {
+        redundant_by(paths, |r, s| scope_contains(&paths[r].1, &paths[s].1))
+    }
 
     fn c(sup: &str, sub: &str) -> bool {
         contains(&parse_path(sup).unwrap(), &parse_path(sub).unwrap())
@@ -422,7 +478,7 @@ mod tests {
     #[test]
     fn redundant_rules_uses_scopes() {
         let paths = vec![(true, parse_path("//a").unwrap()), (true, parse_path("//a/b").unwrap())];
-        assert_eq!(redundant_rules(&paths), vec![1]);
+        assert_eq!(redundant_rules_report(&paths).redundant, vec![1]);
     }
 
     #[test]
@@ -479,5 +535,118 @@ mod tests {
         // Mutual containment counts both directions.
         let dupes = vec![(true, parse_path("//x").unwrap()), (true, parse_path("//x").unwrap())];
         assert_eq!(redundant_rules_report(&dupes).containment_pairs, 2);
+    }
+
+    /// Parses `(permit, path)` rule texts.
+    fn signed(rules: &[(bool, &str)]) -> Vec<(bool, Path)> {
+        rules.iter().map(|&(sign, p)| (sign, parse_path(p).unwrap())).collect()
+    }
+
+    /// The prefiltered minimizer against the exhaustive oracle.
+    fn assert_same_report(paths: &[(bool, Path)]) -> RedundancyReport {
+        let fast = redundant_rules_report(paths);
+        let texts: Vec<String> = paths.iter().map(|(s, p)| format!("{s}:{p}")).collect();
+        assert_eq!(fast, exhaustive_report(paths), "rules {texts:?}");
+        fast
+    }
+
+    /// Rule sets drawn by the workload generator for Figure 12. Its rules
+    /// come out of the `xsac-core` build of this crate, so they cross over
+    /// as text.
+    #[test]
+    fn prefilter_matches_exhaustive_on_generated_policies() {
+        use xsac_datagen::{rulegen, Dataset};
+        let mut pairs = 0;
+        let mut dropped = 0;
+        for dataset in Dataset::ALL {
+            let doc = dataset.generate(0.02, 7);
+            for (k, rules) in [6, 12, 24].into_iter().enumerate() {
+                let config = rulegen::RuleGenConfig {
+                    rules,
+                    // Short paths over a small vocabulary collide often
+                    // enough to exercise containments.
+                    max_steps: 1 + k,
+                    ..Default::default()
+                };
+                for seed in 0..12 {
+                    let policy = rulegen::random_policy(&doc, &config, seed);
+                    let paths: Vec<(bool, Path)> = policy
+                        .rules
+                        .iter()
+                        .map(|r| (r.sign.is_permit(), parse_path(&r.path.to_string()).unwrap()))
+                        .collect();
+                    let report = assert_same_report(&paths);
+                    pairs += report.containment_pairs;
+                    dropped += report.redundant.len();
+                }
+            }
+        }
+        assert!(pairs > 0 && dropped > 0, "generated policies must exercise containment");
+    }
+
+    #[test]
+    fn prefilter_matches_exhaustive_on_stacked_researcher() {
+        let mut rules = Vec::new();
+        for _ in 0..4 {
+            rules.push((true, "//Folder[Protocol]//Age".to_owned()));
+            for g in 1..=10 {
+                rules.push((true, format!("//Folder[Protocol/Type=G{g}]//LabResults//G{g}")));
+                rules.push((false, format!("//G{g}[Cholesterol > 250]")));
+            }
+        }
+        let texts: Vec<(bool, &str)> = rules.iter().map(|(s, p)| (*s, p.as_str())).collect();
+        let report = assert_same_report(&signed(&texts));
+        assert_eq!(texts.len() - report.redundant.len(), 21, "84 rules fold to 21");
+        // Each of the 21 rules has 3 copies in other positions: 84 · 3.
+        assert_eq!(report.containment_pairs, 252);
+    }
+
+    #[test]
+    fn prefilter_matches_exhaustive_on_wildcards_and_numbers() {
+        for rules in [
+            // Wildcard-only patterns carry no names: the signature passes
+            // them on, both as container and as contained.
+            &[(true, "//*"), (true, "/a/*"), (true, "/a/b"), (false, "/*/*/c")][..],
+            &[(true, "/a/*"), (true, "//*"), (false, "//*//*")],
+            // Numeric implication: equal names, different literals.
+            &[(false, "//g[x > 250]"), (false, "//g[x > 300]"), (true, "//g[x = 300]")],
+            &[(true, "//g[x >= 250]"), (true, "//g[x > 250]"), (false, "//h[x < 10]")],
+            &[(true, "//p[t = G3]"), (true, "//p[t = G4]"), (true, "//p[t = G3]")],
+        ] {
+            let report = assert_same_report(&signed(rules));
+            assert!(report.containment_pairs > 0, "{rules:?}");
+        }
+    }
+
+    fn arb_rule() -> impl Strategy<Value = (bool, String)> {
+        const TAGS: &[&str] = &["a", "b", "c", "d"];
+        let step = prop_oneof![
+            4 => proptest::sample::select(TAGS).prop_map(|t| t.to_string()),
+            1 => Just("*".to_string()),
+        ];
+        let seg = (proptest::sample::select(&["/", "//"]), step)
+            .prop_map(|(axis, test)| format!("{axis}{test}"));
+        let pred = prop_oneof![
+            2 => Just(String::new()),
+            1 => (proptest::sample::select(TAGS), proptest::sample::select(&["", " = 1", " > 1", " > 2"]))
+                .prop_map(|(t, c)| format!("[{t}{c}]")),
+        ];
+        (any::<bool>(), prop::collection::vec(seg, 1..4), pred)
+            .prop_map(|(sign, segs, p)| (sign, format!("{}{p}", segs.concat())))
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 300, ..Default::default() })]
+
+        #[test]
+        fn prefilter_matches_exhaustive_on_random_rules(
+            rules in prop::collection::vec(arb_rule(), 1..10),
+        ) {
+            let texts: Vec<(bool, &str)> = rules.iter().map(|(s, p)| (*s, p.as_str())).collect();
+            let paths = signed(&texts);
+            prop_assert_eq!(redundant_rules_report(&paths), exhaustive_report(&paths), "rules {:?}", texts);
+        }
     }
 }
