@@ -2,7 +2,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xsac_datagen::Dataset;
-use xsac_index::decode::{DecodedNode, Decoder};
+use xsac_index::decode::{CursorDecoder, DecodedNode, SliceSource};
 use xsac_index::encode::{encode_document, Encoding};
 
 fn bench_encode(c: &mut Criterion) {
@@ -25,7 +25,7 @@ fn bench_decode_full(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(enc.bytes.len() as u64));
     group.bench_function("full-scan", |b| {
         b.iter(|| {
-            let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+            let mut d = CursorDecoder::new(SliceSource(&enc.bytes), doc.dict.len()).unwrap();
             let mut n = 0usize;
             loop {
                 match d.next().unwrap() {
@@ -39,16 +39,16 @@ fn bench_decode_full(c: &mut Criterion) {
     group.bench_function("skip-folders", |b| {
         // Skip every depth-2 subtree: the decoder should fly through.
         b.iter(|| {
-            let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+            let mut d = CursorDecoder::new(SliceSource(&enc.bytes), doc.dict.len()).unwrap();
             let mut n = 0usize;
             loop {
-                match d.next().unwrap() {
+                let opened = match d.next().unwrap() {
                     DecodedNode::End => break,
-                    DecodedNode::Element { .. } if d.depth() == 2 => {
-                        d.skip_current();
-                        n += 1;
-                    }
-                    _ => {}
+                    node => matches!(node, DecodedNode::Element { .. }),
+                };
+                if opened && d.depth() == 2 {
+                    d.skip_current();
+                    n += 1;
                 }
             }
             n

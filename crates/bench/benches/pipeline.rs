@@ -1,18 +1,20 @@
 //! Criterion: end-to-end SOE pipeline (decode + verify + decrypt +
-//! evaluate) — the wall-clock counterpart of Figure 12.
+//! evaluate) — the wall-clock counterpart of Figure 12. Each row compiles
+//! its policy once, outside the timed loop, as serving does per role;
+//! `evaluator/compile` times compilation on its own.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Instant;
-use xsac_bench::{demo_key, prepare};
+use xsac_bench::{prepare, run_strategy};
 use xsac_crypto::IntegrityScheme;
 use xsac_datagen::{hospital::physician_name, Dataset, Profile};
-use xsac_soe::{run_session, CostModel, SessionConfig, Strategy};
+use xsac_soe::{CompiledPolicy, Strategy};
 
 fn bench_pipeline(c: &mut Criterion) {
     let doc = Dataset::Hospital.generate(0.03, 42);
     let bytes = xsac_xml::writer::document_to_string(&doc).len() as u64;
-    let key = demo_key();
     for scheme in [IntegrityScheme::Ecb, IntegrityScheme::EcbMht] {
         let server = prepare(&doc, scheme);
         let mut group = c.benchmark_group(format!("pipeline/{}", scheme.name()));
@@ -26,12 +28,8 @@ fn bench_pipeline(c: &mut Criterion) {
                     |b, &strategy| {
                         let mut dict = server.dict.clone();
                         let policy = profile.policy(&physician_name(0), &mut dict);
-                        let config = SessionConfig { strategy, cost: CostModel::smartcard() };
-                        b.iter(|| {
-                            run_session(&server, &key, &policy, None, &config)
-                                .expect("session")
-                                .result_bytes
-                        })
+                        let policy = Arc::new(CompiledPolicy::compile(&policy));
+                        b.iter(|| run_strategy(&server, &policy, None, strategy).result_bytes)
                     },
                 );
             }
@@ -50,13 +48,11 @@ fn bench_pipeline(c: &mut Criterion) {
 fn bench_telemetry_overhead(c: &mut Criterion) {
     let doc = Dataset::Hospital.generate(0.03, 42);
     let bytes = xsac_xml::writer::document_to_string(&doc).len() as u64;
-    let key = demo_key();
     let server = prepare(&doc, IntegrityScheme::EcbMht);
     let mut dict = server.dict.clone();
     let policy = Profile::Doctor.policy(&physician_name(0), &mut dict);
-    let config = SessionConfig { strategy: Strategy::Tcsbr, cost: CostModel::smartcard() };
-    let session =
-        || run_session(&server, &key, &policy, None, &config).expect("session").result_bytes;
+    let policy = Arc::new(CompiledPolicy::compile(&policy));
+    let session = || run_strategy(&server, &policy, None, Strategy::Tcsbr).result_bytes;
 
     let mut group = c.benchmark_group("pipeline/telemetry");
     group.throughput(Throughput::Bytes(bytes));

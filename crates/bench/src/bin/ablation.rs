@@ -9,10 +9,11 @@
 //!
 //! Brute force anchors the no-index end.
 
-use xsac_bench::{banner, demo_key, generate, parse_args, prepare};
+use std::sync::Arc;
+use xsac_bench::{banner, generate, parse_args, prepare, run_strategy};
 use xsac_crypto::IntegrityScheme;
 use xsac_datagen::{hospital::physician_name, Dataset, Profile};
-use xsac_soe::{run_session, CostModel, SessionConfig, Strategy};
+use xsac_soe::{CompiledPolicy, Strategy};
 
 fn main() {
     let args = parse_args();
@@ -24,12 +25,12 @@ fn main() {
         "profile", "BruteForce", "SizesOnly", "TCSBR"
     );
     for profile in Profile::figure9() {
+        let mut dict = server.dict.clone();
+        let policy =
+            Arc::new(CompiledPolicy::compile(&profile.policy(&physician_name(0), &mut dict)));
         let mut cells = Vec::new();
         for strategy in [Strategy::BruteForce, Strategy::SizesOnly, Strategy::Tcsbr] {
-            let mut dict = server.dict.clone();
-            let policy = profile.policy(&physician_name(0), &mut dict);
-            let config = SessionConfig { strategy, cost: CostModel::smartcard() };
-            let res = run_session(&server, &demo_key(), &policy, None, &config).expect("session");
+            let res = run_strategy(&server, &policy, None, strategy);
             cells.push((res.time.total(), res.stats.tokens_filtered, res.stats.skips_denied));
         }
         println!(

@@ -7,10 +7,11 @@
 //! SOE behind the Internet is *communication-bound*, and on a LAN the
 //! bottleneck almost vanishes — the access-control CPU share grows.
 
+use std::sync::Arc;
 use xsac_bench::{banner, demo_key, generate, parse_args, prepare};
 use xsac_crypto::IntegrityScheme;
 use xsac_datagen::{hospital::physician_name, Dataset, Profile};
-use xsac_soe::{run_session, CostModel, SessionConfig, Strategy};
+use xsac_soe::{run_session_shared, CompiledPolicy, CostModel, SessionConfig, Strategy};
 
 fn main() {
     let args = parse_args();
@@ -28,10 +29,12 @@ fn main() {
     );
     for profile in Profile::figure9() {
         let mut dict = server.dict.clone();
-        let policy = profile.policy(&physician_name(0), &mut dict);
+        let policy =
+            Arc::new(CompiledPolicy::compile(&profile.policy(&physician_name(0), &mut dict)));
         for (name, cost) in contexts {
             let config = SessionConfig { strategy: Strategy::Tcsbr, cost };
-            let res = run_session(&server, &demo_key(), &policy, None, &config).expect("session");
+            let res = run_session_shared(&server, &demo_key(), &policy, None, &config, None)
+                .expect("session");
             let (c, d, h, a) = res.time.split();
             println!(
                 "{:<11} {:<12} {:>9.3} {:>6.0}% {:>8.0}% {:>6.0}% {:>6.0}%",

@@ -7,10 +7,12 @@
 //! and nonempty even for empty results (parts of the document must be
 //! analysed before being skipped).
 
-use xsac_bench::{banner, generate, parse_args, prepare, run_tcsbr};
+use std::sync::Arc;
+use xsac_bench::{banner, generate, parse_args, prepare, run_strategy};
 use xsac_crypto::IntegrityScheme;
 use xsac_datagen::profiles::{figure10_query, View};
 use xsac_datagen::{hospital::physician_name, Dataset};
+use xsac_soe::{CompiledPolicy, Strategy};
 use xsac_xpath::Automaton;
 
 fn main() {
@@ -26,9 +28,10 @@ fn main() {
     for view in View::ALL {
         for v in [101, 90, 75, 50, 0] {
             let mut dict = server.dict.clone();
-            let policy = view.policy(&mut dict, &frequent, &rare);
+            let policy =
+                Arc::new(CompiledPolicy::compile(&view.policy(&mut dict, &frequent, &rare)));
             let q = Automaton::parse(&figure10_query(v), &mut dict).expect("query");
-            let res = run_tcsbr(&server, &policy, Some(&q));
+            let res = run_strategy(&server, &policy, Some(&q), Strategy::Tcsbr);
             let t = res.time.total();
             println!(
                 "{:<5} {:>4} {:>12.1} {:>10.3} {:>10.1}",

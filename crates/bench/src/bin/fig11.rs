@@ -7,9 +7,11 @@
 //! ECB, while CBC-SHA(C) force whole-chunk work and lose the skipping
 //! benefit.
 
-use xsac_bench::{banner, generate, parse_args, prepare, run_tcsbr};
+use std::sync::Arc;
+use xsac_bench::{banner, generate, parse_args, prepare, run_strategy};
 use xsac_crypto::IntegrityScheme;
 use xsac_datagen::{hospital::physician_name, Dataset, Profile};
+use xsac_soe::{CompiledPolicy, Strategy};
 
 fn main() {
     let args = parse_args();
@@ -25,8 +27,9 @@ fn main() {
         for scheme in IntegrityScheme::ALL {
             let server = prepare(&doc, scheme);
             let mut dict = server.dict.clone();
-            let policy = profile.policy(&physician_name(0), &mut dict);
-            let res = run_tcsbr(&server, &policy, None);
+            let policy =
+                Arc::new(CompiledPolicy::compile(&profile.policy(&physician_name(0), &mut dict)));
+            let res = run_strategy(&server, &policy, None, Strategy::Tcsbr);
             times.push(res.time.total());
             if scheme == IntegrityScheme::EcbMht {
                 mht_terminal_hashed = res.cost.terminal_bytes_hashed;

@@ -5,22 +5,24 @@
 //! policy), WSU (random rules), Treebank (8 random rules, complex), and
 //! the three Hospital profiles.
 
-use xsac_bench::{banner, dataset_scale, generate, parse_args, prepare, run_tcsbr};
+use std::sync::Arc;
+use xsac_bench::{banner, dataset_scale, generate, parse_args, prepare, run_strategy};
 use xsac_core::Policy;
 use xsac_crypto::IntegrityScheme;
 use xsac_datagen::rulegen::{policy_with_selectivity, RuleGenConfig};
 use xsac_datagen::{hospital::physician_name, Dataset, Profile};
-use xsac_soe::{lwb_estimate, CostModel};
+use xsac_soe::{lwb_estimate, CompiledPolicy, CostModel, Strategy};
 use xsac_xml::Document;
 
 fn row(name: &str, doc: &Document, policy: &Policy, source_bytes: usize) {
     let cost = CostModel::smartcard();
     let lwb = lwb_estimate(doc, policy, cost);
+    let compiled = Arc::new(CompiledPolicy::compile(policy));
     let mut cells = Vec::new();
     let mut result_bytes = 0usize;
     for scheme in [IntegrityScheme::Ecb, IntegrityScheme::EcbMht] {
         let server = prepare(doc, scheme);
-        let res = run_tcsbr(&server, policy, None);
+        let res = run_strategy(&server, &compiled, None, Strategy::Tcsbr);
         result_bytes = res.result_bytes;
         // Delivered-result throughput, the paper's metric ("produces a
         // throughput ranging from 55KBps to 85KBps").

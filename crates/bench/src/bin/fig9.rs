@@ -5,10 +5,11 @@
 //! oracle bound, as ExecTime/LWB ratios plus the TCSBR cost split
 //! (communication / decryption / access control).
 
-use xsac_bench::{banner, generate, parse_args, prepare, run_bf, run_tcsbr};
+use std::sync::Arc;
+use xsac_bench::{banner, generate, parse_args, prepare, run_strategy};
 use xsac_crypto::IntegrityScheme;
 use xsac_datagen::{hospital::physician_name, Dataset, Profile};
-use xsac_soe::{lwb_estimate, CostModel};
+use xsac_soe::{lwb_estimate, CompiledPolicy, CostModel, Strategy};
 
 fn main() {
     let args = parse_args();
@@ -29,8 +30,9 @@ fn main() {
     for profile in Profile::figure9() {
         let mut dict = server.dict.clone();
         let policy = profile.policy(&physician_name(0), &mut dict);
-        let bf = run_bf(&server, &policy, None);
-        let tc = run_tcsbr(&server, &policy, None);
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
+        let bf = run_strategy(&server, &compiled, None, Strategy::BruteForce);
+        let tc = run_strategy(&server, &compiled, None, Strategy::Tcsbr);
         let lwb = lwb_estimate(&doc, &policy, cost);
         let lwb_t = lwb.time.total().max(1e-9);
         let (c, d, _h, a) = tc.time.split();

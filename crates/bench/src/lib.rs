@@ -9,11 +9,12 @@
 //! * `--seed <u64>`    generator seed (default 42);
 //! * `--full`          shorthand for `--scale 1.0`.
 
-use xsac_core::Policy;
+use std::sync::Arc;
+use xsac_core::CompiledPolicy;
 use xsac_crypto::chunk::ChunkLayout;
 use xsac_crypto::{IntegrityScheme, TripleDes};
 use xsac_datagen::Dataset;
-use xsac_soe::{CostModel, ServerDoc, SessionConfig, SessionResult, Strategy};
+use xsac_soe::{run_session_shared, CostModel, ServerDoc, SessionConfig, SessionResult, Strategy};
 use xsac_xml::Document;
 use xsac_xpath::Automaton;
 
@@ -74,28 +75,17 @@ pub fn prepare(doc: &Document, scheme: IntegrityScheme) -> ServerDoc {
     ServerDoc::prepare(doc, &demo_key(), scheme, ChunkLayout::default())
 }
 
-/// Runs a TCSBR session under the smartcard cost model.
-pub fn run_tcsbr(server: &ServerDoc, policy: &Policy, query: Option<&Automaton>) -> SessionResult {
-    xsac_soe::run_session(
-        server,
-        &demo_key(),
-        policy,
-        query,
-        &SessionConfig { strategy: Strategy::Tcsbr, cost: CostModel::smartcard() },
-    )
-    .expect("session")
-}
-
-/// Runs a Brute-Force session under the smartcard cost model.
-pub fn run_bf(server: &ServerDoc, policy: &Policy, query: Option<&Automaton>) -> SessionResult {
-    xsac_soe::run_session(
-        server,
-        &demo_key(),
-        policy,
-        query,
-        &SessionConfig { strategy: Strategy::BruteForce, cost: CostModel::smartcard() },
-    )
-    .expect("session")
+/// Runs a session under the smartcard cost model. The caller compiles
+/// the policy once (`CompiledPolicy::compile`) and reuses it across
+/// runs, as serving does per role.
+pub fn run_strategy(
+    server: &ServerDoc,
+    policy: &Arc<CompiledPolicy>,
+    query: Option<&Automaton>,
+    strategy: Strategy,
+) -> SessionResult {
+    let config = SessionConfig { strategy, cost: CostModel::smartcard() };
+    run_session_shared(server, &demo_key(), policy, query, &config, None).expect("session")
 }
 
 /// Prints a rule with the experiment header.
@@ -122,10 +112,11 @@ mod tests {
         let doc = generate(Dataset::Hospital, &args);
         let server = prepare(&doc, IntegrityScheme::Ecb);
         let mut dict = server.dict.clone();
-        let policy = xsac_datagen::secretary_policy("sec", &mut dict);
-        let res = run_tcsbr(&server, &policy, None);
+        let policy =
+            Arc::new(CompiledPolicy::compile(&xsac_datagen::secretary_policy("sec", &mut dict)));
+        let res = run_strategy(&server, &policy, None, Strategy::Tcsbr);
         assert!(res.result_bytes > 0);
-        let bf = run_bf(&server, &policy, None);
+        let bf = run_strategy(&server, &policy, None, Strategy::BruteForce);
         assert!(bf.time.total() >= res.time.total());
     }
 }

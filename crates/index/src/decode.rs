@@ -7,16 +7,17 @@
 //! stack and used to decode in turn TagArray_e, SubtreeSize_e and the
 //! encoded tag of e."
 //!
-//! Skipping an open subtree is a byte seek to its body end; pending
-//! subtrees can be re-decoded later from a saved [`DecoderContext`]
-//! (read-back, §5) without re-analyzing anything else.
+//! One record parser serves two callers:
 //!
-//! The decode loop is allocation-light: text nodes are returned as `&str`
-//! slices borrowing the encoded bytes (no per-node `String`), and readback
-//! decoding can append into a caller-owned event buffer via
-//! [`Decoder::decode_range_into`], so a session's steady-state decode path
-//! allocates per *element record* (its descendant-tag context), never per
-//! text byte.
+//! * [`CursorDecoder`] walks the document through a [`ByteSource`],
+//!   fetching only the records it visits. Skipping an open subtree is a
+//!   position seek to its body end.
+//! * [`decode_range`] re-decodes a saved [`DecoderContext`] in one pass
+//!   over bytes already in hand — pending-subtree readback (§5), or the
+//!   whole document under [`DecoderContext::root`]. Its text events
+//!   borrow the input, and it appends into a caller-owned buffer, so a
+//!   readback allocates per *element record* (its descendant-tag
+//!   context), never per text byte.
 
 use crate::bits::{width_for, BitReader};
 use std::fmt;
@@ -42,23 +43,21 @@ impl std::error::Error for DecodeError {}
 
 /// One decoded node event.
 ///
-/// Borrows the encoded input: text nodes are `&str` views of the decoded
-/// byte range, so pulling events never copies text. An element's
-/// descendant-tag set (the decoded TagArray) is exposed through
-/// [`Decoder::last_desc`] — kept in a buffer the decoder reuses for every
-/// record, so the steady-state element loop performs a single allocation
-/// per record (the shared child-context tag list) instead of four.
+/// Borrows the decoder's text buffer, so pulling events never allocates
+/// per text node. An element's descendant-tag set (the decoded TagArray)
+/// is exposed through [`CursorDecoder::last_desc`] — kept in a buffer the
+/// decoder reuses for every record, so the steady-state element loop
+/// performs a single allocation per record (the shared child-context tag
+/// list) instead of four.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DecodedNode<'a> {
-    /// An element opens. `body` is the byte extent of its content; its
-    /// descendant tags are in [`Decoder::last_desc`] until the next call.
+    /// An element opens; its descendant tags are in
+    /// [`CursorDecoder::last_desc`] until the next call.
     Element {
         /// The element tag.
         tag: TagId,
-        /// Byte extent `[start, end)` of the body.
-        body: (usize, usize),
     },
-    /// A text node, borrowed from the encoded bytes.
+    /// A text node.
     Text(&'a str),
     /// An element closes (synthesized — the encoding has no closing tags).
     Close(TagId),
@@ -81,6 +80,27 @@ pub struct DecoderContext {
     pub body_bound: u64,
 }
 
+impl DecoderContext {
+    /// The context of the whole document: its root record, indexed
+    /// against the full tag dictionary (`dict_len` tags, shared knowledge
+    /// between SOE and server), spanning the length announced by the
+    /// 4-byte header at the start of `header`.
+    pub fn root(header: &[u8], dict_len: usize) -> Result<DecoderContext, DecodeError> {
+        let len: [u8; 4] = header
+            .get(..4)
+            .and_then(|h| h.try_into().ok())
+            .ok_or_else(|| DecodeError { offset: 0, message: "missing header".into() })?;
+        Ok(DecoderContext {
+            start: 4,
+            end: 4 + u32::from_be_bytes(len) as usize,
+            tags: (0..dict_len as u32).map(TagId).collect(),
+            body_bound: u32::MAX as u64,
+        })
+    }
+}
+
+/// One open element on the `SkipStack`: its tag, the context its children
+/// are read under, and where its body ends.
 struct Level {
     tag: TagId,
     tags: Arc<[TagId]>,
@@ -88,302 +108,111 @@ struct Level {
     end: usize,
 }
 
-/// Streaming TCSBR decoder.
-pub struct Decoder<'a> {
-    data: &'a [u8],
-    pos: usize,
-    stack: Vec<Level>,
-    /// Context of the most recently decoded element record.
-    last_element: Option<DecoderContext>,
-    /// Descendant-tag set of the most recently decoded element (reused
-    /// across records; see [`Decoder::last_desc`]).
-    last_desc: TagSet,
-    /// The same tags as a list (scratch for building child contexts).
-    desc_buf: Vec<TagId>,
-    root_tags: Arc<[TagId]>,
-    done: bool,
-    /// Total bytes consumed by `next` (for cost accounting; skipped bytes
-    /// are *not* counted — that is the point of the index).
-    pub bytes_read: usize,
+/// A parsed record header.
+struct Header {
+    tag: TagId,
+    /// Absolute byte extent `[body_start, body_end)` of the record body.
+    body_start: usize,
+    body_end: usize,
 }
 
-impl<'a> Decoder<'a> {
-    /// Creates a decoder over TCSBR bytes; `dict_len` is the tag
-    /// dictionary size (shared knowledge between SOE and server).
-    pub fn new(data: &'a [u8], dict_len: usize) -> Result<Decoder<'a>, DecodeError> {
-        if data.len() < 4 {
-            return Err(DecodeError { offset: 0, message: "missing header".into() });
-        }
-        let root_tags: Arc<[TagId]> = (0..dict_len as u32).map(TagId).collect();
-        Ok(Decoder {
-            data,
-            pos: 4,
-            stack: Vec::new(),
-            last_element: None,
-            last_desc: TagSet::new(),
-            desc_buf: Vec::new(),
-            root_tags,
-            done: false,
-            bytes_read: 4,
-        })
-    }
-
-    /// Descendant-tag set (`DescTag_e`, the decoded TagArray) of the
-    /// element most recently returned by [`Decoder::next`] — empty for
-    /// leaves. Valid until the next `next` call.
-    pub fn last_desc(&self) -> &TagSet {
-        &self.last_desc
-    }
-
-    /// Tag-list context for decoding the children of the element most
-    /// recently opened by [`Decoder::next`] (shared with the decoder's own
-    /// stack — an `Arc` bump, no copy).
-    pub fn current_tags(&self) -> Arc<[TagId]> {
-        self.stack.last().map(|l| l.tags.clone()).unwrap_or_else(|| self.root_tags.clone())
-    }
-
-    /// Current absolute byte position.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Current depth.
-    pub fn depth(&self) -> usize {
-        self.stack.len()
-    }
-
-    /// The context of the element record most recently returned by
-    /// [`Decoder::next`] — save it before skipping to allow readback.
-    pub fn last_element_context(&self) -> Option<DecoderContext> {
-        self.last_element.clone()
-    }
-
-    /// Context covering the *remaining* content of the current element
-    /// (skip-rest on close directives).
-    pub fn rest_context(&self) -> Option<DecoderContext> {
-        let top = self.stack.last()?;
-        Some(DecoderContext {
-            start: self.pos,
-            end: top.end,
-            tags: top.tags.clone(),
-            body_bound: top.body_bound,
-        })
-    }
-
-    /// Next node in document order.
-    #[allow(clippy::should_implement_trait)] // fallible pull-style next()
-    pub fn next(&mut self) -> Result<DecodedNode<'a>, DecodeError> {
-        if self.done {
-            return Ok(DecodedNode::End);
-        }
-        // Close any element whose body is exhausted.
-        if let Some(top) = self.stack.last() {
-            debug_assert!(self.pos <= top.end, "decoder overran a subtree");
-            if self.pos == top.end {
-                let level = self.stack.pop().expect("non-empty");
-                if self.stack.is_empty() {
-                    self.done = true;
-                }
-                return Ok(DecodedNode::Close(level.tag));
-            }
-        } else if !self.stack.is_empty() {
-            unreachable!()
-        }
-        if self.stack.is_empty() && self.pos > 4 {
-            self.done = true;
-            return Ok(DecodedNode::End);
-        }
-
-        let (tags, bound, level_end) = match self.stack.last() {
-            Some(top) => (top.tags.clone(), top.body_bound, top.end),
-            None => {
-                let end =
-                    4 + u32::from_be_bytes(self.data[0..4].try_into().expect("header")) as usize;
-                (self.root_tags.clone(), u32::MAX as u64, end)
-            }
-        };
-        let record_start = self.pos;
-        let mut r = BitReader::at(self.data, self.pos);
-        let err = |offset, message: &str| DecodeError { offset, message: message.into() };
-        let leaf = r.read_bit().ok_or_else(|| err(record_start, "eof in leaf bit"))?;
-        let tagw = width_for(tags.len().saturating_sub(1) as u64);
-        let idx = r.read(tagw).ok_or_else(|| err(record_start, "eof in tag index"))? as usize;
-        let tag = *tags.get(idx).ok_or_else(|| err(record_start, "tag index out of context"))?;
-        let sizew = width_for(bound);
-        let size = r.read(sizew).ok_or_else(|| err(record_start, "eof in size"))? as usize;
-        self.last_desc.clear();
-        self.desc_buf.clear();
-        if !leaf {
-            for &t in tags.iter() {
-                if r.read_bit().ok_or_else(|| err(record_start, "eof in tag array"))? {
-                    self.last_desc.insert(t);
-                    self.desc_buf.push(t);
-                }
+/// Parses the record header at the start of `bytes`: the record at
+/// absolute offset `start`, read under its parent's context (`tags` is
+/// `DescTag_parent`, `bound` is `SubtreeSize_parent`) and required to end
+/// by `level_end`. Each tag set in the record's TagArray (`DescTag_e`;
+/// leaves have none) is passed to `desc`.
+#[inline]
+fn parse_header(
+    bytes: &[u8],
+    start: usize,
+    tags: &[TagId],
+    bound: u64,
+    level_end: usize,
+    mut desc: impl FnMut(TagId),
+) -> Result<Header, DecodeError> {
+    let err = |message: &str| DecodeError { offset: start, message: message.into() };
+    let mut r = BitReader::at(bytes, 0);
+    let leaf = r.read_bit().ok_or_else(|| err("eof in leaf bit"))?;
+    let tagw = width_for(tags.len().saturating_sub(1) as u64);
+    let idx = r.read(tagw).ok_or_else(|| err("eof in tag index"))? as usize;
+    let tag = *tags.get(idx).ok_or_else(|| err("tag index out of context"))?;
+    let size = r.read(width_for(bound)).ok_or_else(|| err("eof in size"))? as usize;
+    if !leaf {
+        for &t in tags {
+            if r.read_bit().ok_or_else(|| err("eof in tag array"))? {
+                desc(t);
             }
         }
-        r.align();
-        let body_start = r.byte_pos();
-        let body_end = body_start + size;
-        if body_end > level_end {
-            return Err(err(record_start, "record overruns its parent"));
-        }
-        self.bytes_read += body_start - record_start;
-        if tag == TagId::TEXT {
-            let bytes = r.read_bytes(size).ok_or_else(|| err(body_start, "eof in text body"))?;
-            let text =
-                std::str::from_utf8(bytes).map_err(|_| err(body_start, "invalid UTF-8 text"))?;
-            self.pos = body_end;
-            self.bytes_read += size;
-            if self.stack.is_empty() {
-                return Err(err(record_start, "text node at document root"));
-            }
-            return Ok(DecodedNode::Text(text));
-        }
-        // Element record. The child-context tag list is the only per-record
-        // allocation (it outlives this record via saved `DecoderContext`s).
-        let desc_list: Arc<[TagId]> = self.desc_buf.as_slice().into();
-        self.last_element = Some(DecoderContext {
-            start: record_start,
-            end: body_end,
-            tags: tags.clone(),
-            body_bound: bound,
+    }
+    r.align();
+    let body_start = start + r.byte_pos();
+    let body_end = body_start + size;
+    if body_end > level_end {
+        return Err(err("record overruns its parent"));
+    }
+    Ok(Header { tag, body_start, body_end })
+}
+
+/// Decodes the saved range `ctx` into events (pending readback, or the
+/// whole document under [`DecoderContext::root`]). The range may hold one
+/// subtree or a forest of records. `data` holds the document bytes
+/// `base..base + data.len()` — a readback fetches exactly its saved range
+/// and decodes it in place with `base = ctx.start`. All offsets in `ctx`
+/// and in the returned errors stay absolute.
+///
+/// `out` is cleared and filled; its text events borrow `data`, so one
+/// buffer serves every readback of a session without copying text.
+pub fn decode_range<'d>(
+    data: &'d [u8],
+    base: usize,
+    ctx: &DecoderContext,
+    out: &mut Vec<Event<'d>>,
+) -> Result<(), DecodeError> {
+    out.clear();
+    if ctx.start < base || ctx.end < ctx.start || ctx.end - base > data.len() {
+        return Err(DecodeError {
+            offset: ctx.start,
+            message: "range outside provided data".into(),
         });
-        self.stack.push(Level { tag, tags: desc_list, body_bound: size as u64, end: body_end });
-        self.pos = body_start;
-        Ok(DecodedNode::Element { tag, body: (body_start, body_end) })
     }
-
-    /// Skips the element opened by the last [`DecodedNode::Element`]:
-    /// seeks past its body without decoding (and without emitting its
-    /// close). The bytes are *not* counted as read.
-    pub fn skip_current(&mut self) {
-        let level = self.stack.pop().expect("skip_current without open element");
-        self.pos = level.end;
-        if self.stack.is_empty() {
-            self.done = true;
-        }
-    }
-
-    /// Skips the remaining content of the current element (after some of
-    /// its children were decoded) and pops it without emitting its close.
-    pub fn skip_rest(&mut self) {
-        let level = self.stack.pop().expect("skip_rest without open element");
-        self.pos = level.end;
-        if self.stack.is_empty() {
-            self.done = true;
-        }
-    }
-
-    /// Decodes a saved byte range into events (pending readback). The
-    /// range may contain one subtree or a forest of records. Text events
-    /// borrow from `data`; see [`Decoder::decode_range_into`] to also
-    /// reuse the event buffer across readbacks.
-    pub fn decode_range<'d>(
-        data: &'d [u8],
-        ctx: &DecoderContext,
-    ) -> Result<Vec<Event<'d>>, DecodeError> {
-        let mut out = Vec::new();
-        Decoder::decode_range_into(data, ctx, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`Decoder::decode_range`], but clears and fills a
-    /// caller-owned buffer — one buffer (plus the borrowed text slices)
-    /// serves every readback and bulk delivery of a session, so serving a
-    /// pending subtree allocates nothing proportional to its text size.
-    pub fn decode_range_into<'d>(
-        data: &'d [u8],
-        ctx: &DecoderContext,
-        out: &mut Vec<Event<'d>>,
-    ) -> Result<(), DecodeError> {
-        Decoder::decode_range_at(data, 0, ctx, out)
-    }
-
-    /// Like [`Decoder::decode_range_into`], but over a buffer that holds
-    /// only the bytes `base..base + data.len()` of the document — the
-    /// cursor path: a readback fetches exactly its saved range and
-    /// decodes it in place, so `data` need not start at document offset
-    /// 0. All offsets in `ctx` (and in the emitted errors) stay absolute.
-    pub fn decode_range_at<'d>(
-        data: &'d [u8],
-        base: usize,
-        ctx: &DecoderContext,
-        out: &mut Vec<Event<'d>>,
-    ) -> Result<(), DecodeError> {
-        out.clear();
-        if ctx.start < base || ctx.end < ctx.start || ctx.end - base > data.len() {
-            return Err(DecodeError {
-                offset: ctx.start,
-                message: "range outside provided data".into(),
-            });
-        }
-        let mut stack: Vec<(TagId, usize, Arc<[TagId]>, u64)> = Vec::new();
-        let mut pos = ctx.start;
-        loop {
-            // Close exhausted levels.
-            while let Some(&(tag, end, _, _)) = stack.last() {
-                if pos == end {
-                    out.push(Event::Close(tag));
-                    stack.pop();
-                } else {
-                    break;
-                }
-            }
-            if stack.is_empty() && pos >= ctx.end {
+    let mut stack: Vec<Level> = Vec::new();
+    let mut desc: Vec<TagId> = Vec::new();
+    let mut pos = ctx.start;
+    loop {
+        // Close exhausted levels. Every record ends within its parent
+        // (checked by `parse_header`), so `pos` never passes an end.
+        while let Some(top) = stack.last() {
+            if pos != top.end {
                 break;
             }
-            let (tags, bound) = match stack.last() {
-                Some((_, _, tags, bound)) => (tags.clone(), *bound),
-                None => (ctx.tags.clone(), ctx.body_bound),
-            };
-            let record_start = pos;
-            let mut r = BitReader::at(data, pos - base);
-            let err = |message: &str| DecodeError { offset: record_start, message: message.into() };
-            let leaf = r.read_bit().ok_or_else(|| err("eof in leaf bit"))?;
-            let tagw = width_for(tags.len().saturating_sub(1) as u64);
-            let idx = r.read(tagw).ok_or_else(|| err("eof in tag index"))? as usize;
-            let tag = *tags.get(idx).ok_or_else(|| err("tag index out of context"))?;
-            let sizew = width_for(bound);
-            let size = r.read(sizew).ok_or_else(|| err("eof in size"))? as usize;
-            let mut desc: Vec<TagId> = Vec::new();
-            if !leaf {
-                for &t in tags.iter() {
-                    if r.read_bit().ok_or_else(|| err("eof in tag array"))? {
-                        desc.push(t);
-                    }
-                }
-            }
-            r.align();
-            let body_start = base + r.byte_pos();
-            let body_end = body_start + size;
-            if tag == TagId::TEXT {
-                let bytes = r.read_bytes(size).ok_or_else(|| err("eof in text body"))?;
-                let text = std::str::from_utf8(bytes).map_err(|_| err("invalid UTF-8 text"))?;
-                out.push(Event::Text(text.into()));
-                pos = body_end;
-            } else {
-                out.push(Event::Open(tag));
-                stack.push((tag, body_end, desc.into(), size as u64));
-                pos = body_start;
-            }
+            out.push(Event::Close(top.tag));
+            stack.pop();
         }
-        Ok(())
-    }
-
-    /// Decodes everything into events (no skipping — brute-force mode).
-    /// Text events borrow from `data`.
-    pub fn decode_all(data: &[u8], dict_len: usize) -> Result<Vec<Event<'_>>, DecodeError> {
-        let mut d = Decoder::new(data, dict_len)?;
-        let mut out = Vec::new();
-        loop {
-            match d.next()? {
-                DecodedNode::Element { tag, .. } => out.push(Event::Open(tag)),
-                DecodedNode::Text(t) => out.push(Event::Text(t.into())),
-                DecodedNode::Close(t) => out.push(Event::Close(t)),
-                DecodedNode::End => break,
-            }
+        let (tags, bound, level_end) = match stack.last() {
+            Some(top) => (&top.tags, top.body_bound, top.end),
+            None if pos < ctx.end => (&ctx.tags, ctx.body_bound, ctx.end),
+            None => return Ok(()),
+        };
+        desc.clear();
+        let h = parse_header(&data[pos - base..], pos, tags, bound, level_end, |t| desc.push(t))?;
+        if h.tag == TagId::TEXT {
+            let bytes = &data[h.body_start - base..h.body_end - base];
+            let text = std::str::from_utf8(bytes).map_err(|_| DecodeError {
+                offset: h.body_start,
+                message: "invalid UTF-8 text".into(),
+            })?;
+            out.push(Event::Text(text.into()));
+            pos = h.body_end;
+        } else {
+            out.push(Event::Open(h.tag));
+            stack.push(Level {
+                tag: h.tag,
+                tags: desc.as_slice().into(),
+                body_bound: (h.body_end - h.body_start) as u64,
+                end: h.body_end,
+            });
+            pos = h.body_start;
         }
-        Ok(out)
     }
 }
 
@@ -469,28 +298,27 @@ impl<E: fmt::Display> fmt::Display for CursorError<E> {
 
 impl<E: fmt::Display + fmt::Debug> std::error::Error for CursorError<E> {}
 
-/// Streaming TCSBR decoder over a [`ByteSource`] — the out-of-core twin
-/// of [`Decoder`]. Instead of indexing a resident flat buffer it fetches
-/// each record's header and body on demand, so the bytes resident at any
-/// moment are one record header plus (for text) one text body, and the
-/// source sees precisely the skip-index access pattern: headers of the
-/// records on the authorized path, bodies of delivered text, and nothing
-/// of skipped subtrees.
+/// Streaming TCSBR decoder over a [`ByteSource`]. It fetches each record's
+/// header and body on demand, so the bytes resident at any moment are one
+/// record header plus (for text) one text body, and the source sees
+/// precisely the skip-index access pattern: headers of the records on the
+/// authorized path, bodies of delivered text, and nothing of skipped
+/// subtrees.
 ///
-/// The navigation surface mirrors [`Decoder`] (same `SkipStack`
-/// semantics, same saved-[`DecoderContext`] readback protocol); returned
-/// [`DecodedNode`]s borrow the decoder's internal fetch buffer, so each
-/// node must be consumed before the next call.
+/// Returned [`DecodedNode`]s borrow the decoder's internal fetch buffer,
+/// so each node must be consumed before the next call. A context saved
+/// with [`CursorDecoder::last_element_context`] or
+/// [`CursorDecoder::rest_context`] is read back with
+/// [`CursorDecoder::read_range`] and [`decode_range`].
 pub struct CursorDecoder<R: ByteSource> {
     src: R,
     pos: usize,
-    /// End of the root record (from the 4-byte header).
-    root_end: usize,
+    /// The root record's context (from the 4-byte header).
+    root: DecoderContext,
     stack: Vec<Level>,
     last_element: Option<DecoderContext>,
     last_desc: TagSet,
     desc_buf: Vec<TagId>,
-    root_tags: Arc<[TagId]>,
     done: bool,
     /// Scratch for the current record header.
     hdr: Vec<u8>,
@@ -512,33 +340,21 @@ impl<R: ByteSource> CursorDecoder<R> {
         }
         let mut hdr = Vec::with_capacity(4);
         src.fetch(0, 4, &mut hdr).map_err(CursorError::Source)?;
-        let root_end = 4 + u32::from_be_bytes(hdr[..4].try_into().expect("4 bytes")) as usize;
-        let root_tags: Arc<[TagId]> = (0..dict_len as u32).map(TagId).collect();
+        let root = DecoderContext::root(&hdr, dict_len)?;
         Ok(CursorDecoder {
             src,
-            pos: 4,
-            root_end,
+            pos: root.start,
+            root,
             stack: Vec::new(),
             last_element: None,
             last_desc: TagSet::new(),
             desc_buf: Vec::new(),
-            root_tags,
             done: false,
             hdr,
             text: Vec::new(),
             range: Vec::new(),
             bytes_read: 4,
         })
-    }
-
-    /// The underlying source (e.g. to inspect its metering).
-    pub fn source(&self) -> &R {
-        &self.src
-    }
-
-    /// Mutable access to the underlying source.
-    pub fn source_mut(&mut self) -> &mut R {
-        &mut self.src
     }
 
     /// Consumes the cursor, returning the source.
@@ -551,12 +367,6 @@ impl<R: ByteSource> CursorDecoder<R> {
     /// `next` call.
     pub fn last_desc(&self) -> &TagSet {
         &self.last_desc
-    }
-
-    /// Tag-list context for decoding the children of the element most
-    /// recently opened by [`CursorDecoder::next`].
-    pub fn current_tags(&self) -> Arc<[TagId]> {
-        self.stack.last().map(|l| l.tags.clone()).unwrap_or_else(|| self.root_tags.clone())
     }
 
     /// Current absolute byte position.
@@ -607,87 +417,75 @@ impl<R: ByteSource> CursorDecoder<R> {
                 return Ok(DecodedNode::Close(level.tag));
             }
         }
-        if self.stack.is_empty() && self.pos > 4 {
+        if self.stack.is_empty() && self.pos > self.root.start {
             self.done = true;
             return Ok(DecodedNode::End);
         }
 
         let (tags, bound, level_end) = match self.stack.last() {
             Some(top) => (top.tags.clone(), top.body_bound, top.end),
-            None => (self.root_tags.clone(), u32::MAX as u64, self.root_end),
+            None => (self.root.tags.clone(), self.root.body_bound, self.root.end),
         };
         let record_start = self.pos;
-        let err = |offset, message: &str| {
-            CursorError::Decode(DecodeError { offset, message: message.into() })
-        };
         // The widths of the fixed prefix (leaf bit, tag index, size) are
         // known from the parent context before reading a single byte —
-        // fetch exactly that many, parse, then fetch the tag array whose
-        // presence and width the prefix reveals.
-        let tagw = width_for(tags.len().saturating_sub(1) as u64);
-        let sizew = width_for(bound);
-        let prefix_bits = (1 + tagw + sizew) as usize;
-        let prefix_bytes = prefix_bits.div_ceil(8);
+        // fetch exactly that many, then the tag array whose presence the
+        // leaf bit (the record's first bit) reveals.
+        let prefix_bits =
+            1 + width_for(tags.len().saturating_sub(1) as u64) as usize + width_for(bound) as usize;
         self.hdr.clear();
-        self.src.fetch(record_start, prefix_bytes, &mut self.hdr).map_err(CursorError::Source)?;
-        let mut r = BitReader::at(&self.hdr, 0);
-        let leaf = r.read_bit().ok_or_else(|| err(record_start, "eof in leaf bit"))?;
-        let idx = r.read(tagw).ok_or_else(|| err(record_start, "eof in tag index"))? as usize;
-        let tag = *tags.get(idx).ok_or_else(|| err(record_start, "tag index out of context"))?;
-        let size = r.read(sizew).ok_or_else(|| err(record_start, "eof in size"))? as usize;
-        self.last_desc.clear();
-        self.desc_buf.clear();
-        let hdr_len = if leaf { prefix_bytes } else { (prefix_bits + tags.len()).div_ceil(8) };
-        if !leaf {
-            if hdr_len > prefix_bytes {
+        self.src
+            .fetch(record_start, prefix_bits.div_ceil(8), &mut self.hdr)
+            .map_err(CursorError::Source)?;
+        if BitReader::at(&self.hdr, 0).read_bit() == Some(false) {
+            let have = self.hdr.len();
+            let hdr_len = (prefix_bits + tags.len()).div_ceil(8);
+            if hdr_len > have {
                 self.src
-                    .fetch(record_start + prefix_bytes, hdr_len - prefix_bytes, &mut self.hdr)
+                    .fetch(record_start + have, hdr_len - have, &mut self.hdr)
                     .map_err(CursorError::Source)?;
             }
-            // Re-read past the prefix (it can exceed 64 bits, so skip it
-            // with the same three reads rather than one).
-            let mut r = BitReader::at(&self.hdr, 0);
-            r.read_bit();
-            r.read(tagw);
-            r.read(sizew);
-            for &t in tags.iter() {
-                if r.read_bit().ok_or_else(|| err(record_start, "eof in tag array"))? {
-                    self.last_desc.insert(t);
-                    self.desc_buf.push(t);
-                }
-            }
         }
-        let body_start = record_start + hdr_len;
-        let body_end = body_start + size;
-        if body_end > level_end {
-            return Err(err(record_start, "record overruns its parent"));
-        }
-        self.bytes_read += hdr_len;
-        if tag == TagId::TEXT {
+        self.last_desc.clear();
+        self.desc_buf.clear();
+        let (last_desc, desc_buf) = (&mut self.last_desc, &mut self.desc_buf);
+        let h = parse_header(&self.hdr, record_start, &tags, bound, level_end, |t| {
+            last_desc.insert(t);
+            desc_buf.push(t);
+        })?;
+        self.bytes_read += h.body_start - record_start;
+        if h.tag == TagId::TEXT {
             if self.stack.is_empty() {
-                return Err(err(record_start, "text node at document root"));
+                return Err(DecodeError {
+                    offset: record_start,
+                    message: "text node at document root".into(),
+                }
+                .into());
             }
+            let size = h.body_end - h.body_start;
             self.text.clear();
-            self.src.fetch(body_start, size, &mut self.text).map_err(CursorError::Source)?;
-            let text = std::str::from_utf8(&self.text)
-                .map_err(|_| err(body_start, "invalid UTF-8 text"))?;
-            self.pos = body_end;
+            self.src.fetch(h.body_start, size, &mut self.text).map_err(CursorError::Source)?;
+            let text = std::str::from_utf8(&self.text).map_err(|_| DecodeError {
+                offset: h.body_start,
+                message: "invalid UTF-8 text".into(),
+            })?;
+            self.pos = h.body_end;
             self.bytes_read += size;
             return Ok(DecodedNode::Text(text));
         }
         // Element record. The child-context tag list is the only
         // per-record allocation (it outlives this record via saved
         // `DecoderContext`s).
-        let desc_list: Arc<[TagId]> = self.desc_buf.as_slice().into();
-        self.last_element = Some(DecoderContext {
-            start: record_start,
-            end: body_end,
-            tags: tags.clone(),
-            body_bound: bound,
+        self.last_element =
+            Some(DecoderContext { start: record_start, end: h.body_end, tags, body_bound: bound });
+        self.stack.push(Level {
+            tag: h.tag,
+            tags: self.desc_buf.as_slice().into(),
+            body_bound: (h.body_end - h.body_start) as u64,
+            end: h.body_end,
         });
-        self.stack.push(Level { tag, tags: desc_list, body_bound: size as u64, end: body_end });
-        self.pos = body_start;
-        Ok(DecodedNode::Element { tag, body: (body_start, body_end) })
+        self.pos = h.body_start;
+        Ok(DecodedNode::Element { tag: h.tag })
     }
 
     /// Skips the element opened by the last [`DecodedNode::Element`]: a
@@ -712,10 +510,10 @@ impl<R: ByteSource> CursorDecoder<R> {
     }
 
     /// Fetches the byte range of a saved context in one pull (pending
-    /// readback) and returns it; decode it in place with
-    /// [`Decoder::decode_range_at`] using `ctx.start` as the base. The
-    /// borrow ends before the next navigation call, so one internal
-    /// buffer serves every readback of a session.
+    /// readback) and returns it; decode it in place with [`decode_range`]
+    /// using `ctx.start` as the base. The borrow ends before the next
+    /// navigation call, so one internal buffer serves every readback of a
+    /// session.
     pub fn read_range(&mut self, ctx: &DecoderContext) -> Result<&[u8], CursorError<R::Error>> {
         if ctx.end < ctx.start {
             return Err(DecodeError { offset: ctx.start, message: "inverted range".into() }.into());
@@ -734,11 +532,37 @@ mod tests {
     use crate::encode::{encode_document, Encoding};
     use xsac_xml::Document;
 
+    fn cursor(bytes: &[u8], dict_len: usize) -> CursorDecoder<SliceSource<'_>> {
+        CursorDecoder::new(SliceSource(bytes), dict_len).unwrap()
+    }
+
+    /// The whole document through the range decoder, under its root
+    /// context.
+    fn decode_all(bytes: &[u8], dict_len: usize) -> Result<Vec<Event<'_>>, DecodeError> {
+        let mut out = Vec::new();
+        decode_range(bytes, 0, &DecoderContext::root(bytes, dict_len)?, &mut out)?;
+        Ok(out)
+    }
+
+    /// The whole document through the cursor, as owned events.
+    fn cursor_events(bytes: &[u8], dict_len: usize) -> Vec<Event<'static>> {
+        let mut d = cursor(bytes, dict_len);
+        let mut out = Vec::new();
+        loop {
+            match d.next().unwrap() {
+                DecodedNode::Element { tag, .. } => out.push(Event::Open(tag)),
+                DecodedNode::Text(t) => out.push(Event::Text(t.to_owned().into())),
+                DecodedNode::Close(t) => out.push(Event::Close(t)),
+                DecodedNode::End => return out,
+            }
+        }
+    }
+
     fn roundtrip(xml: &str) {
         let doc = Document::parse(xml).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let events = Decoder::decode_all(&enc.bytes, doc.dict.len()).unwrap();
-        assert_eq!(events, doc.events(), "roundtrip of {xml}");
+        assert_eq!(decode_all(&enc.bytes, doc.dict.len()).unwrap(), doc.events(), "{xml}");
+        assert_eq!(cursor_events(&enc.bytes, doc.dict.len()), doc.events(), "{xml}");
     }
 
     #[test]
@@ -765,7 +589,7 @@ mod tests {
     fn skip_current_lands_on_sibling() {
         let doc = Document::parse("<a><b><x>111</x><y>222</y></b><c>cc</c></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
         let b = doc.dict.get("b").unwrap();
         let c = doc.dict.get("c").unwrap();
         // a
@@ -791,18 +615,19 @@ mod tests {
         .unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
         let full = {
-            let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+            let mut d = cursor(&enc.bytes, doc.dict.len());
             while !matches!(d.next().unwrap(), DecodedNode::End) {}
             d.bytes_read
         };
         let skipped = {
-            let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+            let mut d = cursor(&enc.bytes, doc.dict.len());
             d.next().unwrap(); // a
             d.next().unwrap(); // b
             d.skip_current();
             while !matches!(d.next().unwrap(), DecodedNode::End) {}
             d.bytes_read
         };
+        assert_eq!(full, enc.bytes.len(), "a full scan reads every byte");
         assert!(skipped + 40 <= full, "skipping must save the text bytes: {skipped} vs {full}");
     }
 
@@ -810,12 +635,13 @@ mod tests {
     fn readback_matches_skipped_subtree() {
         let doc = Document::parse("<a><b><x>11</x><y>22</y></b><c>cc</c></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
         d.next().unwrap(); // a
         d.next().unwrap(); // b
         let ctx = d.last_element_context().unwrap();
         d.skip_current();
-        let events = Decoder::decode_range(&enc.bytes, &ctx).unwrap();
+        let mut events = Vec::new();
+        decode_range(&enc.bytes, 0, &ctx, &mut events).unwrap();
         let b = doc.dict.get("b").unwrap();
         let x = doc.dict.get("x").unwrap();
         let y = doc.dict.get("y").unwrap();
@@ -838,7 +664,7 @@ mod tests {
     fn rest_context_covers_remaining_children() {
         let doc = Document::parse("<a><b>1</b><c>2</c><d>3</d></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
         d.next().unwrap(); // a
         d.next().unwrap(); // b
         d.next().unwrap(); // "1"
@@ -846,7 +672,8 @@ mod tests {
         let ctx = d.rest_context().unwrap();
         d.skip_rest();
         assert!(matches!(d.next().unwrap(), DecodedNode::End));
-        let events = Decoder::decode_range(&enc.bytes, &ctx).unwrap();
+        let mut events = Vec::new();
+        decode_range(&enc.bytes, 0, &ctx, &mut events).unwrap();
         let c = doc.dict.get("c").unwrap();
         let dd = doc.dict.get("d").unwrap();
         assert_eq!(
@@ -866,7 +693,7 @@ mod tests {
     fn desc_tags_exposed_on_open() {
         let doc = Document::parse("<a><b><c>x</c></b></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
         match d.next().unwrap() {
             DecodedNode::Element { .. } => {
                 let desc = d.last_desc();
@@ -889,29 +716,33 @@ mod tests {
         }
     }
 
+    /// Every proper prefix of an encoding fails to decode, through the
+    /// cursor and through the range decoder alike.
     #[test]
     fn truncated_input_errors() {
         let doc = Document::parse("<a><b>hello world</b></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let truncated = &enc.bytes[..enc.bytes.len() - 4];
-        let mut d = Decoder::new(truncated, doc.dict.len()).unwrap();
-        let mut result = Ok(());
-        loop {
-            match d.next() {
-                Ok(DecodedNode::End) => break,
-                Ok(_) => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
+        for cut in 0..enc.bytes.len() {
+            let truncated = &enc.bytes[..cut];
+            assert!(decode_all(truncated, doc.dict.len()).is_err(), "range decoder, cut {cut}");
+            let Ok(mut d) = CursorDecoder::new(SliceSource(truncated), doc.dict.len()) else {
+                continue;
+            };
+            let result = loop {
+                match d.next() {
+                    Ok(DecodedNode::End) => break Ok(()),
+                    Ok(_) => {}
+                    Err(e) => break Err(e),
                 }
-            }
+            };
+            assert!(result.is_err(), "cursor, cut {cut}: truncation must be detected");
         }
-        assert!(result.is_err(), "truncation must be detected");
     }
 
     #[test]
     fn garbage_header_errors() {
-        assert!(Decoder::new(&[1, 2], 5).is_err());
+        assert!(CursorDecoder::new(SliceSource(&[1, 2]), 5).is_err());
+        assert!(DecoderContext::root(&[1, 2], 5).is_err());
     }
 
     /// A `ByteSource` that counts fetched bytes — stands in for the
@@ -938,33 +769,27 @@ mod tests {
         }
     }
 
+    /// The two decoders that ship agree event for event: the cursor's
+    /// walk against the slice decoder [`decode_range`] over the whole
+    /// encoding (root context), on hand-written shapes and on every
+    /// generated dataset.
     #[test]
     fn cursor_matches_slice_decoder_event_for_event() {
-        for xml in [
+        let mut docs: Vec<Document> = [
             "<a></a>",
             "<a><b>one</b><c>two</c></a>",
             "<a>t1<b><c><d>deep</d></c></b>t2<e></e></a>",
             "<a><a><a>x</a></a><a>y</a></a>",
-        ] {
-            let doc = Document::parse(xml).unwrap();
-            let enc = encode_document(&doc, Encoding::TCSBR);
-            let mut slice = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
-            let mut cursor = CursorDecoder::new(SliceSource(&enc.bytes), doc.dict.len()).unwrap();
-            loop {
-                let expect = slice.next().unwrap();
-                let desc_expect: Vec<_> = slice.last_desc().iter().collect();
-                let pos_expect = slice.position();
-                let got = cursor.next().unwrap();
-                assert_eq!(got, expect, "{xml}");
-                let done = matches!(got, DecodedNode::End);
-                assert_eq!(cursor.last_desc().iter().collect::<Vec<_>>(), desc_expect, "{xml}");
-                assert_eq!(cursor.position(), pos_expect, "{xml}");
-                assert_eq!(cursor.depth(), slice.depth(), "{xml}");
-                if done {
-                    break;
-                }
-            }
-            assert_eq!(cursor.bytes_read, slice.bytes_read, "{xml}");
+        ]
+        .iter()
+        .map(|xml| Document::parse(xml).unwrap())
+        .collect();
+        docs.extend(xsac_datagen::Dataset::ALL.iter().map(|ds| ds.generate(0.005, 7)));
+        for doc in &docs {
+            let enc = encode_document(doc, Encoding::TCSBR);
+            let expect = decode_all(&enc.bytes, doc.dict.len()).unwrap();
+            assert!(expect.len() > 1);
+            assert_eq!(cursor_events(&enc.bytes, doc.dict.len()), expect);
         }
     }
 
@@ -999,7 +824,7 @@ mod tests {
     fn cursor_readback_decodes_from_fetched_range_only() {
         let doc = Document::parse("<a><b><x>11</x><y>22</y></b><c>cc</c></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = CursorDecoder::new(SliceSource(&enc.bytes), doc.dict.len()).unwrap();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
         d.next().unwrap(); // a
         d.next().unwrap(); // b
         let ctx = d.last_element_context().unwrap();
@@ -1008,23 +833,25 @@ mod tests {
         let data = d.read_range(&ctx).unwrap();
         assert_eq!(data.len(), ctx.end - ctx.start);
         let mut events = Vec::new();
-        Decoder::decode_range_at(data, ctx.start, &ctx, &mut events).unwrap();
-        assert_eq!(events, Decoder::decode_range(&enc.bytes, &ctx).unwrap());
+        decode_range(data, ctx.start, &ctx, &mut events).unwrap();
+        let mut whole = Vec::new();
+        decode_range(&enc.bytes, 0, &ctx, &mut whole).unwrap();
+        assert_eq!(events, whole);
     }
 
     #[test]
-    fn decode_range_at_rejects_range_outside_data() {
+    fn decode_range_rejects_range_outside_data() {
         let doc = Document::parse("<a><b>hello</b></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
         d.next().unwrap(); // a
         d.next().unwrap(); // b
         let ctx = d.last_element_context().unwrap();
         let mut out = Vec::new();
         // Buffer starts after the range, or is too short: typed error.
         let short = &enc.bytes[ctx.start..ctx.end - 1];
-        assert!(Decoder::decode_range_at(short, ctx.start, &ctx, &mut out).is_err());
-        assert!(Decoder::decode_range_at(&enc.bytes[..], ctx.start + 1, &ctx, &mut out).is_err());
+        assert!(decode_range(short, ctx.start, &ctx, &mut out).is_err());
+        assert!(decode_range(&enc.bytes[..], ctx.start + 1, &ctx, &mut out).is_err());
     }
 
     #[test]
@@ -1032,7 +859,7 @@ mod tests {
         let doc = Document::parse("<a><b>hello world</b></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
         let truncated = &enc.bytes[..enc.bytes.len() - 4];
-        let mut d = CursorDecoder::new(SliceSource(truncated), doc.dict.len()).unwrap();
+        let mut d = cursor(truncated, doc.dict.len());
         let mut result = Ok(());
         loop {
             match d.next() {

@@ -25,21 +25,20 @@
 //! Modules:
 //! * [`bits`] — bit-level readers/writers;
 //! * [`encode`] — document → encoded bytes for every variant;
-//! * [`decode`] — streaming decoder with the paper's `SkipStack`, able to
-//!   skip subtrees by their byte extents and to resume decoding at a saved
-//!   position (pending-subtree readback);
+//! * [`decode`] — one record parser behind two decoders: the streaming
+//!   [`CursorDecoder`] with the paper's `SkipStack`, able to skip subtrees
+//!   by their byte extents, and [`decode_range`], which re-decodes a saved
+//!   range (pending-subtree readback, or the whole document);
 //! * [`overhead`] — the structure/text ratios of Figure 8.
 
 pub mod bits;
 pub mod decode;
 pub mod encode;
 pub mod overhead;
-pub mod update;
 
 pub use decode::{
-    ByteSource, CursorDecoder, CursorError, DecodeError, DecodedNode, Decoder, DecoderContext,
+    decode_range, ByteSource, CursorDecoder, CursorError, DecodeError, DecodedNode, DecoderContext,
     SliceSource,
 };
 pub use encode::{encode_document, encode_tcsbr_stream, EncodedDoc, Encoding, StreamedEncode};
 pub use overhead::{overhead_row, OverheadReport};
-pub use update::{update_impact, Update, UpdateImpact};

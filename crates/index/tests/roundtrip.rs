@@ -2,9 +2,20 @@
 //! for arbitrary documents, and skipping is position-exact everywhere.
 
 use proptest::prelude::*;
-use xsac_index::decode::{DecodedNode, Decoder};
+use xsac_index::decode::{decode_range, CursorDecoder, DecodedNode, DecoderContext, SliceSource};
 use xsac_index::encode::{encode_document, Encoding};
 use xsac_xml::{Document, Event};
+
+/// The whole document through the range decoder, under its root context.
+fn decode_all(bytes: &[u8], dict_len: usize) -> Vec<Event<'_>> {
+    let mut out = Vec::new();
+    decode_range(bytes, 0, &DecoderContext::root(bytes, dict_len).unwrap(), &mut out).unwrap();
+    out
+}
+
+fn cursor(bytes: &[u8], dict_len: usize) -> CursorDecoder<SliceSource<'_>> {
+    CursorDecoder::new(SliceSource(bytes), dict_len).unwrap()
+}
 
 const TAGS: &[&str] = &["alpha", "b", "cc", "d1", "e"];
 
@@ -29,8 +40,19 @@ proptest! {
     fn tcsbr_roundtrip(xml in arb_xml()) {
         let doc = Document::parse(&xml).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let events = Decoder::decode_all(&enc.bytes, doc.dict.len()).unwrap();
-        prop_assert_eq!(events, doc.events(), "roundtrip of {}", xml);
+        let events = decode_all(&enc.bytes, doc.dict.len());
+        prop_assert_eq!(&events, &doc.events(), "roundtrip of {}", xml);
+        let mut d = cursor(&enc.bytes, doc.dict.len());
+        let mut walked: Vec<Event<'static>> = Vec::new();
+        loop {
+            match d.next().unwrap() {
+                DecodedNode::Element { tag, .. } => walked.push(Event::Open(tag)),
+                DecodedNode::Text(t) => walked.push(Event::Text(t.to_owned().into())),
+                DecodedNode::Close(t) => walked.push(Event::Close(t)),
+                DecodedNode::End => break,
+            }
+        }
+        prop_assert_eq!(walked, events, "cursor roundtrip of {}", xml);
     }
 
     /// Skipping the i-th top-level element must land exactly on its next
@@ -40,10 +62,10 @@ proptest! {
         let doc = Document::parse(&xml).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
         // Reference: full event stream.
-        let full = Decoder::decode_all(&enc.bytes, doc.dict.len()).unwrap();
+        let full = decode_all(&enc.bytes, doc.dict.len());
         // Walk again, skipping the `which`-th element at depth 2.
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
-        let mut got: Vec<Event<'_>> = Vec::new();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
+        let mut got: Vec<Event<'static>> = Vec::new();
         let mut seen = 0usize;
         let mut skipped_any = false;
         loop {
@@ -61,7 +83,7 @@ proptest! {
                     }
                     got.push(Event::Open(tag));
                 }
-                DecodedNode::Text(t) => got.push(Event::Text(t.into())),
+                DecodedNode::Text(t) => got.push(Event::Text(t.to_owned().into())),
                 DecodedNode::Close(t) => got.push(Event::Close(t)),
             }
         }
@@ -110,7 +132,7 @@ proptest! {
     fn readback_everywhere(xml in arb_xml(), which in 0usize..6) {
         let doc = Document::parse(&xml).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = Decoder::new(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = cursor(&enc.bytes, doc.dict.len());
         let mut count = 0usize;
         let mut saved = None;
         loop {
@@ -126,7 +148,8 @@ proptest! {
             }
         }
         if let Some(ctx) = saved {
-            let events = Decoder::decode_range(&enc.bytes, &ctx).unwrap();
+            let mut events = Vec::new();
+            decode_range(&enc.bytes, 0, &ctx, &mut events).unwrap();
             prop_assert!(matches!(events.first(), Some(Event::Open(_))));
             prop_assert!(matches!(events.last(), Some(Event::Close(_))));
             // Balanced and self-contained.

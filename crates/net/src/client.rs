@@ -592,7 +592,7 @@ fn handshake(
 /// Connects to a [`ChunkServer`](crate::server::ChunkServer), negotiates
 /// the protocol, pulls the document metadata, and assembles a servable
 /// [`ServerDoc`] over a [`RemoteStore`] — ready for
-/// [`run_session`](xsac_soe::run_session) or a client-side
+/// [`run_session_shared`](xsac_soe::run_session_shared) or a client-side
 /// [`DocServer`](xsac_soe::DocServer), unchanged.
 pub fn connect(
     addr: impl ToSocketAddrs,

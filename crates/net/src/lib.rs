@@ -101,7 +101,7 @@ mod tests {
     use xsac_crypto::chunk::ChunkLayout;
     use xsac_crypto::store::StoreError;
     use xsac_crypto::{ChunkStore, IntegrityScheme, TripleDes};
-    use xsac_soe::{run_session, ServerDoc, SessionConfig};
+    use xsac_soe::{run_session_shared, CompiledPolicy, ServerDoc, SessionConfig};
 
     fn key() -> TripleDes {
         TripleDes::new(*b"net-crate-test-key-24-ab")
@@ -136,8 +136,10 @@ mod tests {
 
         let mut dict = local.dict.clone();
         let policy = Policy::parse("u", &[(Sign::Permit, "//k")], &mut dict).unwrap();
-        let a = run_session(&local, &key(), &policy, None, &SessionConfig::default()).unwrap();
-        let b = run_session(&remote, &key(), &policy, None, &SessionConfig::default()).unwrap();
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
+        let config = SessionConfig::default();
+        let a = run_session_shared(&local, &key(), &compiled, None, &config, None).unwrap();
+        let b = run_session_shared(&remote, &key(), &compiled, None, &config, None).unwrap();
         assert_eq!(a.log, b.log, "delivery log diverged across the wire");
         assert_eq!(a.cost, b.cost, "AccessCost diverged across the wire");
         assert_eq!(reassemble_to_string(&dict, &a.log), reassemble_to_string(&dict, &b.log));

@@ -7,10 +7,9 @@
 //! 1. **Observation never changes behaviour.** Profiles and histograms
 //!    are plain data next to the values they describe — never inside the
 //!    cost structs whose exact equality the differential harnesses pin
-//!    (`AccessCost`, `EvalStats`, …). Under the `telemetry-off` feature
-//!    the clock compiles to a zero-sized no-op, and at runtime
-//!    [`set_enabled`]`(false)` skips the clock reads — both builds and
-//!    both modes emit byte-identical session output.
+//!    (`AccessCost`, `EvalStats`, …). At runtime [`set_enabled`]`(false)`
+//!    skips the clock reads, and both modes emit byte-identical session
+//!    output.
 //! 2. **Zero allocation on the hot path.** [`PhaseProfile`] is a fixed
 //!    `[u64; 7]` of nanoseconds, [`Histogram`] a fixed 64-bucket
 //!    power-of-two table; recording is a couple of adds. The
@@ -85,7 +84,6 @@ impl Phase {
     }
 }
 
-#[cfg(not(feature = "telemetry-off"))]
 mod clock {
     use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -94,8 +92,7 @@ mod clock {
     /// Runtime telemetry switch (default on). With telemetry disabled,
     /// [`Tick::now`] skips the clock read and every span records as
     /// zero — the lever the overhead A/B bench flips without
-    /// rebuilding. The `telemetry-off` *feature* removes the clock at
-    /// compile time instead.
+    /// rebuilding.
     pub fn set_enabled(on: bool) {
         ENABLED.store(on, Ordering::Relaxed);
     }
@@ -225,48 +222,13 @@ mod clock {
     }
 }
 
-#[cfg(feature = "telemetry-off")]
-mod clock {
-    /// No-op under `telemetry-off`.
-    pub fn set_enabled(_on: bool) {}
-
-    /// Always `false` under `telemetry-off`.
-    pub fn enabled() -> bool {
-        false
-    }
-
-    /// Zero-sized stand-in: no clock is ever read under `telemetry-off`.
-    #[derive(Clone, Copy, Debug)]
-    pub struct Tick;
-
-    impl Tick {
-        /// Free: no clock read.
-        #[inline]
-        pub fn now() -> Tick {
-            Tick
-        }
-
-        /// Always 0.
-        #[inline]
-        pub fn elapsed_nanos(&self) -> u64 {
-            0
-        }
-
-        /// Always 0.
-        #[inline]
-        pub fn since(&self, _earlier: &Tick) -> u64 {
-            0
-        }
-    }
-}
-
 pub use clock::{enabled, set_enabled, Tick};
 
 /// Per-phase accumulated wall time, in nanoseconds.
 ///
-/// Always a real `[u64; 7]`, whatever the feature set — it serializes,
-/// merges and compares identically in instrumented and `telemetry-off`
-/// builds (where it simply stays zero). Kept *next to* the byte-level
+/// Always a real `[u64; 7]` — it serializes, merges and compares the same
+/// with telemetry enabled or disabled (where it simply stays zero). Kept
+/// *next to* the byte-level
 /// cost structs, never inside them: timings are nondeterministic and the
 /// differential suites compare costs exactly.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -322,7 +284,7 @@ impl PhaseProfile {
         self.nanos.iter().sum()
     }
 
-    /// Whether nothing was recorded (always true under `telemetry-off`).
+    /// Whether nothing was recorded (always true with telemetry disabled).
     pub fn is_zero(&self) -> bool {
         self.nanos.iter().all(|&n| n == 0)
     }
@@ -633,7 +595,7 @@ mod tests {
         clock.switch(&mut profile, Phase::Evaluate);
         std::hint::black_box((0..100).sum::<u64>());
         clock.stop(&mut profile);
-        if enabled() && cfg!(not(feature = "telemetry-off")) {
+        if enabled() {
             // Monotonic clock at nanosecond grain: both spans saw work.
             assert_eq!(
                 profile.total(),

@@ -1,7 +1,8 @@
 //! Baselines of §7: the Brute-Force strategy and the LWB oracle bound.
 //!
 //! * **BF** "filters the document without any index" — the SOE reads and
-//!   deciphers the *whole* document and runs the evaluator on every event.
+//!   deciphers the *whole* document and runs the evaluator on every event
+//!   (a session under [`Strategy::BruteForce`](crate::Strategy)).
 //! * **LWB** "corresponds to the time required by an oracle to read only
 //!   the authorized fragments of a document and decrypt it. Obviously, a
 //!   genuine oracle will be able to predict the outcome of all predicates
@@ -9,28 +10,13 @@
 //!   it cannot be reached by any practical strategy.
 
 use crate::cost::{CostModel, TimeBreakdown};
-use crate::document::ServerDoc;
-use crate::session::{run_session, SessionConfig, SessionError, SessionResult, Strategy};
 use std::collections::HashMap;
 use xsac_core::oracle::Oracle;
 use xsac_core::Policy;
 use xsac_crypto::chunk::DIGEST_RECORD;
-use xsac_crypto::TripleDes;
-use xsac_index::decode::{DecodedNode, Decoder};
+use xsac_index::decode::{CursorDecoder, DecodedNode, SliceSource};
 use xsac_index::encode::{encode_document, Encoding};
 use xsac_xml::{Document, Node, NodeId};
-use xsac_xpath::Automaton;
-
-/// Runs the Brute-Force baseline (same pipeline, no skipping).
-pub fn brute_force_session<S: xsac_crypto::ChunkStore>(
-    server: &ServerDoc<S>,
-    key: &TripleDes,
-    policy: &Policy,
-    query: Option<&Automaton>,
-    cost: CostModel,
-) -> Result<SessionResult, SessionError> {
-    run_session(server, key, policy, query, &SessionConfig { strategy: Strategy::BruteForce, cost })
-}
 
 /// The LWB estimate for a policy over a document.
 pub struct LwbReport {
@@ -72,7 +58,8 @@ fn lwb_bytes(doc: &Document, policy: &Policy) -> usize {
     // Walk the decoder and the tree in parallel (both are in document
     // order) to learn every node's encoded extent.
     let encoded = encode_document(doc, Encoding::TCSBR);
-    let mut decoder = Decoder::new(&encoded.bytes, doc.dict.len()).expect("fresh encoding");
+    let mut decoder =
+        CursorDecoder::new(SliceSource(&encoded.bytes), doc.dict.len()).expect("fresh encoding");
     // Document-order node list (elements and text).
     let order: Vec<NodeId> = doc.preorder().into_iter().map(|(id, _)| id).collect();
     let mut idx = 0usize;
@@ -82,30 +69,29 @@ fn lwb_bytes(doc: &Document, policy: &Policy) -> usize {
     let mut granted_stack: Vec<bool> = Vec::new();
     loop {
         let before = decoder.position();
-        let node = decoder.next().expect("fresh encoding decodes");
-        let consumed = decoder.position() - before;
-        match node {
+        let is_text = match decoder.next().expect("fresh encoding decodes") {
             DecodedNode::End => break,
             DecodedNode::Close(_) => {
                 granted_stack.pop();
+                continue;
             }
-            DecodedNode::Element { .. } => {
-                let id = order[idx];
-                idx += 1;
-                debug_assert!(matches!(doc.node(id), Node::Element { .. }));
-                if kept.contains_key(&id) {
-                    bytes += consumed; // record header
-                }
-                granted_stack.push(kept.get(&id) == Some(&true));
+            DecodedNode::Element { .. } => false,
+            DecodedNode::Text(_) => true,
+        };
+        let consumed = decoder.position() - before;
+        let id = order[idx];
+        idx += 1;
+        if is_text {
+            debug_assert!(matches!(doc.node(id), Node::Text(_)));
+            if granted_stack.last() == Some(&true) {
+                bytes += consumed; // text record (header + body)
             }
-            DecodedNode::Text(_) => {
-                let id = order[idx];
-                idx += 1;
-                debug_assert!(matches!(doc.node(id), Node::Text(_)));
-                if granted_stack.last() == Some(&true) {
-                    bytes += consumed; // text record (header + body)
-                }
+        } else {
+            debug_assert!(matches!(doc.node(id), Node::Element { .. }));
+            if kept.contains_key(&id) {
+                bytes += consumed; // record header
             }
+            granted_stack.push(kept.get(&id) == Some(&true));
         }
     }
     bytes
@@ -114,9 +100,12 @@ fn lwb_bytes(doc: &Document, policy: &Policy) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsac_core::Sign;
+    use crate::document::ServerDoc;
+    use crate::session::{run_session_shared, SessionConfig, Strategy};
+    use std::sync::Arc;
+    use xsac_core::{CompiledPolicy, Sign};
     use xsac_crypto::chunk::ChunkLayout;
-    use xsac_crypto::IntegrityScheme;
+    use xsac_crypto::{IntegrityScheme, TripleDes};
 
     #[test]
     fn lwb_below_real_strategies() {
@@ -139,8 +128,20 @@ mod tests {
         let policy = Policy::parse("u", &[(Sign::Permit, "//keep")], &mut dict).unwrap();
         let cost = CostModel::smartcard();
         let lwb = lwb_estimate(&doc, &policy, cost);
-        let tcsbr = run_session(&server, &k, &policy, None, &SessionConfig::default()).unwrap();
-        let bf = brute_force_session(&server, &k, &policy, None, cost).unwrap();
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
+        let run = |strategy| {
+            run_session_shared(
+                &server,
+                &k,
+                &compiled,
+                None,
+                &SessionConfig { strategy, cost },
+                None,
+            )
+            .unwrap()
+        };
+        let tcsbr = run(Strategy::Tcsbr);
+        let bf = run(Strategy::BruteForce);
         assert!(lwb.time.total() <= tcsbr.time.total() * 1.05, "LWB is a lower bound");
         assert!(tcsbr.time.total() < bf.time.total(), "TCSBR beats brute force");
         assert!(lwb.time_with_integrity.total() >= lwb.time.total());

@@ -52,7 +52,7 @@ pub struct PrepareStats {
     /// [`xsac_obs::Phase::Io`] (all from the [`ChunkProtector`]);
     /// parse-and-encode as [`xsac_obs::Phase::Encode`], derived as the
     /// pass's wall time minus the protector's share. Telemetry only —
-    /// zero under `telemetry-off`.
+    /// zero when runtime-disabled.
     pub phases: PhaseProfile,
 }
 

@@ -23,8 +23,8 @@
 //!   `ChunkStore` backend), many concurrent subjects, with cross-session
 //!   leaf-hash and compiled-policy caches and metered peak residency for
 //!   file-backed documents;
-//! * [`baseline`] — the Brute-Force comparator and the LWB oracle lower
-//!   bound of §7.
+//! * [`baseline`] — the LWB oracle lower bound of §7 (the Brute-Force
+//!   comparator is a session under [`Strategy::BruteForce`]).
 
 pub mod baseline;
 pub mod cost;
@@ -32,14 +32,12 @@ pub mod document;
 pub mod server;
 pub mod session;
 
-pub use baseline::{brute_force_session, lwb_estimate, LwbReport};
+pub use baseline::{lwb_estimate, LwbReport};
 pub use cost::{CostModel, TimeBreakdown};
 pub use document::{DocMeta, PrepareStats, ServerDoc};
 pub use server::{CompilerSnapshot, DocServer, SessionSpec};
 // Client sessions compile policies with these; re-exported so dependants
 // (e.g. the net layer's observability) need not depend on xsac-core
 // directly.
-pub use session::{
-    run_session, run_session_shared, SessionConfig, SessionError, SessionResult, Strategy,
-};
-pub use xsac_core::{CompilerMode, MinimizeStats};
+pub use session::{run_session_shared, SessionConfig, SessionError, SessionResult, Strategy};
+pub use xsac_core::{CompiledPolicy, CompilerMode, MinimizeStats};

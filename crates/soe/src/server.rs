@@ -356,12 +356,13 @@ mod tests {
         let s = server("<a><b><c>keep</c><d>1</d></b><e>deny</e></a>", IntegrityScheme::EcbMht);
         let sp = spec("u", &[(Sign::Permit, "//b[d=1]"), (Sign::Deny, "//e")], &s);
         let served = s.serve(&sp).unwrap();
-        let direct = crate::session::run_session(
+        let direct = run_session_shared(
             s.doc(),
             &TripleDes::new(*b"0123456789abcdefFEDCBA98"),
-            &sp.policy,
+            &Arc::new(CompiledPolicy::compile(&sp.policy)),
             None,
             &sp.config,
+            None,
         )
         .unwrap();
         let dict = s.doc().dict.clone();

@@ -24,12 +24,11 @@ use xsac_core::evaluator::{
 };
 use xsac_core::output::{LogItem, OutputStats, SubtreeRef};
 use xsac_core::stats::EvalStats;
-use xsac_core::Policy;
 use xsac_crypto::protocol::AccessCost;
 use xsac_crypto::store::ChunkStore;
 use xsac_crypto::{LeafCache, ReadError, SoeReader, StoreError, TripleDes};
 use xsac_index::decode::{
-    ByteSource, CursorDecoder, CursorError, DecodedNode, Decoder, DecoderContext,
+    decode_range, ByteSource, CursorDecoder, CursorError, DecodedNode, DecoderContext,
 };
 use xsac_obs::{Phase, PhaseProfile, SpanClock};
 use xsac_xpath::Automaton;
@@ -162,10 +161,10 @@ pub struct SessionResult {
     /// Measured wall time per pipeline phase: fetch/decrypt/hash from the
     /// SOE reader, decode/evaluate from the session event loop (decode is
     /// exclusive — reader time accrued inside `decoder.next()` is
-    /// subtracted out). Telemetry only: zero under `telemetry-off` or
-    /// when runtime-disabled, and never part of the byte-exact outputs
-    /// the differential suites compare ([`AccessCost`] and
-    /// [`TimeBreakdown`] stay model-synthesized).
+    /// subtracted out). Telemetry only: zero when runtime-disabled, and
+    /// never part of the byte-exact outputs the differential suites
+    /// compare ([`AccessCost`] and [`TimeBreakdown`] stay
+    /// model-synthesized).
     pub phases: PhaseProfile,
 }
 
@@ -182,23 +181,6 @@ impl SessionResult {
     pub fn throughput_kbps(&self, source_bytes: usize) -> f64 {
         source_bytes as f64 / 1000.0 / self.time.total()
     }
-}
-
-/// Runs one SOE session, compiling the policy privately.
-///
-/// Sessions sharing a document and role should go through
-/// [`crate::server::DocServer`] (or call [`run_session_shared`] directly)
-/// so rule compilation and terminal leaf hashing happen once, not per
-/// session.
-pub fn run_session<S: ChunkStore>(
-    server: &ServerDoc<S>,
-    key: &TripleDes,
-    policy: &Policy,
-    query: Option<&Automaton>,
-    config: &SessionConfig,
-) -> Result<SessionResult, SessionError> {
-    let compiled = Arc::new(CompiledPolicy::compile(policy));
-    run_session_shared(server, key, &compiled, query, config, None)
 }
 
 /// Bookkeeping for pending-subtree readback contexts. Contexts are
@@ -263,9 +245,13 @@ enum Step {
     Element(xsac_xml::TagId),
 }
 
-/// Runs one SOE session over a pre-compiled (shareable) policy and, under
-/// ECB-MHT, an optional cross-session terminal leaf-hash cache — the
-/// multi-session serving path.
+/// Runs one SOE session over a compiled policy and, under ECB-MHT, an
+/// optional cross-session terminal leaf-hash cache.
+///
+/// The caller compiles the policy (`CompiledPolicy::compile`) and can
+/// share the result: sessions sharing a document and role should go
+/// through [`crate::server::DocServer`], which caches both the compiled
+/// policy and the leaf hashes, so neither is rebuilt per session.
 pub fn run_session_shared<S: ChunkStore>(
     server: &ServerDoc<S>,
     key: &TripleDes,
@@ -526,7 +512,7 @@ fn serve_readbacks<S: ChunkStore>(
             // is per-readback local; its length is O(delivered events),
             // and only actually-delivered subtrees pay it.
             let mut events: Vec<xsac_xml::Event<'_>> = Vec::new();
-            Decoder::decode_range_at(data, ctx.start, &ctx, &mut events)?;
+            decode_range(data, ctx.start, &ctx, &mut events)?;
             clock.switch(spans, Phase::Evaluate);
             eval.readback_events(req.entry, &events);
             handles.remove(req.subtree.0);
@@ -539,7 +525,7 @@ mod tests {
     use super::*;
     use xsac_core::oracle::oracle_view_string;
     use xsac_core::output::reassemble_to_string;
-    use xsac_core::Sign;
+    use xsac_core::{Policy, Sign};
     use xsac_crypto::chunk::ChunkLayout;
     use xsac_crypto::IntegrityScheme;
     use xsac_xml::Document;
@@ -564,7 +550,8 @@ mod tests {
         let mut dict = server.dict.clone();
         let policy = Policy::parse("u", rules, &mut dict).unwrap();
         let config = SessionConfig { strategy, cost: CostModel::smartcard() };
-        let res = run_session(&server, &k, &policy, None, &config).unwrap();
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
+        let res = run_session_shared(&server, &k, &compiled, None, &config, None).unwrap();
         (reassemble_to_string(&dict, &res.log), res.cost)
     }
 
@@ -661,9 +648,10 @@ mod tests {
         for rules in [&[(Sign::Permit, "//k")][..], &[(Sign::Permit, "//r[x=1]//k")][..]] {
             let mut dict = server.dict.clone();
             let policy = Policy::parse("u", rules, &mut dict).unwrap();
+            let compiled = Arc::new(CompiledPolicy::compile(&policy));
             for strategy in [Strategy::Tcsbr, Strategy::BruteForce] {
                 let config = SessionConfig { strategy, cost: CostModel::smartcard() };
-                let res = run_session(&server, &k, &policy, None, &config).unwrap();
+                let res = run_session_shared(&server, &k, &compiled, None, &config, None).unwrap();
                 assert!(
                     res.cost.terminal_bytes_hashed <= ciphertext_len,
                     "{strategy:?} {rules:?}: terminal hashed {} > document size {} — \
@@ -695,7 +683,9 @@ mod tests {
         let server = ServerDoc::prepare(&doc, &k, IntegrityScheme::EcbMht, tiny_layout());
         let mut dict = server.dict.clone();
         let policy = Policy::parse("u", rules, &mut dict).unwrap();
-        let res = run_session(&server, &k, &policy, None, &SessionConfig::default()).unwrap();
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
+        let res = run_session_shared(&server, &k, &compiled, None, &SessionConfig::default(), None)
+            .unwrap();
         assert!(
             res.handles_created >= 100,
             "expected one pending skip per record, got {}",
@@ -722,7 +712,8 @@ mod tests {
         server.protected.ciphertext_mut()[n / 2] ^= 0x80;
         let mut dict = server.dict.clone();
         let policy = Policy::parse("u", &[(Sign::Permit, "//a")], &mut dict).unwrap();
-        let res = run_session(&server, &k, &policy, None, &SessionConfig::default());
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
+        let res = run_session_shared(&server, &k, &compiled, None, &SessionConfig::default(), None);
         assert!(matches!(res, Err(SessionError::Integrity(_))));
     }
 
@@ -735,7 +726,10 @@ mod tests {
         let mut dict = server.dict.clone();
         let policy = Policy::parse("u", &[(Sign::Permit, "/r")], &mut dict).unwrap();
         let q = Automaton::parse("//f[age > 65]", &mut dict).unwrap();
-        let res = run_session(&server, &k, &policy, Some(&q), &SessionConfig::default()).unwrap();
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
+        let res =
+            run_session_shared(&server, &k, &compiled, Some(&q), &SessionConfig::default(), None)
+                .unwrap();
         let got = reassemble_to_string(&dict, &res.log);
         assert_eq!(got, "<r><f><age>70</age><n>A</n></f></r>");
         assert!(res.time.total() > 0.0);

@@ -6,12 +6,15 @@
 //! cargo run --release --example hospital
 //! ```
 
+use std::sync::Arc;
 use xsac::core::output::reassemble_to_string;
 use xsac::crypto::chunk::ChunkLayout;
 use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::Profile;
-use xsac::soe::{run_session, CostModel, ServerDoc, SessionConfig, Strategy};
+use xsac::soe::{
+    run_session_shared, CompiledPolicy, CostModel, ServerDoc, SessionConfig, Strategy,
+};
 
 fn main() {
     // The publisher generates and protects the document once.
@@ -29,8 +32,10 @@ fn main() {
     for profile in Profile::figure9() {
         let mut dict = server.dict.clone();
         let policy = profile.policy(&physician_name(0), &mut dict);
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
         let config = SessionConfig { strategy: Strategy::Tcsbr, cost: CostModel::smartcard() };
-        let res = run_session(&server, &key, &policy, None, &config).expect("session");
+        let res =
+            run_session_shared(&server, &key, &compiled, None, &config, None).expect("session");
         let view = reassemble_to_string(&dict, &res.log);
         println!("== {} ==", profile.name());
         println!(

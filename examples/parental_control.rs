@@ -12,11 +12,14 @@
 //! cargo run --release --example parental_control
 //! ```
 
+use std::sync::Arc;
 use xsac::core::output::reassemble_to_string;
 use xsac::core::{Policy, Sign};
 use xsac::crypto::chunk::ChunkLayout;
 use xsac::crypto::{IntegrityScheme, TripleDes};
-use xsac::soe::{run_session, CostModel, ServerDoc, SessionConfig, Strategy};
+use xsac::soe::{
+    run_session_shared, CompiledPolicy, CostModel, ServerDoc, SessionConfig, Strategy,
+};
 use xsac::xml::Document;
 
 fn main() {
@@ -48,8 +51,10 @@ fn main() {
     for (who, rules) in policies {
         let mut dict = server.dict.clone();
         let policy = Policy::parse("parent", &rules, &mut dict).expect("rules");
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
         let config = SessionConfig { strategy: Strategy::Tcsbr, cost: CostModel::smartcard() };
-        let res = run_session(&server, &key, &policy, None, &config).expect("session");
+        let res =
+            run_session_shared(&server, &key, &compiled, None, &config, None).expect("session");
         println!("== profile: {who} ==");
         println!("{}", reassemble_to_string(&dict, &res.log));
         println!(
@@ -67,8 +72,9 @@ fn main() {
     tampered.protected.ciphertext_mut()[8] ^= 0x01;
     let mut dict = tampered.dict.clone();
     let policy = Policy::parse("parent", &[(Sign::Permit, "//feed")], &mut dict).expect("rules");
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
     let config = SessionConfig { strategy: Strategy::Tcsbr, cost: CostModel::smartcard() };
-    match run_session(&tampered, &key, &policy, None, &config) {
+    match run_session_shared(&tampered, &key, &compiled, None, &config, None) {
         Err(e) => println!("tampered feed rejected: {e}"),
         Ok(_) => unreachable!("tampering must be detected"),
     }

@@ -7,12 +7,15 @@
 //! cargo run --release --example secure_pipeline
 //! ```
 
+use std::sync::Arc;
 use xsac::core::output::reassemble_to_string;
 use xsac::core::{Policy, Sign};
 use xsac::crypto::chunk::ChunkLayout;
 use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, HospitalConfig};
-use xsac::soe::{lwb_estimate, run_session, CostModel, ServerDoc, SessionConfig, Strategy};
+use xsac::soe::{
+    lwb_estimate, run_session_shared, CompiledPolicy, CostModel, ServerDoc, SessionConfig, Strategy,
+};
 use xsac::xpath::Automaton;
 
 fn main() {
@@ -41,6 +44,7 @@ fn main() {
         &mut dict,
     )
     .expect("policy");
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
     let query = Automaton::parse("//Folder[//Age > 60]", &mut dict).expect("query");
 
     for (label, cost) in [
@@ -49,7 +53,8 @@ fn main() {
         ("software+LAN     (10 MB/s comm, 1.2 MB/s 3DES)", CostModel::software_lan()),
     ] {
         let config = SessionConfig { strategy: Strategy::Tcsbr, cost };
-        let res = run_session(&server, &key, &policy, Some(&query), &config).expect("session");
+        let res = run_session_shared(&server, &key, &compiled, Some(&query), &config, None)
+            .expect("session");
         println!(
             "[{label}]\n    total {:>7.3}s = comm {:.3} + decrypt {:.3} + hash {:.3} + AC {:.3}",
             res.time.total(),
@@ -62,13 +67,15 @@ fn main() {
 
     // Result + baselines under the smartcard model.
     let config = SessionConfig { strategy: Strategy::Tcsbr, cost: CostModel::smartcard() };
-    let res = run_session(&server, &key, &policy, Some(&query), &config).expect("session");
-    let bf = run_session(
+    let res =
+        run_session_shared(&server, &key, &compiled, Some(&query), &config, None).expect("session");
+    let bf = run_session_shared(
         &server,
         &key,
-        &policy,
+        &compiled,
         Some(&query),
         &SessionConfig { strategy: Strategy::BruteForce, cost: CostModel::smartcard() },
+        None,
     )
     .expect("bf");
     let lwb = lwb_estimate(&doc, &policy, CostModel::smartcard());

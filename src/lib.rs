@@ -49,7 +49,7 @@
 //! ```
 //!
 //! For the full encrypted pipeline (skip index + integrity + cost
-//! accounting) see [`soe::run_session`] and the `examples/` directory.
+//! accounting) see [`soe::run_session_shared`] and the `examples/` directory.
 
 pub use xsac_core as core;
 pub use xsac_crypto as crypto;

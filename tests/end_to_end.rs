@@ -4,6 +4,7 @@
 //! Documents are kept small: these tests run in debug mode where the
 //! from-scratch 3DES costs real time.
 
+use std::sync::Arc;
 use xsac::core::oracle::{oracle_query_string, oracle_view_string};
 use xsac::core::output::reassemble_to_string;
 use xsac::core::{Policy, Sign};
@@ -12,7 +13,7 @@ use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::Profile;
 use xsac::soe::{
-    brute_force_session, lwb_estimate, run_session, CostModel, ServerDoc, SessionConfig,
+    lwb_estimate, run_session_shared, CompiledPolicy, CostModel, ServerDoc, SessionConfig,
     SessionError, Strategy,
 };
 use xsac::xpath::{parse_path, Automaton};
@@ -38,10 +39,11 @@ fn all_profiles_all_schemes_match_oracle() {
         for profile in Profile::figure9() {
             let mut dict = server.dict.clone();
             let policy = profile.policy(&user, &mut dict);
+            let compiled = Arc::new(CompiledPolicy::compile(&policy));
             let expected = oracle_view_string(&doc, &policy);
             for strategy in [Strategy::Tcsbr, Strategy::BruteForce] {
                 let config = SessionConfig { strategy, cost: CostModel::smartcard() };
-                let res = run_session(&server, &key(), &policy, None, &config)
+                let res = run_session_shared(&server, &key(), &compiled, None, &config, None)
                     .unwrap_or_else(|e| panic!("{scheme:?}/{strategy:?}: {e}"));
                 let got = reassemble_to_string(&dict, &res.log);
                 assert_eq!(
@@ -63,12 +65,20 @@ fn query_session_matches_oracle() {
     let server = ServerDoc::prepare(&doc, &key(), IntegrityScheme::EcbMht, layout());
     let mut dict = server.dict.clone();
     let policy = xsac::datagen::secretary_policy("sec", &mut dict);
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
     for v in [0, 40, 70, 101] {
         let q_text = xsac::datagen::profiles::figure10_query(v);
         let q = Automaton::parse(&q_text, &mut dict).expect("query");
         let expected = oracle_query_string(&doc, &policy, &parse_path(&q_text).unwrap());
-        let res = run_session(&server, &key(), &policy, Some(&q), &SessionConfig::default())
-            .expect("session");
+        let res = run_session_shared(
+            &server,
+            &key(),
+            &compiled,
+            Some(&q),
+            &SessionConfig::default(),
+            None,
+        )
+        .expect("session");
         assert_eq!(reassemble_to_string(&dict, &res.log), expected, "v={v}");
     }
 }
@@ -80,9 +90,12 @@ fn tcsbr_never_reads_more_than_brute_force() {
     for profile in Profile::figure9() {
         let mut dict = server.dict.clone();
         let policy = profile.policy(&physician_name(0), &mut dict);
-        let t = run_session(&server, &key(), &policy, None, &SessionConfig::default()).unwrap();
-        let b =
-            brute_force_session(&server, &key(), &policy, None, CostModel::smartcard()).unwrap();
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
+        let t =
+            run_session_shared(&server, &key(), &compiled, None, &SessionConfig::default(), None)
+                .unwrap();
+        let bf = SessionConfig { strategy: Strategy::BruteForce, cost: CostModel::smartcard() };
+        let b = run_session_shared(&server, &key(), &compiled, None, &bf, None).unwrap();
         assert!(
             t.cost.bytes_decrypted <= b.cost.bytes_decrypted,
             "{}: {} > {}",
@@ -101,7 +114,10 @@ fn lwb_is_a_lower_bound_for_every_profile() {
     for profile in Profile::figure9() {
         let mut dict = server.dict.clone();
         let policy = profile.policy(&physician_name(0), &mut dict);
-        let t = run_session(&server, &key(), &policy, None, &SessionConfig::default()).unwrap();
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
+        let t =
+            run_session_shared(&server, &key(), &compiled, None, &SessionConfig::default(), None)
+                .unwrap();
         let lwb = lwb_estimate(&doc, &policy, CostModel::smartcard());
         assert!(
             lwb.time.total() <= t.time.total() * 1.02,
@@ -122,7 +138,9 @@ fn every_scheme_but_ecb_detects_tampering() {
         server.protected.ciphertext_mut()[n / 3] ^= 0x04;
         let mut dict = server.dict.clone();
         let policy = Policy::parse("u", &[(Sign::Permit, "//Folder")], &mut dict).unwrap();
-        let res = run_session(&server, &key(), &policy, None, &SessionConfig::default());
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
+        let res =
+            run_session_shared(&server, &key(), &compiled, None, &SessionConfig::default(), None);
         assert!(matches!(res, Err(SessionError::Integrity(_))), "{scheme:?} must detect the flip");
     }
 }
@@ -140,7 +158,8 @@ fn block_swap_attack_rejected() {
     }
     let mut dict = server.dict.clone();
     let policy = Policy::parse("u", &[(Sign::Permit, "//Folder")], &mut dict).unwrap();
-    let res = run_session(&server, &key(), &policy, None, &SessionConfig::default());
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
+    let res = run_session_shared(&server, &key(), &compiled, None, &SessionConfig::default(), None);
     assert!(matches!(res, Err(SessionError::Integrity(_))));
 }
 
@@ -151,7 +170,8 @@ fn digest_table_tampering_rejected() {
     server.protected.digests[0][0] ^= 1;
     let mut dict = server.dict.clone();
     let policy = Policy::parse("u", &[(Sign::Permit, "//Folder")], &mut dict).unwrap();
-    let res = run_session(&server, &key(), &policy, None, &SessionConfig::default());
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
+    let res = run_session_shared(&server, &key(), &compiled, None, &SessionConfig::default(), None);
     assert!(matches!(res, Err(SessionError::Integrity(_))));
 }
 
@@ -196,7 +216,10 @@ fn dynamic_policies_same_ciphertext() {
     .map(|rules| {
         let mut dict = server.dict.clone();
         let policy = Policy::parse("u", &rules, &mut dict).unwrap();
-        let res = run_session(&server, &key(), &policy, None, &SessionConfig::default()).unwrap();
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
+        let res =
+            run_session_shared(&server, &key(), &compiled, None, &SessionConfig::default(), None)
+                .unwrap();
         reassemble_to_string(&dict, &res.log)
     })
     .collect();

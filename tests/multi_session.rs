@@ -5,11 +5,12 @@
 //! *without* any shared cache, and the cross-session leaf cache must obey
 //! its first-toucher metering contract.
 
+use std::sync::Arc;
 use xsac::crypto::chunk::ChunkLayout;
 use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::Profile;
-use xsac::soe::{run_session, DocServer, ServerDoc, SessionSpec, Strategy};
+use xsac::soe::{run_session_shared, CompiledPolicy, DocServer, ServerDoc, SessionSpec, Strategy};
 
 fn key() -> TripleDes {
     TripleDes::new(*b"multi-session-demo-key!!")
@@ -52,8 +53,15 @@ fn concurrent_sessions_match_unshared_sequential_runs() {
         let reference: Vec<_> = specs
             .iter()
             .map(|s| {
-                run_session(server.doc(), &key(), &s.policy, s.query.as_ref(), &s.config)
-                    .expect("reference session")
+                run_session_shared(
+                    server.doc(),
+                    &key(),
+                    &Arc::new(CompiledPolicy::compile(&s.policy)),
+                    s.query.as_ref(),
+                    &s.config,
+                    None,
+                )
+                .expect("reference session")
             })
             .collect();
 

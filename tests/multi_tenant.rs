@@ -23,7 +23,7 @@ use xsac::datagen::profiles::View;
 use xsac::net::{
     connect, ChunkServer, ClientConfig, DocRegistry, FaultPlan, FaultTransport, RetryConfig,
 };
-use xsac::soe::{run_session, DocMeta, ServerDoc, SessionConfig};
+use xsac::soe::{run_session_shared, CompiledPolicy, DocMeta, ServerDoc, SessionConfig};
 use xsac::xml::Document;
 
 const N_DOCS: usize = 8;
@@ -131,10 +131,13 @@ fn assert_session_matches_oracle(
 ) {
     let mut dict = oracle.dict.clone();
     let policy = view.policy(&mut dict, &physician_name(0), &physician_name(1));
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
     let expected = oracle_view_string(source, &policy);
     let config = SessionConfig::default();
-    let a = run_session(oracle, &key(), &policy, None, &config).expect("oracle session");
-    let b = run_session(remote, &key(), &policy, None, &config).expect("remote session");
+    let a =
+        run_session_shared(oracle, &key(), &compiled, None, &config, None).expect("oracle session");
+    let b =
+        run_session_shared(remote, &key(), &compiled, None, &config, None).expect("remote session");
     assert_eq!(a.log, b.log, "{label}: delivery log diverged");
     assert_eq!(a.cost, b.cost, "{label}: AccessCost diverged");
     assert_eq!(a.output, b.output, "{label}: output diverged");

@@ -14,6 +14,7 @@
 //! document still produces identical views while the refetch meters
 //! record the extra round trips.
 
+use std::sync::Arc;
 use xsac::core::oracle::oracle_view_string;
 use xsac::core::output::reassemble_to_string;
 use xsac::crypto::chunk::ChunkLayout;
@@ -21,7 +22,7 @@ use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::profiles::View;
 use xsac::net::{connect, ChunkServer, ClientConfig};
-use xsac::soe::{run_session, ServerDoc, SessionConfig, SessionError};
+use xsac::soe::{run_session_shared, CompiledPolicy, ServerDoc, SessionConfig, SessionError};
 use xsac::xml::Document;
 
 fn key() -> TripleDes {
@@ -57,11 +58,13 @@ fn remote_sessions_equal_in_memory_sessions_and_oracle() {
             for view in View::ALL {
                 let mut dict = mem.dict.clone();
                 let policy = view.policy(&mut dict, &frequent, &rare);
+                let compiled = Arc::new(CompiledPolicy::compile(&policy));
                 let expected = oracle_view_string(&doc, &policy);
                 let config = SessionConfig::default();
-                let a = run_session(&mem, &key(), &policy, None, &config).expect("mem session");
-                let b =
-                    run_session(&remote, &key(), &policy, None, &config).expect("remote session");
+                let a = run_session_shared(&mem, &key(), &compiled, None, &config, None)
+                    .expect("mem session");
+                let b = run_session_shared(&remote, &key(), &compiled, None, &config, None)
+                    .expect("remote session");
                 let label = format!("{scheme:?} {} client#{k}", view.name());
                 assert_eq!(a.log, b.log, "{label}: delivery log diverged over the wire");
                 assert_eq!(a.cost, b.cost, "{label}: AccessCost diverged over the wire");
@@ -136,9 +139,12 @@ fn document_larger_than_frame_guard_serves_with_o_layout_meta() {
     for view in View::ALL {
         let mut dict = mem.dict.clone();
         let policy = view.policy(&mut dict, &frequent, &rare);
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
         let config = SessionConfig::default();
-        let a = run_session(&mem, &key(), &policy, None, &config).expect("mem session");
-        let b = run_session(&remote, &key(), &policy, None, &config).expect("remote session");
+        let a =
+            run_session_shared(&mem, &key(), &compiled, None, &config, None).expect("mem session");
+        let b = run_session_shared(&remote, &key(), &compiled, None, &config, None)
+            .expect("remote session");
         assert_eq!(a.log, b.log, "{}: delivery log diverged over the wire", view.name());
         assert_eq!(a.cost, b.cost, "{}: AccessCost diverged over the wire", view.name());
         let expected = oracle_view_string(&doc, &policy);
@@ -163,13 +169,14 @@ fn server_gone_mid_session_is_typed_store_error() {
     .expect("connect");
     let mut dict = remote.dict.clone();
     let policy = View::S.policy(&mut dict, &physician_name(0), &physician_name(1));
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
     // While the server lives, the session succeeds…
-    let ok = run_session(&remote, &key(), &policy, None, &SessionConfig::default());
+    let ok = run_session_shared(&remote, &key(), &compiled, None, &SessionConfig::default(), None);
     assert!(ok.is_ok(), "session with a live server must succeed");
     // …after it dies, the *same* session aborts with a typed storage
     // error: no panic, no partial view, exactly like a dying disk.
     handle.shutdown().expect("shutdown");
-    match run_session(&remote, &key(), &policy, None, &SessionConfig::default()) {
+    match run_session_shared(&remote, &key(), &compiled, None, &SessionConfig::default(), None) {
         Err(SessionError::Store(e)) => {
             let _ = e.to_string(); // displayable, like every typed error
         }
@@ -177,7 +184,8 @@ fn server_gone_mid_session_is_typed_store_error() {
         Ok(_) => panic!("session must not succeed against a dead server"),
     }
     // The in-memory reference still serves the full view (sanity).
-    run_session(&mem, &key(), &policy, None, &SessionConfig::default()).expect("reference");
+    run_session_shared(&mem, &key(), &compiled, None, &SessionConfig::default(), None)
+        .expect("reference");
 }
 
 #[test]
@@ -193,7 +201,8 @@ fn tampered_server_store_detected_client_side() {
     let remote = connect(handle.addr(), "hospital", ClientConfig::default()).expect("connect");
     let mut dict = remote.dict.clone();
     let policy = View::S.policy(&mut dict, &physician_name(0), &physician_name(1));
-    match run_session(&remote, &key(), &policy, None, &SessionConfig::default()) {
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
+    match run_session_shared(&remote, &key(), &compiled, None, &SessionConfig::default(), None) {
         Err(SessionError::Integrity(_)) => {} // the SOE caught the server lying
         Err(other) => panic!("expected SessionError::Integrity, got {other}"),
         Ok(_) => panic!("tampered ciphertext must not produce a view"),
@@ -221,9 +230,11 @@ fn remote_refetch_audit_matches_in_memory_audit() {
     for view in View::ALL {
         let mut dict = mem.dict.clone();
         let policy = view.policy(&mut dict, &frequent, &rare);
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
         let config = SessionConfig::default();
-        let a = run_session(&mem, &key(), &policy, None, &config).expect("mem");
-        let b = run_session(&remote, &key(), &policy, None, &config).expect("remote");
+        let a = run_session_shared(&mem, &key(), &compiled, None, &config, None).expect("mem");
+        let b =
+            run_session_shared(&remote, &key(), &compiled, None, &config, None).expect("remote");
         assert_eq!(
             a.cost.bytes_refetched,
             b.cost.bytes_refetched,

@@ -15,6 +15,7 @@
 //!   `StoreError::IdentityChanged` for the latter) and the session
 //!   yields **no partial plaintext**.
 
+use std::sync::Arc;
 use xsac::core::oracle::oracle_view_string;
 use xsac::core::output::reassemble_to_string;
 use xsac::crypto::chunk::ChunkLayout;
@@ -25,7 +26,7 @@ use xsac::datagen::profiles::View;
 use xsac::net::{
     connect, ChunkServer, ClientConfig, FaultPlan, FaultTransport, NetFault, RetryConfig,
 };
-use xsac::soe::{run_session, ServerDoc, SessionConfig, SessionError};
+use xsac::soe::{run_session_shared, CompiledPolicy, ServerDoc, SessionConfig, SessionError};
 use xsac::xml::Document;
 
 fn key() -> TripleDes {
@@ -78,10 +79,12 @@ fn recoverable_fault_schedule_yields_byte_identical_session() {
 
     let mut dict = mem.dict.clone();
     let policy = View::S.policy(&mut dict, &physician_name(0), &physician_name(1));
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
     let expected = oracle_view_string(&doc, &policy);
     let config = SessionConfig::default();
-    let a = run_session(&mem, &key(), &policy, None, &config).expect("mem session");
-    let b = run_session(&remote, &key(), &policy, None, &config).expect("faulted session");
+    let a = run_session_shared(&mem, &key(), &compiled, None, &config, None).expect("mem session");
+    let b = run_session_shared(&remote, &key(), &compiled, None, &config, None)
+        .expect("faulted session");
 
     assert_eq!(a.log, b.log, "delivery log diverged across the fault schedule");
     assert_eq!(a.cost, b.cost, "AccessCost diverged across the fault schedule");
@@ -118,7 +121,8 @@ fn reconnect_onto_different_document_is_typed_identity_error() {
 
     let mut dict = remote.dict.clone();
     let policy = View::S.policy(&mut dict, &physician_name(0), &physician_name(1));
-    match run_session(&remote, &key(), &policy, None, &SessionConfig::default()) {
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
+    match run_session_shared(&remote, &key(), &compiled, None, &SessionConfig::default(), None) {
         Err(SessionError::Store(StoreError::IdentityChanged { .. })) => {}
         Err(other) => panic!("expected IdentityChanged, got {other}"),
         Ok(_) => panic!("a session must not complete over swapped dissemination material"),
@@ -149,7 +153,8 @@ fn persistent_drops_exhaust_retries_into_typed_error() {
     let remote = connect(proxy.addr(), "hospital", config).expect("connect");
     let mut dict = remote.dict.clone();
     let policy = View::S.policy(&mut dict, &physician_name(0), &physician_name(1));
-    match run_session(&remote, &key(), &policy, None, &SessionConfig::default()) {
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
+    match run_session_shared(&remote, &key(), &compiled, None, &SessionConfig::default(), None) {
         // Err carries no delivery log: nothing partial was produced.
         Err(SessionError::Store(e)) => {
             assert!(e.is_transient(), "exhaustion surfaces the last transport error: {e:?}")
@@ -184,8 +189,9 @@ fn stalled_server_times_out_into_typed_error() {
     let remote = connect(proxy.addr(), "hospital", config).expect("connect");
     let mut dict = remote.dict.clone();
     let policy = View::S.policy(&mut dict, &physician_name(0), &physician_name(1));
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
     let start = std::time::Instant::now();
-    match run_session(&remote, &key(), &policy, None, &SessionConfig::default()) {
+    match run_session_shared(&remote, &key(), &compiled, None, &SessionConfig::default(), None) {
         Err(SessionError::Store(StoreError::Io { kind, .. })) => {
             use std::io::ErrorKind;
             assert!(
@@ -225,20 +231,18 @@ fn mid_stream_server_restart_resumes_identically() {
     config.retry.max_retries = 10;
     let remote = connect(proxy.addr(), "hospital", config).expect("connect");
 
+    // Prepare the successor *before* the session starts: the client's
+    // retry budget only has to cover the kill→retarget gap, and the
+    // session cannot finish while a preparation on loaded CI delays the
+    // kill.
+    let served_b = ServerDoc::prepare(&doc, &key(), IntegrityScheme::EcbMht, tiny_layout());
     // The assassin: once the first server has demonstrably served part
     // of the session, kill it, bring up a replacement on a *fresh* port
     // (rebinding the old one races TIME_WAIT), and retarget the proxy.
-    let doc_for_b = doc.clone();
-    let key_b = key();
     let assassin = std::thread::spawn({
         let proxy = std::sync::Arc::clone(&proxy);
         move || {
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            // Prepare the successor *before* the kill: the client's
-            // retry budget only has to cover the kill→retarget gap, not
-            // a document preparation racing loaded CI.
-            let served_b =
-                ServerDoc::prepare(&doc_for_b, &key_b, IntegrityScheme::EcbMht, tiny_layout());
             while handle_a.metrics().chunks_served() < 4 {
                 assert!(std::time::Instant::now() < deadline, "session never started");
                 std::thread::sleep(std::time::Duration::from_millis(1));
@@ -253,9 +257,11 @@ fn mid_stream_server_restart_resumes_identically() {
 
     let mut dict = mem.dict.clone();
     let policy = View::S.policy(&mut dict, &physician_name(0), &physician_name(1));
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
     let config = SessionConfig::default();
-    let a = run_session(&mem, &key(), &policy, None, &config).expect("mem session");
-    let b = run_session(&remote, &key(), &policy, None, &config).expect("resumed session");
+    let a = run_session_shared(&mem, &key(), &compiled, None, &config, None).expect("mem session");
+    let b = run_session_shared(&remote, &key(), &compiled, None, &config, None)
+        .expect("resumed session");
     let handle_b = assassin.join().expect("assassin thread");
 
     assert_eq!(a.log, b.log, "delivery log diverged across the server restart");

@@ -4,12 +4,15 @@
 //! the ciphertext — and a storage fault mid-session must abort as a typed
 //! error with nothing partially delivered.
 
+use std::sync::Arc;
 use xsac::crypto::chunk::ChunkLayout;
 use xsac::crypto::store::{FaultStore, InjectedFault, TempPath};
 use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::Profile;
-use xsac::soe::{DocServer, ServerDoc, SessionError, SessionSpec};
+use xsac::soe::{
+    run_session_shared, CompiledPolicy, DocServer, ServerDoc, SessionError, SessionSpec,
+};
 
 fn key() -> TripleDes {
     TripleDes::new(*b"out-of-core-demo-key-24!")
@@ -141,22 +144,23 @@ fn storage_fault_mid_session_aborts_with_typed_error() {
     };
     let mut dict = faulty.dict.clone();
     let policy = Profile::Secretary.policy("sec", &mut dict);
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
     // Probe run: learn how many store reads this session makes, then
     // schedule a transient fault halfway through the next run.
-    xsac::soe::run_session(&faulty, &key(), &policy, None, &Default::default()).expect("probe");
+    run_session_shared(&faulty, &key(), &compiled, None, &Default::default(), None).expect("probe");
     let per_session = faulty.protected.store.reads_seen();
     assert!(per_session >= 2, "session must hit the store more than once");
     faulty.protected.store.fail_read(per_session + per_session / 2, InjectedFault::Io);
-    let res = xsac::soe::run_session(&faulty, &key(), &policy, None, &Default::default());
+    let res = run_session_shared(&faulty, &key(), &compiled, None, &Default::default(), None);
     match res {
         Err(SessionError::Store(_)) => {}
         Err(e) => panic!("expected SessionError::Store, got {e}"),
         Ok(_) => panic!("expected SessionError::Store, got a successful session"),
     }
     // With the (transient) fault gone, the same document serves fine.
-    let ok = xsac::soe::run_session(&faulty, &key(), &policy, None, &Default::default())
+    let ok = run_session_shared(&faulty, &key(), &compiled, None, &Default::default(), None)
         .expect("clean retry");
-    let want = xsac::soe::run_session(&mem, &key(), &policy, None, &Default::default())
+    let want = run_session_shared(&mem, &key(), &compiled, None, &Default::default(), None)
         .expect("reference");
     assert_eq!(ok.log, want.log, "post-fault session must deliver the full view");
 }

@@ -1,5 +1,6 @@
 //! The paper's own worked examples, executed end to end.
 
+use std::sync::Arc;
 use xsac::core::evaluator::{EvalConfig, Evaluator};
 use xsac::core::oracle::oracle_view_string;
 use xsac::core::output::reassemble_to_string;
@@ -75,7 +76,9 @@ fn figure7_skipping_walkthrough() {
 fn figure7_skip_saves_bytes() {
     use xsac::crypto::chunk::ChunkLayout;
     use xsac::crypto::{IntegrityScheme, TripleDes};
-    use xsac::soe::{run_session, CostModel, ServerDoc, SessionConfig, Strategy};
+    use xsac::soe::{
+        run_session_shared, CompiledPolicy, CostModel, ServerDoc, SessionConfig, Strategy,
+    };
 
     // Fatten b's subtree so the skip is visible in the byte counts.
     let mut b_content = String::new();
@@ -107,13 +110,16 @@ fn figure7_skip_saves_bytes() {
         &mut dict,
     )
     .unwrap();
-    let t = run_session(&server, &key, &policy, None, &SessionConfig::default()).unwrap();
-    let b = run_session(
+    let compiled = Arc::new(CompiledPolicy::compile(&policy));
+    let t = run_session_shared(&server, &key, &compiled, None, &SessionConfig::default(), None)
+        .unwrap();
+    let b = run_session_shared(
         &server,
         &key,
-        &policy,
+        &compiled,
         None,
         &SessionConfig { strategy: Strategy::BruteForce, cost: CostModel::smartcard() },
+        None,
     )
     .unwrap();
     assert_eq!(reassemble_to_string(&dict, &t.log), reassemble_to_string(&dict, &b.log));

@@ -5,14 +5,17 @@
 //! Case counts are modest: each case drives real 3DES in debug mode.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use xsac::core::oracle::oracle_view_string;
 use xsac::core::output::reassemble_to_string;
 use xsac::core::{Policy, Sign};
 use xsac::crypto::chunk::ChunkLayout;
 use xsac::crypto::{IntegrityScheme, TripleDes};
-use xsac::index::decode::Decoder;
+use xsac::index::decode::{decode_range, DecoderContext};
 use xsac::index::encode::{encode_document, Encoding};
-use xsac::soe::{run_session, SessionConfig, SessionError, Strategy as SoeStrategy};
+use xsac::soe::{
+    run_session_shared, CompiledPolicy, SessionConfig, SessionError, Strategy as SoeStrategy,
+};
 use xsac::xml::Document;
 
 const TAGS: &[&str] = &["a", "b", "c", "d"];
@@ -70,10 +73,11 @@ proptest! {
             let server = xsac::soe::ServerDoc::prepare(&doc, &key(), scheme, layout());
             let mut dict = server.dict.clone();
             let policy = Policy::parse("ann", &rules, &mut dict).unwrap();
+            let compiled = Arc::new(CompiledPolicy::compile(&policy));
             let expected = oracle_view_string(&doc, &policy);
             for strategy in [SoeStrategy::Tcsbr, SoeStrategy::BruteForce] {
                 let config = SessionConfig { strategy, cost: xsac::soe::CostModel::smartcard() };
-                let res = run_session(&server, &key(), &policy, None, &config).unwrap();
+                let res = run_session_shared(&server, &key(), &compiled, None, &config, None).unwrap();
                 prop_assert_eq!(
                     reassemble_to_string(&dict, &res.log),
                     expected.clone(),
@@ -89,7 +93,9 @@ proptest! {
     fn skip_index_roundtrip(xml in arb_doc()) {
         let doc = Document::parse(&xml).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let events = Decoder::decode_all(&enc.bytes, doc.dict.len()).unwrap();
+        let root = DecoderContext::root(&enc.bytes, doc.dict.len()).unwrap();
+        let mut events = Vec::new();
+        decode_range(&enc.bytes, 0, &root, &mut events).unwrap();
         prop_assert_eq!(events, doc.events());
     }
 
@@ -115,7 +121,8 @@ proptest! {
         let mut dict = server.dict.clone();
         // A policy that reads everything, so the flipped byte is visited.
         let policy = Policy::parse("u", &[(Sign::Permit, "/*")], &mut dict).unwrap();
-        let res = run_session(&server, &key(), &policy, None, &SessionConfig::default());
+        let compiled = Arc::new(CompiledPolicy::compile(&policy));
+        let res = run_session_shared(&server, &key(), &compiled, None, &SessionConfig::default(), None);
         prop_assert!(
             matches!(res, Err(SessionError::Integrity(_))),
             "flip at {} undetected (xml={})", pos, xml

@@ -12,6 +12,7 @@
 //! Case counts are modest: each case drives real 3DES in debug mode.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use xsac::core::oracle::oracle_view_string;
 use xsac::core::output::reassemble_to_string;
 use xsac::crypto::chunk::ChunkLayout;
@@ -19,7 +20,9 @@ use xsac::crypto::store::TempPath;
 use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::profiles::View;
-use xsac::soe::{run_session, ServerDoc, SessionConfig, Strategy as SoeStrategy};
+use xsac::soe::{
+    run_session_shared, CompiledPolicy, ServerDoc, SessionConfig, Strategy as SoeStrategy,
+};
 
 fn key() -> TripleDes {
     TripleDes::new(*b"streaming-diff-key-24-ab")
@@ -60,12 +63,13 @@ proptest! {
             for view in View::ALL {
                 let mut dict = mem.dict.clone();
                 let policy = view.policy(&mut dict, &frequent, &rare);
+                let compiled = Arc::new(CompiledPolicy::compile(&policy));
                 let expected = oracle_view_string(&doc, &policy);
                 for strategy in [SoeStrategy::Tcsbr, SoeStrategy::BruteForce] {
                     let config = SessionConfig { strategy, ..Default::default() };
-                    let a = run_session(&mem, &key(), &policy, None, &config)
+                    let a = run_session_shared(&mem, &key(), &compiled, None, &config, None)
                         .expect("in-memory session");
-                    let b = run_session(&file, &key(), &policy, None, &config)
+                    let b = run_session_shared(&file, &key(), &compiled, None, &config, None)
                         .expect("file-backed session");
                     let label = format!("{scheme:?} {} {strategy:?}", view.name());
                     // Byte-identical delivery logs (items, anchors,
