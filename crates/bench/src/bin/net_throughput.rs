@@ -290,8 +290,8 @@ fn multi_tenant_rows(doc: &xsac_xml::Document, rows: &mut Vec<Row>) {
             docs: n_docs,
             connections: n_conns,
             ns_per_session: best,
-            p50_ns: Some(snap.registry.request_latency.p50()),
-            p99_ns: Some(snap.registry.request_latency.p99()),
+            p50_ns: Some(snap.request_latency.p50()),
+            p99_ns: Some(snap.request_latency.p99()),
         });
         handle.shutdown().expect("shutdown multi server");
     }

@@ -712,11 +712,6 @@ impl Evaluator {
         }
     }
 
-    /// True while inside a bulk-delivered subtree.
-    pub fn in_raw_mode(&self) -> bool {
-        self.raw_active
-    }
-
     /// Drains pending readback requests (subtrees whose condition resolved
     /// true and whose bytes must be re-read from the terminal).
     pub fn take_readbacks(&mut self) -> Vec<ReadbackRequest> {

@@ -62,18 +62,6 @@ impl Policy {
         Ok(Policy { subject: subject.to_owned(), rules: compiled })
     }
 
-    /// Builds a policy from already-parsed paths.
-    pub fn from_paths(subject: &str, rules: Vec<(Sign, Path)>, dict: &mut TagDict) -> Policy {
-        let rules = rules
-            .into_iter()
-            .map(|(sign, path)| {
-                let automaton = Automaton::compile(&path, dict);
-                Rule { sign, path, automaton }
-            })
-            .collect();
-        Policy { subject: subject.to_owned(), rules }
-    }
-
     /// Applies the static minimization of §3.3: drops rules proven
     /// redundant by the sufficient containment condition. Returns the
     /// number of rules removed.

@@ -214,18 +214,13 @@ pub fn sha1(data: &[u8]) -> Digest {
     h.finish()
 }
 
-fn hex(d: &Digest) -> String {
-    d.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Hex rendering (diagnostics).
-pub fn digest_hex(d: &Digest) -> String {
-    hex(d)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn hex(d: &Digest) -> String {
+        d.iter().map(|b| format!("{b:02x}")).collect()
+    }
 
     #[test]
     fn fips_vectors() {

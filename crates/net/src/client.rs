@@ -51,8 +51,8 @@
 
 use crate::server::ServiceSnapshot;
 use crate::wire::{
-    self, AdminDocEntry, AdminOp, AdminReply, ChunkSpan, Fault, HelloInfo, Request, Response,
-    WireError, DEFAULT_CLIENT_MAX_FRAME, PROTOCOL_VERSION,
+    self, AdminOp, AdminReply, ChunkSpan, Fault, HelloInfo, Request, Response, WireError,
+    DEFAULT_CLIENT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use std::fmt;
 use std::io;
@@ -694,22 +694,10 @@ pub fn fetch_stats(
     }
 }
 
-/// Lists the documents the service is routing (`Admin(ListDocs)`).
-/// Rejected with [`Fault::AdminDisabled`] unless the server was started
-/// with [`ServerConfig::admin`](crate::server::ServerConfig::admin).
-pub fn admin_list_docs(
-    addr: impl ToSocketAddrs,
-    config: &ClientConfig,
-) -> Result<Vec<AdminDocEntry>, ConnectError> {
-    match one_shot(addr, config, &Request::Admin(AdminOp::ListDocs))? {
-        Response::Admin(AdminReply::Docs(docs)) => Ok(docs),
-        _ => Err(ConnectError::Wire(WireError::Unexpected("non-Docs reply to ListDocs"))),
-    }
-}
-
 /// Asks the service to drop a document's server instance
 /// (`Admin(CloseDoc)`); returns whether an open instance was torn down.
-/// Subject to the same [`ServerConfig::admin`](crate::server::ServerConfig::admin) gate.
+/// Rejected with [`Fault::AdminDisabled`] unless the server was started
+/// with [`ServerConfig::admin`](crate::server::ServerConfig::admin).
 pub fn admin_close_doc(
     addr: impl ToSocketAddrs,
     doc_id: &str,

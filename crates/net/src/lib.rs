@@ -17,14 +17,13 @@
 //!   mapping doc-ids to served documents (resident or lazily opened
 //!   file-backed, all drawing chunk residency from one shared
 //!   [`WindowPool`](xsac_crypto::WindowPool) budget), with per-document
-//!   [`DocMetrics`] that survive close/reopen cycles;
+//!   counters that survive close/reopen cycles;
 //! * [`server`] — [`ChunkServer`]: serves every document of a registry
 //!   (in-memory or file-backed — disk → socket without materializing
 //!   the document) to concurrent connections over a
 //!   `std::thread::scope` accept loop, with admission control
-//!   ([`ServerConfig::max_conns`] → typed `Busy` rejections),
-//!   [`NetMetrics`] serving counters and a [`ServiceSnapshot`]
-//!   roll-up;
+//!   ([`ServerConfig::max_conns`] → typed `Busy` rejections) and a
+//!   [`ServiceSnapshot`] roll-up, the one read path for its counters;
 //! * [`client`] — [`connect`] + [`RemoteStore`]: a
 //!   [`ChunkStore`](xsac_crypto::ChunkStore) over a
 //!   connection, with a bounded client-side chunk cache (the same
@@ -59,7 +58,7 @@
 //!   [`RemoteStats`] (`reconnects`, `retried_chunks`, `backoff_ms`);
 //! * the server arms every accepted socket with read/write deadlines
 //!   and a per-connection frame budget ([`ServerConfig`]), evicting
-//!   slow or greedy peers (counted in [`NetMetrics`]) instead of
+//!   slow or greedy peers (counted in the [`ServiceSnapshot`]) instead of
 //!   letting them pin connection threads;
 //! * the `fault` module (test-only, behind the `fault-injection`
 //!   feature for external harnesses — not part of normal builds, so not
@@ -78,17 +77,15 @@ pub mod stats;
 pub mod wire;
 
 pub use client::{
-    admin_close_doc, admin_list_docs, connect, fetch_stats, ClientConfig, ConnectError,
-    RemoteStats, RemoteStore, RetryConfig,
+    admin_close_doc, connect, fetch_stats, ClientConfig, ConnectError, RemoteStats, RemoteStore,
+    RetryConfig,
 };
 #[cfg(any(test, feature = "fault-injection"))]
 pub use fault::{FaultPlan, FaultTransport, NetFault};
-pub use registry::{DocMetrics, DocRegistry, DocRow, OpenError, RegistrySnapshot, ServedDoc};
-pub use server::{
-    ChunkServer, NetMetrics, ServerConfig, ServerHandle, ServiceSnapshot, WireLimits,
-};
+pub use registry::{DocRegistry, DocRow, OpenError, RegistrySnapshot, ServedDoc};
+pub use server::{ChunkServer, ServerConfig, ServerHandle, ServiceSnapshot, WireLimits};
 pub use stats::{decode_snapshot, encode_snapshot, render_json, render_text, SNAPSHOT_VERSION};
-pub use wire::{AdminDocEntry, AdminOp, AdminReply, Fault, WireError, PROTOCOL_VERSION};
+pub use wire::{AdminOp, AdminReply, Fault, WireError, PROTOCOL_VERSION};
 
 #[cfg(test)]
 mod tests {
@@ -145,8 +142,9 @@ mod tests {
         assert_eq!(reassemble_to_string(&dict, &a.log), reassemble_to_string(&dict, &b.log));
         let stats = remote.protected.store.stats();
         assert!(stats.round_trips > 0 && stats.chunks_fetched > 0);
-        assert_eq!(handle.metrics().chunks_served(), stats.chunks_fetched);
-        assert_eq!(handle.metrics().bytes_served(), stats.wire_bytes);
+        let snap = handle.service_snapshot();
+        assert_eq!(snap.chunks_served, stats.chunks_fetched);
+        assert_eq!(snap.bytes_served, stats.wire_bytes);
         handle.shutdown().unwrap();
     }
 
@@ -385,7 +383,7 @@ mod tests {
         let stats = remote.protected.store.stats();
         assert!(stats.reconnects > 0, "a 6-frame budget must force reconnects: {stats:?}");
         assert!(
-            handle.metrics().budget_evictions() >= stats.reconnects,
+            handle.service_snapshot().budget_evictions >= stats.reconnects,
             "every reconnect here is a budget eviction"
         );
         handle.shutdown().unwrap();
@@ -405,7 +403,7 @@ mod tests {
         // fire and free the connection thread.
         let mute = std::net::TcpStream::connect(handle.addr()).unwrap();
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while handle.metrics().slow_peer_evictions() == 0 {
+        while handle.service_snapshot().slow_peer_evictions == 0 {
             assert!(std::time::Instant::now() < deadline, "slow peer never evicted");
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
@@ -581,7 +579,7 @@ mod tests {
             Err(other) => panic!("expected Busy at the admission cap, got {other:?}"),
             Ok(_) => panic!("the admission cap must turn the second client away"),
         }
-        assert!(handle.metrics().admission_rejections() >= 1);
+        assert!(handle.service_snapshot().admission_rejections >= 1);
         // Freeing the slot re-opens admission (poll: the handler notices
         // the closed peer asynchronously).
         drop(held);
@@ -727,7 +725,7 @@ mod tests {
         });
         // Let the accept loop route the trickler into a rejection.
         std::thread::sleep(std::time::Duration::from_millis(200));
-        assert!(handle.metrics().admission_rejections() >= 1);
+        assert!(handle.service_snapshot().admission_rejections >= 1);
         let t0 = std::time::Instant::now();
         drop(held);
         handle.shutdown().unwrap();

@@ -21,9 +21,9 @@
 //! document keeps serving it even if the registry closes the tenant
 //! mid-session (the close only purges pooled chunks — invisible to the
 //! session beyond refetches), and a later `Hello` for the same id
-//! simply reopens it. Per-document counters ([`DocMetrics`]) survive
-//! close/reopen cycles and roll up — together with the pool's residency
-//! figures — into the [`RegistrySnapshot`] half of the server's
+//! simply reopens it. Per-document counters survive close/reopen cycles
+//! and roll up — together with the pool's residency figures — into the
+//! [`RegistrySnapshot`] half of the server's
 //! [`ServiceSnapshot`](crate::server::ServiceSnapshot).
 //!
 //! The shape follows trustification's registry-over-storage split (an
@@ -41,125 +41,31 @@ use xsac_crypto::store::{
     ChunkStore, ChunkWindow, DynChunkStore, FileStore, PoolDoc, StoreError, WindowPool,
 };
 use xsac_obs::{AtomicHistogram, Histogram, PhaseProfile, SharedPhaseProfile};
-use xsac_soe::{DocMeta, MinimizeStats, ServerDoc};
+use xsac_soe::{DocMeta, ServerDoc};
 
 /// Per-document serving counters, shared across every connection bound
-/// to the document and surviving close/reopen cycles — the per-tenant
-/// slice of [`NetMetrics`](crate::NetMetrics).
+/// to the document and surviving close/reopen cycles. Read only through
+/// [`DocRegistry::snapshot`] into a [`DocRow`].
 #[derive(Debug, Default)]
-pub struct DocMetrics {
+pub(crate) struct DocMetrics {
     pub(crate) requests: AtomicU64,
     pub(crate) chunks_served: AtomicU64,
     pub(crate) bytes_served: AtomicU64,
     pub(crate) fault_frames: AtomicU64,
     opens: AtomicU64,
     closes: AtomicU64,
-    policy_compiles: AtomicU64,
-    policy_cache_hits: AtomicU64,
-    rules_minimized: AtomicU64,
     /// Σ phase nanoseconds reported by client sessions over this
     /// document (the `Report` frame) — zero until a client reports.
-    phases: SharedPhaseProfile,
+    /// Decrypt/verify/evaluate run inside the client's SOE, so the
+    /// server never observes them directly.
+    pub(crate) phases: SharedPhaseProfile,
     /// Wall time of each request answered while bound to this document,
     /// log-bucketed nanoseconds.
-    request_latency: AtomicHistogram,
-}
-
-impl DocMetrics {
-    /// Requests served for this document (Hello + Meta + Chunks).
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Ciphertext chunks shipped for this document.
-    pub fn chunks_served(&self) -> u64 {
-        self.chunks_served.load(Ordering::Relaxed)
-    }
-
-    /// Ciphertext payload bytes shipped for this document.
-    pub fn bytes_served(&self) -> u64 {
-        self.bytes_served.load(Ordering::Relaxed)
-    }
-
-    /// Typed fault frames answered on connections bound to this
-    /// document.
-    pub fn fault_frames(&self) -> u64 {
-        self.fault_frames.load(Ordering::Relaxed)
-    }
-
-    /// Times this (lazy) document was opened. Resident documents count
-    /// one open at registration.
-    pub fn opens(&self) -> u64 {
-        self.opens.load(Ordering::Relaxed)
-    }
-
-    /// Times this (lazy) document was closed — by LRU pressure or an
-    /// explicit [`DocRegistry::close`].
-    pub fn closes(&self) -> u64 {
-        self.closes.load(Ordering::Relaxed)
-    }
-
-    /// Fresh policy compilations reported for sessions over this
-    /// document.
-    pub fn policy_compiles(&self) -> u64 {
-        self.policy_compiles.load(Ordering::Relaxed)
-    }
-
-    /// Compiled-policy cache hits reported for sessions over this
-    /// document.
-    pub fn policy_cache_hits(&self) -> u64 {
-        self.policy_cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Σ rules dropped by containment minimization across all reported
-    /// compilations.
-    pub fn rules_minimized(&self) -> u64 {
-        self.rules_minimized.load(Ordering::Relaxed)
-    }
-
-    /// Records one client-side policy-compiler event. Access control is
-    /// evaluated inside the client's SOE, so the server only ever sees
-    /// these figures when the client (or a co-located [`xsac_soe::DocServer`])
-    /// reports them — the hook the dissemination service uses to fold
-    /// compiler behaviour into its [`RegistrySnapshot`].
-    pub fn record_policy_compile(&self, stats: &MinimizeStats, cache_hit: bool) {
-        if cache_hit {
-            self.policy_cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.policy_compiles.fetch_add(1, Ordering::Relaxed);
-            self.rules_minimized.fetch_add(stats.rules_dropped() as u64, Ordering::Relaxed);
-        }
-    }
-
-    /// Folds a client session's phase profile into this document's
-    /// totals — the `Report`-frame hook, same reporting model as
-    /// [`record_policy_compile`](DocMetrics::record_policy_compile)
-    /// (decrypt/verify/evaluate happen inside the client's SOE; the
-    /// server never observes them directly).
-    pub fn merge_phases(&self, profile: &PhaseProfile) {
-        self.phases.merge(profile);
-    }
-
-    /// Σ phase nanoseconds reported for sessions over this document.
-    pub fn phase_profile(&self) -> PhaseProfile {
-        self.phases.snapshot()
-    }
-
-    /// Records the wall time of one request answered while bound to
-    /// this document.
-    pub fn record_request_latency(&self, nanos: u64) {
-        self.request_latency.record(nanos);
-    }
-
-    /// Log-bucketed wall time (nanoseconds) of requests answered while
-    /// bound to this document.
-    pub fn request_latency(&self) -> Histogram {
-        self.request_latency.snapshot()
-    }
+    pub(crate) request_latency: AtomicHistogram,
 }
 
 /// One open document as the server serves it: the reassembled
-/// [`ServerDoc`], its pre-encoded `GetMeta` payload, and its metrics.
+/// [`ServerDoc`], its pre-encoded `GetMeta` payload, and its counters.
 /// Connections hold it by `Arc`, so a registry close never invalidates
 /// an in-flight session.
 pub struct ServedDoc {
@@ -172,11 +78,6 @@ impl ServedDoc {
     /// The served document.
     pub fn doc(&self) -> &ServerDoc<DynChunkStore> {
         &self.doc
-    }
-
-    /// This document's serving counters.
-    pub fn metrics(&self) -> &DocMetrics {
-        &self.metrics
     }
 }
 
@@ -232,7 +133,7 @@ struct Entry {
 
 /// One row of a [`RegistrySnapshot`]: a registered document and its
 /// lifetime counters.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DocRow {
     /// The registered id.
     pub doc_id: String,
@@ -241,7 +142,8 @@ pub struct DocRow {
     pub open: bool,
     /// Whether the document is a lazy file-backed tenant.
     pub lazy: bool,
-    /// Requests served.
+    /// Requests served while bound to this document (Hello + Meta +
+    /// Chunks + Report).
     pub requests: u64,
     /// Chunks shipped.
     pub chunks_served: u64,
@@ -249,16 +151,10 @@ pub struct DocRow {
     pub bytes_served: u64,
     /// Typed fault frames answered while bound to this document.
     pub fault_frames: u64,
-    /// Open events.
+    /// Open events (a resident document counts one, at registration).
     pub opens: u64,
-    /// Close events.
+    /// Close events (LRU pressure or an explicit [`DocRegistry::close`]).
     pub closes: u64,
-    /// Policy compilations reported for sessions over this document.
-    pub policy_compiles: u64,
-    /// Compiled-policy cache hits reported for this document.
-    pub policy_cache_hits: u64,
-    /// Σ rules dropped by minimization across reported compilations.
-    pub rules_minimized: u64,
     /// Σ phase nanoseconds reported by client sessions (`Report`
     /// frames) over this document.
     pub phases: PhaseProfile,
@@ -269,7 +165,7 @@ pub struct DocRow {
 
 /// Registry-level half of the service snapshot: per-document rows plus
 /// the shared pool's residency/eviction figures.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RegistrySnapshot {
     /// One row per registered document, sorted by id.
     pub docs: Vec<DocRow>,
@@ -293,16 +189,6 @@ pub struct RegistrySnapshot {
     pub pool_evictions: u64,
     /// Pool chunks dropped by document closes.
     pub pool_purged_chunks: u64,
-    /// Policy compilations reported across all tenants.
-    pub policy_compiles: u64,
-    /// Compiled-policy cache hits reported across all tenants.
-    pub policy_cache_hits: u64,
-    /// Σ rules dropped by containment minimization across all tenants.
-    pub rules_minimized: u64,
-    /// Σ reported phase nanoseconds, merged across every per-doc row.
-    pub phase_totals: PhaseProfile,
-    /// Request latency merged across every per-doc row.
-    pub request_latency: Histogram,
 }
 
 /// Maps doc-ids to served documents under one shared residency budget.
@@ -555,43 +441,11 @@ impl DocRegistry {
         self.inner.lock().expect("doc registry").contains_key(doc_id)
     }
 
-    /// The registered ids, sorted.
-    pub fn doc_ids(&self) -> Vec<String> {
-        let mut ids: Vec<String> =
-            self.inner.lock().expect("doc registry").keys().cloned().collect();
-        ids.sort();
-        ids
-    }
-
-    /// `Hello` frames that named an unregistered id (each answered with
-    /// a typed unknown-doc fault).
-    pub fn unknown_doc_rejections(&self) -> u64 {
-        self.unknown_docs.load(Ordering::Relaxed)
-    }
-
-    /// Records one client-side policy-compiler event against `doc_id`
-    /// (see [`DocMetrics::record_policy_compile`]). Returns `false` when
-    /// the id is not registered.
-    pub fn record_policy_compile(
-        &self,
-        doc_id: &str,
-        stats: &MinimizeStats,
-        cache_hit: bool,
-    ) -> bool {
-        let metrics = {
-            let inner = self.inner.lock().expect("doc registry");
-            match inner.get(doc_id) {
-                Some(entry) => Arc::clone(&entry.metrics),
-                None => return false,
-            }
-        };
-        metrics.record_policy_compile(stats, cache_hit);
-        true
-    }
-
     /// A consistent snapshot of every tenant's counters plus the shared
-    /// pool's residency figures.
-    pub fn snapshot(&self) -> RegistrySnapshot {
+    /// pool's residency figures — the registry half of
+    /// [`ServiceSnapshot`](crate::server::ServiceSnapshot).
+    pub(crate) fn snapshot(&self) -> RegistrySnapshot {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let inner = self.inner.lock().expect("doc registry");
         let mut docs: Vec<DocRow> = inner
             .iter()
@@ -600,42 +454,28 @@ impl DocRegistry {
                     Backing::Resident(_) => (true, false),
                     Backing::File { open, .. } => (open.is_some(), true),
                 };
+                let m = &entry.metrics;
                 DocRow {
                     doc_id: id.clone(),
                     open,
                     lazy,
-                    requests: entry.metrics.requests(),
-                    chunks_served: entry.metrics.chunks_served(),
-                    bytes_served: entry.metrics.bytes_served(),
-                    fault_frames: entry.metrics.fault_frames(),
-                    opens: entry.metrics.opens(),
-                    closes: entry.metrics.closes(),
-                    policy_compiles: entry.metrics.policy_compiles(),
-                    policy_cache_hits: entry.metrics.policy_cache_hits(),
-                    rules_minimized: entry.metrics.rules_minimized(),
-                    phases: entry.metrics.phase_profile(),
-                    request_latency: entry.metrics.request_latency(),
+                    requests: load(&m.requests),
+                    chunks_served: load(&m.chunks_served),
+                    bytes_served: load(&m.bytes_served),
+                    fault_frames: load(&m.fault_frames),
+                    opens: load(&m.opens),
+                    closes: load(&m.closes),
+                    phases: m.phases.snapshot(),
+                    request_latency: m.request_latency.snapshot(),
                 }
             })
             .collect();
         docs.sort_by(|a, b| a.doc_id.cmp(&b.doc_id));
-        let policy_compiles = docs.iter().map(|d| d.policy_compiles).sum();
-        let policy_cache_hits = docs.iter().map(|d| d.policy_cache_hits).sum();
-        let rules_minimized = docs.iter().map(|d| d.rules_minimized).sum();
-        // Service-wide phase/latency totals are *defined* as the merge
-        // of the per-doc rows, so rows-sum-to-totals holds by
-        // construction (requests not bound to a document are not timed).
-        let mut phase_totals = PhaseProfile::new();
-        let mut request_latency = Histogram::new();
-        for d in &docs {
-            phase_totals.merge(&d.phases);
-            request_latency.merge(&d.request_latency);
-        }
         RegistrySnapshot {
             docs,
-            doc_opens: self.opens.load(Ordering::Relaxed),
-            doc_closes: self.closes.load(Ordering::Relaxed),
-            unknown_doc_rejections: self.unknown_docs.load(Ordering::Relaxed),
+            doc_opens: load(&self.opens),
+            doc_closes: load(&self.closes),
+            unknown_doc_rejections: load(&self.unknown_docs),
             budget_bytes: self.pool.budget_bytes(),
             resident_bytes_now: self.pool.meter().resident_bytes_now(),
             resident_bytes_peak: self.pool.meter().resident_bytes_peak(),
@@ -643,11 +483,6 @@ impl DocRegistry {
             pool_refetches: self.pool.refetches(),
             pool_evictions: self.pool.evictions(),
             pool_purged_chunks: self.pool.purged_chunks(),
-            policy_compiles,
-            policy_cache_hits,
-            rules_minimized,
-            phase_totals,
-            request_latency,
         }
     }
 }

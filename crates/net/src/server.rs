@@ -22,7 +22,7 @@
 //!
 //! Concurrency matches the PR-3 idiom: a threaded accept loop over
 //! `std::thread::scope`, one scoped thread per connection, no shared
-//! mutable state beyond the registry/pool locks and the [`NetMetrics`]
+//! mutable state beyond the registry/pool locks and the serving
 //! counters.
 //!
 //! # Resilience and admission
@@ -37,14 +37,14 @@
 //! admitting: excess peers are answered with one typed
 //! [`Fault::Busy`] frame and dropped without a handler thread — the
 //! transient fault the client retry loop backs off on. All eviction
-//! and rejection kinds are counted in [`NetMetrics`]; a well-behaved
+//! and rejection kinds are counted in the [`ServiceSnapshot`]; a well-behaved
 //! client just reconnects — the `RemoteStore` retry loop makes any of
 //! them invisible to the session above it.
 
 use crate::registry::{DocRegistry, OpenError, RegistrySnapshot, ServedDoc};
 use crate::wire::{
-    self, AdminDocEntry, AdminOp, AdminReply, ChunkSpan, Fault, HelloInfo, Request, Response,
-    WireError, DEFAULT_SERVER_MAX_FRAME, PROTOCOL_VERSION,
+    self, AdminOp, AdminReply, ChunkSpan, Fault, HelloInfo, Request, Response, WireError,
+    DEFAULT_SERVER_MAX_FRAME, PROTOCOL_VERSION,
 };
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -95,7 +95,7 @@ pub struct ServerConfig {
     /// Most request frames one connection may send over its lifetime —
     /// the whole-conversation generalization of
     /// [`WireLimits::max_frame`]. Exceeding it closes the connection
-    /// (counted in [`NetMetrics::budget_evictions`]); a legitimate
+    /// (counted in [`ServiceSnapshot::budget_evictions`]); a legitimate
     /// long-lived client simply reconnects.
     pub max_frames_per_conn: u64,
     /// Most connections served concurrently — the accept-side
@@ -105,7 +105,7 @@ pub struct ServerConfig {
     /// ever getting a handler thread, so a connection flood degrades
     /// into bounded, counted rejections instead of unbounded threads.
     pub max_conns: u64,
-    /// Whether [`Request::Admin`] operations (list/close tenants) are
+    /// Whether [`Request::Admin`] operations (closing tenants) are
     /// honoured. Off by default: the admin surface mutates registry
     /// state, so an operator must opt a listener into it; a disabled
     /// server answers every admin frame with the typed
@@ -128,12 +128,10 @@ impl Default for ServerConfig {
 }
 
 /// Serving counters, shared between the accept loop, every connection
-/// thread, and the [`ServerHandle`] — the network-side analogue of
-/// [`ResidencyMeter`](xsac_crypto::ResidencyMeter). Per-document
-/// breakdowns live in the registry's
-/// [`DocMetrics`](crate::registry::DocMetrics).
+/// thread, and the [`ServerHandle`]. Read only through
+/// [`ServiceSnapshot`]; per-document breakdowns live in the registry.
 #[derive(Debug, Default)]
-pub struct NetMetrics {
+pub(crate) struct NetMetrics {
     connections: AtomicU64,
     requests: AtomicU64,
     chunks_served: AtomicU64,
@@ -144,91 +142,57 @@ pub struct NetMetrics {
     admission_rejections: AtomicU64,
 }
 
-impl NetMetrics {
-    /// Connections accepted (admitted) so far.
-    pub fn connections(&self) -> u64 {
-        self.connections.load(Ordering::Relaxed)
-    }
-
-    /// Requests served (all kinds), across all connections.
-    pub fn requests(&self) -> u64 {
-        self.requests.load(Ordering::Relaxed)
-    }
-
-    /// Ciphertext chunks shipped.
-    pub fn chunks_served(&self) -> u64 {
-        self.chunks_served.load(Ordering::Relaxed)
-    }
-
-    /// Ciphertext payload bytes shipped (chunk bodies only, not framing
-    /// or meta).
-    pub fn bytes_served(&self) -> u64 {
-        self.bytes_served.load(Ordering::Relaxed)
-    }
-
-    /// Typed fault frames sent.
-    pub fn fault_frames(&self) -> u64 {
-        self.fault_frames.load(Ordering::Relaxed)
-    }
-
-    /// Connections evicted because a socket deadline fired — a peer that
-    /// stalled mid-frame, went idle past the read deadline, or stopped
-    /// draining responses.
-    pub fn slow_peer_evictions(&self) -> u64 {
-        self.slow_peer_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Connections closed for exhausting their
-    /// [frame budget](ServerConfig::max_frames_per_conn).
-    pub fn budget_evictions(&self) -> u64 {
-        self.budget_evictions.load(Ordering::Relaxed)
-    }
-
-    /// Connections turned away at the
-    /// [admission cap](ServerConfig::max_conns) with a `Busy` frame
-    /// (not counted in [`connections`](NetMetrics::connections)).
-    pub fn admission_rejections(&self) -> u64 {
-        self.admission_rejections.load(Ordering::Relaxed)
-    }
-}
-
 /// Service-level roll-up: the server's connection/transport counters
 /// plus the registry's per-document and residency figures, taken
-/// together — the one structure an operator scrapes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// together — the one structure an operator scrapes, and the only way
+/// to read a running server's counters.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceSnapshot {
     /// Per-document rows and shared-pool residency.
     pub registry: RegistrySnapshot,
-    /// Connections admitted.
+    /// Connections admitted (not counting admission rejections).
     pub connections: u64,
     /// Requests served across all tenants.
     pub requests: u64,
     /// Chunks shipped across all tenants.
     pub chunks_served: u64,
-    /// Ciphertext payload bytes shipped across all tenants.
+    /// Ciphertext payload bytes shipped across all tenants (chunk
+    /// bodies only, not framing or meta).
     pub bytes_served: u64,
     /// Typed fault frames sent.
     pub fault_frames: u64,
-    /// Slow-peer (deadline) evictions.
+    /// Connections evicted because a socket deadline fired — a peer that
+    /// stalled mid-frame, went idle past the read deadline, or stopped
+    /// draining responses.
     pub slow_peer_evictions: u64,
-    /// Frame-budget evictions.
+    /// Connections closed for exhausting their
+    /// [frame budget](ServerConfig::max_frames_per_conn).
     pub budget_evictions: u64,
-    /// Connections rejected at the admission cap.
+    /// Connections turned away at the
+    /// [admission cap](ServerConfig::max_conns) with a `Busy` frame.
     pub admission_rejections: u64,
-    /// Policy compilations reported across all tenants (client-side
-    /// compiler events folded in via
-    /// [`DocRegistry::record_policy_compile`]).
-    pub policy_compiles: u64,
-    /// Compiled-policy cache hits reported across all tenants.
-    pub policy_cache_hits: u64,
-    /// Σ rules dropped by containment minimization across all tenants.
-    pub rules_minimized: u64,
     /// Σ session phase nanoseconds reported by clients (`Report`
     /// frames), merged across every per-doc row.
     pub phase_totals: PhaseProfile,
     /// Wall time of every doc-bound request, log-bucketed nanoseconds,
     /// merged across every per-doc row.
     pub request_latency: Histogram,
+}
+
+impl ServiceSnapshot {
+    /// Sets the service-wide phase and latency totals to the merge of
+    /// the per-doc rows. The totals are *defined* that way, so
+    /// rows-sum-to-totals holds by construction (requests not bound to a
+    /// document are not timed) and the wire never carries a second copy.
+    pub(crate) fn with_row_totals(mut self) -> ServiceSnapshot {
+        self.phase_totals = PhaseProfile::new();
+        self.request_latency = Histogram::new();
+        for d in &self.registry.docs {
+            self.phase_totals.merge(&d.phases);
+            self.request_latency.merge(&d.request_latency);
+        }
+        self
+    }
 }
 
 /// Serves the documents of a [`DocRegistry`] to concurrent network
@@ -274,13 +238,6 @@ impl ChunkServer {
         }
     }
 
-    /// Overrides the protocol limits (deadlines, budget and admission
-    /// cap keep their [`ServerConfig`] defaults).
-    pub fn with_limits(mut self, limits: WireLimits) -> ChunkServer {
-        self.config.limits = limits;
-        self
-    }
-
     /// Overrides the whole per-connection policy: limits, deadlines,
     /// frame budget, admission cap.
     pub fn with_config(mut self, config: ServerConfig) -> ChunkServer {
@@ -291,11 +248,6 @@ impl ChunkServer {
     /// The document registry being served.
     pub fn registry(&self) -> &Arc<DocRegistry> {
         &self.registry
-    }
-
-    /// The serving counters (shared with any [`ServerHandle`]).
-    pub fn metrics(&self) -> Arc<NetMetrics> {
-        Arc::clone(&self.metrics)
     }
 
     /// The service-level roll-up: transport counters + registry rows +
@@ -439,7 +391,7 @@ impl ChunkServer {
                 return;
             }
             if let Some(doc) = &bound {
-                doc.metrics.record_request_latency(t.elapsed_nanos());
+                doc.metrics.request_latency.record(t.elapsed_nanos());
             }
         }
     }
@@ -488,21 +440,12 @@ impl ChunkServer {
                 Response::Stats(crate::stats::encode_snapshot(&self.service_snapshot()))
             }
             Request::Admin(_) if !self.config.admin => Response::Err(Fault::AdminDisabled),
-            Request::Admin(AdminOp::ListDocs) => {
-                let snap = self.registry.snapshot();
-                Response::Admin(AdminReply::Docs(
-                    snap.docs
-                        .into_iter()
-                        .map(|d| AdminDocEntry { doc_id: d.doc_id, open: d.open, lazy: d.lazy })
-                        .collect(),
-                ))
-            }
             Request::Admin(AdminOp::CloseDoc { doc_id }) => {
                 Response::Admin(AdminReply::Closed { closed: self.registry.close(&doc_id) })
             }
             Request::Report { phases } => {
                 let doc = bound.as_ref().expect("bound checked above");
-                doc.metrics.merge_phases(&phases);
+                doc.metrics.phases.merge(&phases);
                 Response::Report
             }
         }
@@ -589,24 +532,21 @@ fn reject_busy(mut stream: TcpStream, config: ServerConfig, live: u64, max: u64)
     let _ = stream.shutdown(Shutdown::Both);
 }
 
-fn service_snapshot(registry: &DocRegistry, metrics: &NetMetrics) -> ServiceSnapshot {
-    let registry = registry.snapshot();
+fn service_snapshot(registry: &DocRegistry, m: &NetMetrics) -> ServiceSnapshot {
+    let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
     ServiceSnapshot {
-        policy_compiles: registry.policy_compiles,
-        policy_cache_hits: registry.policy_cache_hits,
-        rules_minimized: registry.rules_minimized,
-        phase_totals: registry.phase_totals,
-        request_latency: registry.request_latency,
-        registry,
-        connections: metrics.connections(),
-        requests: metrics.requests(),
-        chunks_served: metrics.chunks_served(),
-        bytes_served: metrics.bytes_served(),
-        fault_frames: metrics.fault_frames(),
-        slow_peer_evictions: metrics.slow_peer_evictions(),
-        budget_evictions: metrics.budget_evictions(),
-        admission_rejections: metrics.admission_rejections(),
+        registry: registry.snapshot(),
+        connections: load(&m.connections),
+        requests: load(&m.requests),
+        chunks_served: load(&m.chunks_served),
+        bytes_served: load(&m.bytes_served),
+        fault_frames: load(&m.fault_frames),
+        slow_peer_evictions: load(&m.slow_peer_evictions),
+        budget_evictions: load(&m.budget_evictions),
+        admission_rejections: load(&m.admission_rejections),
+        ..ServiceSnapshot::default()
     }
+    .with_row_totals()
 }
 
 /// Whether a read-side wire failure is a fired socket deadline (the
@@ -622,13 +562,13 @@ fn out_of_order() -> Response {
 impl ChunkServer {
     /// Binds `addr` (use port 0 for an ephemeral loopback port) and
     /// serves on a background thread; the returned handle exposes the
-    /// bound address, live metrics, the registry, and deterministic
-    /// shutdown.
+    /// bound address, the service snapshot, the registry, and
+    /// deterministic shutdown.
     pub fn spawn(self, addr: impl ToSocketAddrs) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let metrics = self.metrics();
+        let metrics = Arc::clone(&self.metrics);
         let registry = Arc::clone(&self.registry);
         let join = std::thread::spawn({
             let stop = Arc::clone(&stop);
@@ -651,11 +591,6 @@ impl ServerHandle {
     /// The bound socket address (connect clients here).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Live serving counters.
-    pub fn metrics(&self) -> &NetMetrics {
-        &self.metrics
     }
 
     /// The registry being served (register, close or inspect tenants

@@ -2,6 +2,15 @@
 //! payload of the wire `Stats` frame, a Prometheus-style text render
 //! for scraping, and a dependency-free JSON render for tooling.
 //!
+//! Each snapshot level ([`ServiceSnapshot`], [`RegistrySnapshot`],
+//! [`DocRow`]) names its scalars **once**, in one table of counters and
+//! one of gauges. The encoder, the decoder and both renderings walk
+//! those tables, so a counter cannot be shipped but not rendered, or
+//! decoded into the wrong field. A table name is the JSON key and the
+//! stem of the Prometheus series: `xsac_<name>_total` for a counter,
+//! `xsac_<name>` for a gauge, with `xsac_doc_` and a `doc` label for
+//! per-document rows.
+//!
 //! The binary encoding is **versioned** ([`SNAPSHOT_VERSION`]) and
 //! decoded with the same hostile-input discipline as the rest of the
 //! wire layer: every read is bounds-checked through the frame
@@ -10,71 +19,145 @@
 //! of order) is a typed [`WireError::Malformed`] — never a panic or a
 //! silent misread. Histograms travel **sparse** (only non-zero
 //! buckets), so an idle service's snapshot stays small even though a
-//! [`Histogram`] spans 64 buckets.
-//!
-//! The service-level duplicates on [`ServiceSnapshot`]
-//! (`policy_compiles`, `phase_totals`, `request_latency`) are copies
-//! of the registry-level figures by construction, so they are not
-//! re-encoded: decode rebuilds them from the registry half, and the
-//! round trip is byte- and value-exact.
+//! [`Histogram`] spans 64 buckets. The service-wide phase and latency
+//! totals are the merge of the per-doc rows, so they are not encoded:
+//! decode rebuilds them, and the round trip is value-exact.
 
 use crate::registry::{DocRow, RegistrySnapshot};
 use crate::server::ServiceSnapshot;
 use crate::wire::{get_profile, put_profile, put_str, put_u32, put_u64, Cursor, WireError};
 use std::fmt::Write as _;
-use xsac_obs::{Histogram, Phase, HISTOGRAM_BUCKETS};
+use xsac_obs::{Histogram, Phase, PhaseProfile, HISTOGRAM_BUCKETS};
 
 /// Version byte leading every serialized snapshot.
-pub const SNAPSHOT_VERSION: u8 = 1;
+pub const SNAPSHOT_VERSION: u8 = 2;
+
+/// One named scalar of a snapshot level: `(name, value)`.
+type Entry = (&'static str, u64);
+
+/// A snapshot scalar as it travels: every counter and gauge is one u64
+/// on the wire.
+trait Scalar {
+    fn to_u64(self) -> u64;
+    fn from_u64(v: u64) -> Self;
+}
+
+impl Scalar for u64 {
+    fn to_u64(self) -> u64 {
+        self
+    }
+    fn from_u64(v: u64) -> u64 {
+        v
+    }
+}
+
+impl Scalar for usize {
+    fn to_u64(self) -> u64 {
+        self as u64
+    }
+    fn from_u64(v: u64) -> usize {
+        usize::try_from(v).unwrap_or(usize::MAX)
+    }
+}
+
+impl Scalar for bool {
+    fn to_u64(self) -> u64 {
+        self as u64
+    }
+    fn from_u64(v: u64) -> bool {
+        v != 0
+    }
+}
+
+/// Declares one snapshot level's scalar tables, in wire order:
+/// `counters()` and `gauges()` drive the encoder and both renderings,
+/// and `get_scalars` decodes the same entries in the same order.
+macro_rules! scalar_tables {
+    ($ty:ty {
+        counters: [$($c:literal => $cf:ident),* $(,)?],
+        gauges: [$($g:literal => $gf:ident),* $(,)?] $(,)?
+    }) => {
+        impl $ty {
+            fn counters(&self) -> Vec<Entry> {
+                vec![$(($c, Scalar::to_u64(self.$cf))),*]
+            }
+            fn gauges(&self) -> Vec<Entry> {
+                vec![$(($g, Scalar::to_u64(self.$gf))),*]
+            }
+            fn get_scalars(&mut self, c: &mut Cursor<'_>) -> Result<(), WireError> {
+                $(self.$cf = Scalar::from_u64(c.u64()?);)*
+                $(self.$gf = Scalar::from_u64(c.u64()?);)*
+                Ok(())
+            }
+        }
+    };
+}
+
+scalar_tables!(ServiceSnapshot {
+    counters: [
+        "connections" => connections,
+        "requests" => requests,
+        "chunks_served" => chunks_served,
+        "bytes_served" => bytes_served,
+        "fault_frames" => fault_frames,
+        "slow_peer_evictions" => slow_peer_evictions,
+        "budget_evictions" => budget_evictions,
+        "admission_rejections" => admission_rejections,
+    ],
+    gauges: [],
+});
+
+scalar_tables!(RegistrySnapshot {
+    counters: [
+        "doc_opens" => doc_opens,
+        "doc_closes" => doc_closes,
+        "unknown_doc_rejections" => unknown_doc_rejections,
+        "pool_fetches" => pool_fetches,
+        "pool_refetches" => pool_refetches,
+        "pool_evictions" => pool_evictions,
+        "pool_purged_chunks" => pool_purged_chunks,
+    ],
+    gauges: [
+        "pool_budget_bytes" => budget_bytes,
+        "pool_resident_bytes" => resident_bytes_now,
+        "pool_resident_bytes_peak" => resident_bytes_peak,
+    ],
+});
+
+// Per-document series carry an `xsac_doc_` prefix, so the open/close
+// counters take names that cannot collide with the registry-wide
+// `xsac_doc_opens_total` / `xsac_doc_closes_total`.
+scalar_tables!(DocRow {
+    counters: [
+        "requests" => requests,
+        "chunks_served" => chunks_served,
+        "bytes_served" => bytes_served,
+        "fault_frames" => fault_frames,
+        "open_events" => opens,
+        "close_events" => closes,
+    ],
+    gauges: ["open" => open, "lazy" => lazy],
+});
+
+fn put_entries(out: &mut Vec<u8>, counters: Vec<Entry>, gauges: Vec<Entry>) {
+    for (_, v) in counters.into_iter().chain(gauges) {
+        put_u64(out, v);
+    }
+}
 
 /// Serializes a snapshot into the `Stats` frame payload.
 pub fn encode_snapshot(snap: &ServiceSnapshot) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(SNAPSHOT_VERSION);
+    let mut out = vec![SNAPSHOT_VERSION];
     let r = &snap.registry;
     put_u32(&mut out, u32::try_from(r.docs.len()).expect("doc count fits u32"));
     for d in &r.docs {
         put_str(&mut out, &d.doc_id);
-        out.push(d.open as u8);
-        out.push(d.lazy as u8);
-        for v in [
-            d.requests,
-            d.chunks_served,
-            d.bytes_served,
-            d.fault_frames,
-            d.opens,
-            d.closes,
-            d.policy_compiles,
-            d.policy_cache_hits,
-            d.rules_minimized,
-        ] {
-            put_u64(&mut out, v);
-        }
+        put_entries(&mut out, d.counters(), d.gauges());
         put_profile(&mut out, &d.phases);
         put_histogram(&mut out, &d.request_latency);
     }
-    for v in [
-        r.doc_opens,
-        r.doc_closes,
-        r.unknown_doc_rejections,
-        r.budget_bytes as u64,
-        r.resident_bytes_now,
-        r.resident_bytes_peak,
-        r.pool_fetches,
-        r.pool_refetches,
-        r.pool_evictions,
-        r.pool_purged_chunks,
-        snap.connections,
-        snap.requests,
-        snap.chunks_served,
-        snap.bytes_served,
-        snap.fault_frames,
-        snap.slow_peer_evictions,
-        snap.budget_evictions,
-        snap.admission_rejections,
-    ] {
-        put_u64(&mut out, v);
-    }
+    put_entries(&mut out, r.counters(), r.gauges());
+    put_entries(&mut out, snap.counters(), snap.gauges());
     out
 }
 
@@ -84,76 +167,20 @@ pub fn decode_snapshot(body: &[u8]) -> Result<ServiceSnapshot, WireError> {
     if c.u8()? != SNAPSHOT_VERSION {
         return Err(WireError::Malformed("unknown snapshot version"));
     }
+    let mut snap = ServiceSnapshot::default();
     let n_docs = c.u32()? as usize;
-    let mut docs = Vec::with_capacity(n_docs.min(1024));
+    snap.registry.docs.reserve(n_docs.min(1024));
     for _ in 0..n_docs {
-        let doc_id = c.str()?.to_owned();
-        let open = c.u8()? != 0;
-        let lazy = c.u8()? != 0;
-        docs.push(DocRow {
-            doc_id,
-            open,
-            lazy,
-            requests: c.u64()?,
-            chunks_served: c.u64()?,
-            bytes_served: c.u64()?,
-            fault_frames: c.u64()?,
-            opens: c.u64()?,
-            closes: c.u64()?,
-            policy_compiles: c.u64()?,
-            policy_cache_hits: c.u64()?,
-            rules_minimized: c.u64()?,
-            phases: get_profile(&mut c)?,
-            request_latency: get_histogram(&mut c)?,
-        });
+        let mut d = DocRow { doc_id: c.str()?.to_owned(), ..DocRow::default() };
+        d.get_scalars(&mut c)?;
+        d.phases = get_profile(&mut c)?;
+        d.request_latency = get_histogram(&mut c)?;
+        snap.registry.docs.push(d);
     }
-    // The totals are defined as the merge/sum of the rows — rebuild
-    // rather than trust (or ship) a second copy.
-    let mut phase_totals = xsac_obs::PhaseProfile::new();
-    let mut request_latency = Histogram::new();
-    for d in &docs {
-        phase_totals.merge(&d.phases);
-        request_latency.merge(&d.request_latency);
-    }
-    let policy_compiles = docs.iter().map(|d| d.policy_compiles).sum();
-    let policy_cache_hits = docs.iter().map(|d| d.policy_cache_hits).sum();
-    let rules_minimized = docs.iter().map(|d| d.rules_minimized).sum();
-    let registry = RegistrySnapshot {
-        docs,
-        doc_opens: c.u64()?,
-        doc_closes: c.u64()?,
-        unknown_doc_rejections: c.u64()?,
-        budget_bytes: c.u64()? as usize,
-        resident_bytes_now: c.u64()?,
-        resident_bytes_peak: c.u64()?,
-        pool_fetches: c.u64()?,
-        pool_refetches: c.u64()?,
-        pool_evictions: c.u64()?,
-        pool_purged_chunks: c.u64()?,
-        policy_compiles,
-        policy_cache_hits,
-        rules_minimized,
-        phase_totals,
-        request_latency,
-    };
-    let snap = ServiceSnapshot {
-        policy_compiles: registry.policy_compiles,
-        policy_cache_hits: registry.policy_cache_hits,
-        rules_minimized: registry.rules_minimized,
-        phase_totals: registry.phase_totals,
-        request_latency: registry.request_latency,
-        registry,
-        connections: c.u64()?,
-        requests: c.u64()?,
-        chunks_served: c.u64()?,
-        bytes_served: c.u64()?,
-        fault_frames: c.u64()?,
-        slow_peer_evictions: c.u64()?,
-        budget_evictions: c.u64()?,
-        admission_rejections: c.u64()?,
-    };
+    snap.registry.get_scalars(&mut c)?;
+    snap.get_scalars(&mut c)?;
     c.finish("trailing snapshot bytes")?;
-    Ok(snap)
+    Ok(snap.with_row_totals())
 }
 
 /// Sparse histogram encoding: non-zero bucket count, then
@@ -190,6 +217,16 @@ fn get_histogram(c: &mut Cursor<'_>) -> Result<Histogram, WireError> {
     Ok(Histogram::from_parts(buckets, c.u64()?, c.u64()?))
 }
 
+/// One labelled series set of a snapshot level: the service as a whole
+/// (no labels) or one document (`doc="…"`).
+struct Series<'a> {
+    labels: String,
+    counters: Vec<Entry>,
+    gauges: Vec<Entry>,
+    phases: &'a PhaseProfile,
+    latency: &'a Histogram,
+}
+
 fn push_metric(out: &mut String, name: &str, labels: &str, value: u64) {
     if labels.is_empty() {
         let _ = writeln!(out, "{name} {value}");
@@ -198,91 +235,98 @@ fn push_metric(out: &mut String, name: &str, labels: &str, value: u64) {
     }
 }
 
+/// `labels` extended by one more `key="value"` pair.
+fn with_label(labels: &str, extra: &str) -> String {
+    if labels.is_empty() {
+        extra.to_owned()
+    } else {
+        format!("{labels},{extra}")
+    }
+}
+
 /// Escapes a label value per the Prometheus exposition format.
 fn escape_label(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n")
 }
 
-fn push_histogram(out: &mut String, name: &str, labels: &str, h: &Histogram) {
-    let sep = if labels.is_empty() { "" } else { "," };
-    for (q, v) in [("0.5", h.p50()), ("0.9", h.p90()), ("0.99", h.p99())] {
-        push_metric(out, name, &format!("{labels}{sep}quantile=\"{q}\""), v);
+/// One `# TYPE`d metric family with one sample per series in `rows`.
+fn push_family(
+    out: &mut String,
+    name: &str,
+    kind: &str,
+    rows: &[Series<'_>],
+    sample: impl Fn(&Series<'_>) -> u64,
+) {
+    let _ = writeln!(out, "# TYPE {name} {kind}");
+    for s in rows {
+        push_metric(out, name, &s.labels, sample(s));
     }
-    push_metric(out, &format!("{name}_count"), labels, h.count());
-    push_metric(out, &format!("{name}_sum"), labels, h.sum());
-    push_metric(out, &format!("{name}_max"), labels, h.max());
 }
 
-fn push_phases(out: &mut String, name: &str, labels: &str, p: &xsac_obs::PhaseProfile) {
-    let sep = if labels.is_empty() { "" } else { "," };
-    for phase in Phase::ALL {
-        push_metric(out, name, &format!("{labels}{sep}phase=\"{}\"", phase.name()), p.get(phase));
+/// Renders one snapshot level as one contiguous group per metric
+/// family — the exposition format's grouping rule. Every row of a level
+/// comes from the same tables, so entry `i` names the same family in
+/// each.
+fn push_level(out: &mut String, prefix: &str, rows: &[Series<'_>]) {
+    let Some(first) = rows.first() else { return };
+    for (i, (name, _)) in first.counters.iter().enumerate() {
+        push_family(out, &format!("{prefix}{name}_total"), "counter", rows, |s| s.counters[i].1);
     }
+    for (i, (name, _)) in first.gauges.iter().enumerate() {
+        push_family(out, &format!("{prefix}{name}"), "gauge", rows, |s| s.gauges[i].1);
+    }
+    let phases = format!("{prefix}phase_nanos_total");
+    let _ = writeln!(out, "# TYPE {phases} counter");
+    for s in rows {
+        for phase in Phase::ALL {
+            let labels = with_label(&s.labels, &format!("phase=\"{}\"", phase.name()));
+            push_metric(out, &phases, &labels, s.phases.get(phase));
+        }
+    }
+    let latency = format!("{prefix}request_latency_nanos");
+    let _ = writeln!(out, "# TYPE {latency} summary");
+    for s in rows {
+        let h = s.latency;
+        for (q, v) in [("0.5", h.p50()), ("0.9", h.p90()), ("0.99", h.p99())] {
+            push_metric(out, &latency, &with_label(&s.labels, &format!("quantile=\"{q}\"")), v);
+        }
+    }
+    for s in rows {
+        push_metric(out, &format!("{latency}_count"), &s.labels, s.latency.count());
+    }
+    for s in rows {
+        push_metric(out, &format!("{latency}_sum"), &s.labels, s.latency.sum());
+    }
+    push_family(out, &format!("{latency}_max"), "gauge", rows, |s| s.latency.max());
 }
 
 /// Renders the snapshot in the Prometheus text exposition format:
-/// service counters, pool residency, per-phase time totals, latency
-/// quantiles, and one labelled series per document. Every counter of
-/// [`NetMetrics`](crate::NetMetrics),
-/// [`DocMetrics`](crate::DocMetrics) and the pool appears here — the
-/// counter-coverage test greps this output.
+/// service-wide counters and gauges, per-phase time totals and latency
+/// quantiles, then the same per document under a `doc` label. Every
+/// table entry of every level appears here.
 pub fn render_text(snap: &ServiceSnapshot) -> String {
-    let mut out = String::new();
-    // Service-level transport counters.
-    for (name, v) in [
-        ("xsac_connections_total", snap.connections),
-        ("xsac_requests_total", snap.requests),
-        ("xsac_chunks_served_total", snap.chunks_served),
-        ("xsac_bytes_served_total", snap.bytes_served),
-        ("xsac_fault_frames_total", snap.fault_frames),
-        ("xsac_slow_peer_evictions_total", snap.slow_peer_evictions),
-        ("xsac_budget_evictions_total", snap.budget_evictions),
-        ("xsac_admission_rejections_total", snap.admission_rejections),
-        ("xsac_policy_compiles_total", snap.policy_compiles),
-        ("xsac_policy_cache_hits_total", snap.policy_cache_hits),
-        ("xsac_rules_minimized_total", snap.rules_minimized),
-    ] {
-        push_metric(&mut out, name, "", v);
-    }
-    // Registry / pool residency.
     let r = &snap.registry;
-    for (name, v) in [
-        ("xsac_doc_opens_total", r.doc_opens),
-        ("xsac_doc_closes_total", r.doc_closes),
-        ("xsac_unknown_doc_rejections_total", r.unknown_doc_rejections),
-        ("xsac_pool_budget_bytes", r.budget_bytes as u64),
-        ("xsac_pool_resident_bytes", r.resident_bytes_now),
-        ("xsac_pool_resident_bytes_peak", r.resident_bytes_peak),
-        ("xsac_pool_fetches_total", r.pool_fetches),
-        ("xsac_pool_refetches_total", r.pool_refetches),
-        ("xsac_pool_evictions_total", r.pool_evictions),
-        ("xsac_pool_purged_chunks_total", r.pool_purged_chunks),
-    ] {
-        push_metric(&mut out, name, "", v);
-    }
-    // Phase totals and request latency, service-wide then per document.
-    push_phases(&mut out, "xsac_phase_nanos_total", "", &snap.phase_totals);
-    push_histogram(&mut out, "xsac_request_latency_nanos", "", &snap.request_latency);
-    for d in &r.docs {
-        let doc = format!("doc=\"{}\"", escape_label(&d.doc_id));
-        for (name, v) in [
-            ("xsac_doc_requests_total", d.requests),
-            ("xsac_doc_chunks_served_total", d.chunks_served),
-            ("xsac_doc_bytes_served_total", d.bytes_served),
-            ("xsac_doc_fault_frames_total", d.fault_frames),
-            ("xsac_doc_opens", d.opens),
-            ("xsac_doc_closes", d.closes),
-            ("xsac_doc_policy_compiles_total", d.policy_compiles),
-            ("xsac_doc_policy_cache_hits_total", d.policy_cache_hits),
-            ("xsac_doc_rules_minimized_total", d.rules_minimized),
-            ("xsac_doc_open", d.open as u64),
-            ("xsac_doc_lazy", d.lazy as u64),
-        ] {
-            push_metric(&mut out, name, &doc, v);
-        }
-        push_phases(&mut out, "xsac_doc_phase_nanos_total", &doc, &d.phases);
-        push_histogram(&mut out, "xsac_doc_request_latency_nanos", &doc, &d.request_latency);
-    }
+    let service = Series {
+        labels: String::new(),
+        counters: [snap.counters(), r.counters()].concat(),
+        gauges: r.gauges(),
+        phases: &snap.phase_totals,
+        latency: &snap.request_latency,
+    };
+    let docs: Vec<Series<'_>> = r
+        .docs
+        .iter()
+        .map(|d| Series {
+            labels: format!("doc=\"{}\"", escape_label(&d.doc_id)),
+            counters: d.counters(),
+            gauges: d.gauges(),
+            phases: &d.phases,
+            latency: &d.request_latency,
+        })
+        .collect();
+    let mut out = String::new();
+    push_level(&mut out, "xsac_", &[service]);
+    push_level(&mut out, "xsac_doc_", &docs);
     out
 }
 
@@ -304,6 +348,12 @@ fn json_escape(s: &str) -> String {
     out
 }
 
+/// `"name":value` members for every entry, comma-separated.
+fn json_entries(entries: Vec<Entry>) -> String {
+    let fields: Vec<String> = entries.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+    fields.join(",")
+}
+
 fn json_histogram(h: &Histogram) -> String {
     format!(
         "{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
@@ -316,14 +366,15 @@ fn json_histogram(h: &Histogram) -> String {
     )
 }
 
-fn json_phases(p: &xsac_obs::PhaseProfile) -> String {
+fn json_phases(p: &PhaseProfile) -> String {
     let fields: Vec<String> =
         Phase::ALL.iter().map(|&ph| format!("\"{}\":{}", ph.name(), p.get(ph))).collect();
     format!("{{{}}}", fields.join(","))
 }
 
-/// Renders the snapshot as a JSON object (no external dependencies —
-/// hand-rolled, matching the text exposition's field set).
+/// Renders the snapshot as one flat JSON object keyed by the table
+/// names, plus `phase_totals`, `request_latency` and a `docs` array
+/// (no external dependencies — hand-rolled).
 pub fn render_json(snap: &ServiceSnapshot) -> String {
     let r = &snap.registry;
     let docs: Vec<String> = r
@@ -331,58 +382,17 @@ pub fn render_json(snap: &ServiceSnapshot) -> String {
         .iter()
         .map(|d| {
             format!(
-                "{{\"doc_id\":\"{}\",\"open\":{},\"lazy\":{},\"requests\":{},\
-                 \"chunks_served\":{},\"bytes_served\":{},\"fault_frames\":{},\
-                 \"opens\":{},\"closes\":{},\"policy_compiles\":{},\
-                 \"policy_cache_hits\":{},\"rules_minimized\":{},\
-                 \"phases\":{},\"request_latency\":{}}}",
+                "{{\"doc_id\":\"{}\",{},\"phases\":{},\"request_latency\":{}}}",
                 json_escape(&d.doc_id),
-                d.open,
-                d.lazy,
-                d.requests,
-                d.chunks_served,
-                d.bytes_served,
-                d.fault_frames,
-                d.opens,
-                d.closes,
-                d.policy_compiles,
-                d.policy_cache_hits,
-                d.rules_minimized,
+                json_entries([d.counters(), d.gauges()].concat()),
                 json_phases(&d.phases),
                 json_histogram(&d.request_latency)
             )
         })
         .collect();
     format!(
-        "{{\"connections\":{},\"requests\":{},\"chunks_served\":{},\"bytes_served\":{},\
-         \"fault_frames\":{},\"slow_peer_evictions\":{},\"budget_evictions\":{},\
-         \"admission_rejections\":{},\"policy_compiles\":{},\"policy_cache_hits\":{},\
-         \"rules_minimized\":{},\"doc_opens\":{},\"doc_closes\":{},\
-         \"unknown_doc_rejections\":{},\"pool\":{{\"budget_bytes\":{},\
-         \"resident_bytes_now\":{},\"resident_bytes_peak\":{},\"fetches\":{},\
-         \"refetches\":{},\"evictions\":{},\"purged_chunks\":{}}},\
-         \"phase_totals\":{},\"request_latency\":{},\"docs\":[{}]}}",
-        snap.connections,
-        snap.requests,
-        snap.chunks_served,
-        snap.bytes_served,
-        snap.fault_frames,
-        snap.slow_peer_evictions,
-        snap.budget_evictions,
-        snap.admission_rejections,
-        snap.policy_compiles,
-        snap.policy_cache_hits,
-        snap.rules_minimized,
-        r.doc_opens,
-        r.doc_closes,
-        r.unknown_doc_rejections,
-        r.budget_bytes,
-        r.resident_bytes_now,
-        r.resident_bytes_peak,
-        r.pool_fetches,
-        r.pool_refetches,
-        r.pool_evictions,
-        r.pool_purged_chunks,
+        "{{{},\"phase_totals\":{},\"request_latency\":{},\"docs\":[{}]}}",
+        json_entries([snap.counters(), r.counters(), r.gauges()].concat()),
         json_phases(&snap.phase_totals),
         json_histogram(&snap.request_latency),
         docs.join(",")
@@ -392,8 +402,11 @@ pub fn render_json(snap: &ServiceSnapshot) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsac_obs::PhaseProfile;
+    use std::collections::HashSet;
 
+    /// Every u64 scalar differs from every other and from 0 and 1 (the
+    /// bool gauges), so a decode that swaps any two entries fails the
+    /// round trip.
     fn sample() -> ServiceSnapshot {
         let mut latency_a = Histogram::new();
         let mut latency_b = Histogram::new();
@@ -401,8 +414,6 @@ mod tests {
             latency_a.record(v);
         }
         latency_b.record(1_500_000);
-        let phases_a = PhaseProfile::from_nanos([10, 20, 30, 40, 50, 0, 0]);
-        let phases_b = PhaseProfile::from_nanos([1, 2, 3, 4, 5, 6, 7]);
         let docs = vec![
             DocRow {
                 doc_id: "alpha".to_owned(),
@@ -411,13 +422,10 @@ mod tests {
                 requests: 12,
                 chunks_served: 40,
                 bytes_served: 10_240,
-                fault_frames: 1,
-                opens: 1,
-                closes: 0,
-                policy_compiles: 2,
-                policy_cache_hits: 5,
-                rules_minimized: 3,
-                phases: phases_a,
+                fault_frames: 5,
+                opens: 3,
+                closes: 2,
+                phases: PhaseProfile::from_nanos([10, 20, 30, 40, 50, 0, 0]),
                 request_latency: latency_a,
             },
             DocRow {
@@ -427,97 +435,59 @@ mod tests {
                 requests: 7,
                 chunks_served: 9,
                 bytes_served: 2_304,
-                fault_frames: 0,
-                opens: 2,
-                closes: 2,
-                policy_compiles: 0,
-                policy_cache_hits: 0,
-                rules_minimized: 0,
-                phases: phases_b,
+                fault_frames: 6,
+                opens: 14,
+                closes: 13,
+                phases: PhaseProfile::from_nanos([1, 2, 3, 4, 5, 6, 7]),
                 request_latency: latency_b,
             },
         ];
-        let mut phase_totals = PhaseProfile::new();
-        let mut request_latency = Histogram::new();
-        for d in &docs {
-            phase_totals.merge(&d.phases);
-            request_latency.merge(&d.request_latency);
-        }
         let registry = RegistrySnapshot {
             docs,
-            doc_opens: 3,
-            doc_closes: 2,
-            unknown_doc_rejections: 4,
+            doc_opens: 17,
+            doc_closes: 15,
+            unknown_doc_rejections: 21,
             budget_bytes: 512,
             resident_bytes_now: 256,
             resident_bytes_peak: 700,
             pool_fetches: 90,
-            pool_refetches: 12,
+            pool_refetches: 22,
             pool_evictions: 33,
-            pool_purged_chunks: 8,
-            policy_compiles: 2,
-            policy_cache_hits: 5,
-            rules_minimized: 3,
-            phase_totals,
-            request_latency,
+            pool_purged_chunks: 18,
         };
         ServiceSnapshot {
-            policy_compiles: registry.policy_compiles,
-            policy_cache_hits: registry.policy_cache_hits,
-            rules_minimized: registry.rules_minimized,
-            phase_totals: registry.phase_totals,
-            request_latency: registry.request_latency,
             registry,
-            connections: 6,
+            connections: 26,
             requests: 19,
             chunks_served: 49,
             bytes_served: 12_544,
-            fault_frames: 1,
-            slow_peer_evictions: 2,
-            budget_evictions: 3,
-            admission_rejections: 11,
+            fault_frames: 11,
+            slow_peer_evictions: 23,
+            budget_evictions: 31,
+            admission_rejections: 47,
+            ..ServiceSnapshot::default()
         }
+        .with_row_totals()
     }
 
     #[test]
     fn snapshot_roundtrips() {
         let snap = sample();
+        let r = &snap.registry;
+        let mut values: Vec<u64> =
+            [snap.counters(), r.counters(), r.gauges()].concat().into_iter().map(|e| e.1).collect();
+        for d in &r.docs {
+            values.extend(d.counters().into_iter().map(|e| e.1));
+        }
+        let n = values.len();
+        values.sort_unstable();
+        values.dedup();
+        assert_eq!(values.len(), n, "sample scalars must be pairwise distinct");
+        assert!(values[0] > 1, "sample scalars must differ from the bool gauges");
         let bytes = encode_snapshot(&snap);
         assert_eq!(decode_snapshot(&bytes).unwrap(), snap);
         // An empty service round-trips too.
-        let empty = ServiceSnapshot {
-            registry: RegistrySnapshot {
-                docs: Vec::new(),
-                doc_opens: 0,
-                doc_closes: 0,
-                unknown_doc_rejections: 0,
-                budget_bytes: 0,
-                resident_bytes_now: 0,
-                resident_bytes_peak: 0,
-                pool_fetches: 0,
-                pool_refetches: 0,
-                pool_evictions: 0,
-                pool_purged_chunks: 0,
-                policy_compiles: 0,
-                policy_cache_hits: 0,
-                rules_minimized: 0,
-                phase_totals: PhaseProfile::new(),
-                request_latency: Histogram::new(),
-            },
-            connections: 0,
-            requests: 0,
-            chunks_served: 0,
-            bytes_served: 0,
-            fault_frames: 0,
-            slow_peer_evictions: 0,
-            budget_evictions: 0,
-            admission_rejections: 0,
-            policy_compiles: 0,
-            policy_cache_hits: 0,
-            rules_minimized: 0,
-            phase_totals: PhaseProfile::new(),
-            request_latency: Histogram::new(),
-        };
+        let empty = ServiceSnapshot::default();
         assert_eq!(decode_snapshot(&encode_snapshot(&empty)).unwrap(), empty);
     }
 
@@ -525,10 +495,12 @@ mod tests {
     fn hostile_snapshot_bytes_are_typed_errors() {
         let snap = sample();
         let bytes = encode_snapshot(&snap);
-        // Unknown version.
-        let mut evil = bytes.clone();
-        evil[0] = 99;
-        assert!(matches!(decode_snapshot(&evil), Err(WireError::Malformed(_))));
+        // Unknown versions, including the retired version 1.
+        for version in [99, 1] {
+            let mut evil = bytes.clone();
+            evil[0] = version;
+            assert!(matches!(decode_snapshot(&evil), Err(WireError::Malformed(_))));
+        }
         // Truncations at every prefix length decode as typed errors.
         for cut in 0..bytes.len() {
             assert!(decode_snapshot(&bytes[..cut]).is_err(), "truncation at {cut} must not decode");
@@ -573,21 +545,72 @@ mod tests {
         let snap = sample();
         let text = render_text(&snap);
         for needle in [
-            "xsac_connections_total 6",
-            "xsac_admission_rejections_total 11",
+            "xsac_connections_total 26",
+            "xsac_admission_rejections_total 47",
             "xsac_pool_evictions_total 33",
-            "xsac_pool_refetches_total 12",
-            "xsac_slow_peer_evictions_total 2",
-            "xsac_budget_evictions_total 3",
-            "xsac_unknown_doc_rejections_total 4",
+            "xsac_pool_refetches_total 22",
+            "xsac_pool_resident_bytes 256",
+            "xsac_slow_peer_evictions_total 23",
+            "xsac_budget_evictions_total 31",
+            "xsac_unknown_doc_rejections_total 21",
+            "xsac_doc_opens_total 17",
             "xsac_phase_nanos_total{phase=\"fetch\"} 11",
             "xsac_phase_nanos_total{phase=\"evaluate\"} 55",
             "xsac_request_latency_nanos{quantile=\"0.5\"}",
             "xsac_doc_requests_total{doc=\"alpha\"} 12",
+            "xsac_doc_open_events_total{doc=\"alpha\"} 3",
+            "xsac_doc_lazy{doc=\"alpha\"} 0",
             "xsac_doc_request_latency_nanos{doc=\"alpha\",quantile=\"0.99\"}",
             "doc=\"beta \\\"quoted\\\"\"",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
+        }
+    }
+
+    /// Counters end in `_total` and gauges do not; every family is one
+    /// contiguous group under a single `# TYPE` line; and no family mixes
+    /// doc-labelled and unlabelled series.
+    #[test]
+    fn text_exposition_follows_the_naming_and_grouping_rules() {
+        let text = render_text(&sample());
+        let mut seen = HashSet::new();
+        let mut family: Option<(&str, &str, Option<bool>)> = None;
+        for line in text.lines() {
+            if let Some(decl) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = decl.split_once(' ').expect("# TYPE name kind");
+                assert!(seen.insert(name), "family {name} declared twice:\n{text}");
+                match kind {
+                    "counter" => assert!(name.ends_with("_total"), "counter {name} lacks _total"),
+                    "gauge" | "summary" => assert!(!name.ends_with("_total"), "{kind} {name}"),
+                    other => panic!("unknown metric type {other}"),
+                }
+                family = Some((name, kind, None));
+                continue;
+            }
+            let (fam, kind, doc) = family.as_mut().expect("sample before any # TYPE");
+            let end = line.find(['{', ' ']).expect("sample line");
+            let name = &line[..end];
+            let in_family = name == *fam
+                || (*kind == "summary"
+                    && [format!("{fam}_count"), format!("{fam}_sum")].iter().any(|n| n == name));
+            assert!(in_family, "{name} sample outside its family {fam}:\n{text}");
+            let labelled = line[end..].starts_with("{doc=");
+            assert_eq!(*doc.get_or_insert(labelled), labelled, "{fam} mixes doc labels");
+        }
+        // Every table entry of every level made it into a family.
+        let snap = sample();
+        let r = &snap.registry;
+        let d = &r.docs[0];
+        for (prefix, counters, gauges) in [
+            ("xsac_", [snap.counters(), r.counters()].concat(), r.gauges()),
+            ("xsac_doc_", d.counters(), d.gauges()),
+        ] {
+            for (name, _) in counters {
+                assert!(seen.contains(format!("{prefix}{name}_total").as_str()), "{name}");
+            }
+            for (name, _) in gauges {
+                assert!(seen.contains(format!("{prefix}{name}").as_str()), "{name}");
+            }
         }
     }
 
@@ -598,10 +621,12 @@ mod tests {
         // No serde in-tree: pin the structural anchors instead.
         assert!(json.starts_with('{') && json.ends_with('}'));
         for needle in [
-            "\"connections\":6",
-            "\"admission_rejections\":11",
+            "\"connections\":26",
+            "\"admission_rejections\":47",
+            "\"pool_resident_bytes_peak\":700",
             "\"phase_totals\":{\"fetch\":11",
             "\"doc_id\":\"alpha\"",
+            "\"open_events\":3",
             "\"doc_id\":\"beta \\\"quoted\\\"\"",
             "\"p99\":",
         ] {

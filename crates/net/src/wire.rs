@@ -19,7 +19,7 @@
 //! | `GetMeta` | `Meta` | the Figure-2 material: dictionary, skip index, digest table |
 //! | `GetChunks` | `Chunks` | batched ciphertext fetch — one round trip, many chunks |
 //! | `Stats` | `Stats` | the serialized [`ServiceSnapshot`](crate::ServiceSnapshot) |
-//! | `Admin` | `Admin` | list/close tenants (off unless [`ServerConfig::admin`](crate::ServerConfig) is set) |
+//! | `Admin` | `Admin` | close a tenant (off unless [`ServerConfig::admin`](crate::ServerConfig) is set) |
 //! | `Report` | `Report` | client pushes its session's phase profile to the bound doc |
 //! | — | `Err` | typed faults mirroring [`StoreError`] |
 //!
@@ -291,8 +291,6 @@ pub struct ChunkSpan {
 /// One management operation in a [`Request::Admin`] frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdminOp {
-    /// Lists every registered document with its open/lazy state.
-    ListDocs,
     /// Closes a lazy tenant's residency now (see
     /// [`DocRegistry::close`](crate::DocRegistry::close)).
     CloseDoc {
@@ -332,9 +330,7 @@ pub enum Request {
     /// is merged into the **bound** document's metrics (requires a prior
     /// `Hello`). Access control runs inside the client's SOE, so
     /// decrypt/verify/evaluate time exists only client-side; this frame
-    /// is how it reaches the server's `Stats` roll-up — the same
-    /// client-reporting hook as
-    /// [`DocRegistry::record_policy_compile`](crate::DocRegistry::record_policy_compile).
+    /// is how it reaches the server's `Stats` roll-up.
     Report {
         /// Per-phase nanoseconds, indexed like [`Phase::ALL`].
         phases: PhaseProfile,
@@ -359,22 +355,9 @@ pub struct HelloInfo {
     pub ciphertext_len: u64,
 }
 
-/// One row of an [`AdminReply::Docs`] listing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AdminDocEntry {
-    /// The registered id.
-    pub doc_id: String,
-    /// Whether the document is currently open.
-    pub open: bool,
-    /// Whether the document is a lazy file-backed tenant.
-    pub lazy: bool,
-}
-
 /// The successful answer to a [`Request::Admin`] operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdminReply {
-    /// The registry's documents, sorted by id.
-    Docs(Vec<AdminDocEntry>),
     /// Whether `CloseDoc` found anything open to close.
     Closed {
         /// `true` iff an open lazy tenant was closed.
@@ -420,7 +403,8 @@ const RESP_REPORT: u8 = 0x86;
 const RESP_ERR: u8 = 0xFF;
 
 // ---- admin op codes ----
-const ADMIN_LIST_DOCS: u8 = 0;
+// (0 was a document listing, retired: the `Stats` frame carries every
+// doc id with its open/lazy state.)
 const ADMIN_CLOSE_DOC: u8 = 1;
 
 // ---- fault codes ----
@@ -604,13 +588,9 @@ impl Request {
             Request::Stats => out.push(REQ_STATS),
             Request::Admin(op) => {
                 out.push(REQ_ADMIN);
-                match op {
-                    AdminOp::ListDocs => out.push(ADMIN_LIST_DOCS),
-                    AdminOp::CloseDoc { doc_id } => {
-                        out.push(ADMIN_CLOSE_DOC);
-                        put_str(&mut out, doc_id);
-                    }
-                }
+                let AdminOp::CloseDoc { doc_id } = op;
+                out.push(ADMIN_CLOSE_DOC);
+                put_str(&mut out, doc_id);
             }
             Request::Report { phases } => {
                 out.push(REQ_REPORT);
@@ -640,7 +620,6 @@ impl Request {
             }
             REQ_STATS => Request::Stats,
             REQ_ADMIN => match c.u8()? {
-                ADMIN_LIST_DOCS => Request::Admin(AdminOp::ListDocs),
                 ADMIN_CLOSE_DOC => {
                     Request::Admin(AdminOp::CloseDoc { doc_id: c.str()?.to_owned() })
                 }
@@ -710,21 +689,9 @@ impl Response {
             }
             Response::Admin(reply) => {
                 out.push(RESP_ADMIN);
-                match reply {
-                    AdminReply::Docs(docs) => {
-                        out.push(ADMIN_LIST_DOCS);
-                        put_u32(&mut out, u32::try_from(docs.len()).expect("doc count fits u32"));
-                        for d in docs {
-                            put_str(&mut out, &d.doc_id);
-                            out.push(d.open as u8);
-                            out.push(d.lazy as u8);
-                        }
-                    }
-                    AdminReply::Closed { closed } => {
-                        out.push(ADMIN_CLOSE_DOC);
-                        out.push(*closed as u8);
-                    }
-                }
+                let AdminReply::Closed { closed } = reply;
+                out.push(ADMIN_CLOSE_DOC);
+                out.push(*closed as u8);
             }
             Response::Report => out.push(RESP_REPORT),
             Response::Err(fault) => {
@@ -794,18 +761,6 @@ impl Response {
                 return Ok(Response::Stats(rest.to_vec()));
             }
             RESP_ADMIN => match c.u8()? {
-                ADMIN_LIST_DOCS => {
-                    let n = c.u32()? as usize;
-                    let mut docs = Vec::with_capacity(n.min(1024));
-                    for _ in 0..n {
-                        docs.push(AdminDocEntry {
-                            doc_id: c.str()?.to_owned(),
-                            open: c.u8()? != 0,
-                            lazy: c.u8()? != 0,
-                        });
-                    }
-                    Response::Admin(AdminReply::Docs(docs))
-                }
                 ADMIN_CLOSE_DOC => Response::Admin(AdminReply::Closed { closed: c.u8()? != 0 }),
                 _ => return Err(WireError::Malformed("unknown admin reply")),
             },
@@ -850,7 +805,6 @@ mod tests {
                 spans: vec![ChunkSpan { first: 0, count: 4 }, ChunkSpan { first: 1000, count: 1 }],
             },
             Request::Stats,
-            Request::Admin(AdminOp::ListDocs),
             Request::Admin(AdminOp::CloseDoc { doc_id: "cold-tenant".to_owned() }),
             Request::Report { phases: PhaseProfile::from_nanos([7, 6, 5, 4, 3, 2, 1]) },
         ] {
@@ -889,10 +843,6 @@ mod tests {
             Response::Err(Fault::BadRequest { reason: "too many spans".to_owned() }),
             Response::Err(Fault::AdminDisabled),
             Response::Stats(vec![1, 9, 9, 4]),
-            Response::Admin(AdminReply::Docs(vec![
-                AdminDocEntry { doc_id: "alpha".to_owned(), open: true, lazy: false },
-                AdminDocEntry { doc_id: "beta".to_owned(), open: false, lazy: true },
-            ])),
             Response::Admin(AdminReply::Closed { closed: true }),
             Response::Report,
         ] {
@@ -931,6 +881,8 @@ mod tests {
         assert!(matches!(Request::decode(&[]), Err(WireError::Malformed(_))));
         assert!(matches!(Request::decode(&[0x42]), Err(WireError::Malformed(_))));
         assert!(matches!(Response::decode(&[RESP_CHUNKS, 1]), Err(WireError::Malformed(_))));
+        // The retired document-listing admin op (0) is an unknown op.
+        assert!(matches!(Request::decode(&[REQ_ADMIN, 0]), Err(WireError::Malformed(_))));
         // A string length pointing past the body must not panic.
         let mut evil = vec![REQ_HELLO, 0, 0];
         evil.extend_from_slice(&1000u32.to_le_bytes());

@@ -176,13 +176,6 @@ const _: fn() = || {
     assert_send::<SessionError>();
 };
 
-impl SessionResult {
-    /// Throughput in KB of *source document* per second (Figure 12).
-    pub fn throughput_kbps(&self, source_bytes: usize) -> f64 {
-        source_bytes as f64 / 1000.0 / self.time.total()
-    }
-}
-
 /// Bookkeeping for pending-subtree readback contexts. Contexts are
 /// dropped as soon as they can no longer be requested (served, or the
 /// pending condition resolved false), keeping a long session's table

@@ -110,15 +110,6 @@ pub fn textual_len(doc: &Document, id: NodeId) -> usize {
     }
 }
 
-/// Serializes an owned event sequence (utility for tests and examples).
-pub fn events_to_string(dict: &TagDict, events: &[Event<'_>]) -> String {
-    let mut w = XmlWriter::new(dict);
-    for e in events {
-        w.event(e);
-    }
-    w.finish()
-}
-
 /// A dummy tag name used when the structural rule replaces denied ancestor
 /// names (§2: "names of denied elements in this path can be replaced by a
 /// dummy value").

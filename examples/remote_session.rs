@@ -75,13 +75,13 @@ fn main() {
         "client resilience: {} reconnects, {} chunks retried, {} ms backing off",
         stats.reconnects, stats.retried_chunks, stats.backoff_ms
     );
-    let metrics = handle.metrics();
+    let snap = handle.service_snapshot();
     println!(
         "server: {} connections, {} requests, {} chunks / {} KB served",
-        metrics.connections(),
-        metrics.requests(),
-        metrics.chunks_served(),
-        metrics.bytes_served() / 1024
+        snap.connections,
+        snap.requests,
+        snap.chunks_served,
+        snap.bytes_served / 1024
     );
     handle.shutdown().expect("shutdown");
 }

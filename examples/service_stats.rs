@@ -7,9 +7,9 @@
 //! locally, as the architecture demands — then push their per-phase wall
 //! times to the server so the service-wide roll-up sees the whole
 //! pipeline, not just the chunk-serving half it can observe itself.
-//! A final `Stats` round trip prints the snapshot as Prometheus text
-//! exposition (or JSON with `--json`), and the admin surface lists and
-//! closes tenants.
+//! A `Stats` round trip lists the tenants, the admin surface closes one,
+//! and a final `Stats` round trip prints the snapshot as Prometheus text
+//! exposition (or JSON with `--json`).
 //!
 //!     cargo run --release --example service_stats [-- --json]
 
@@ -19,8 +19,8 @@ use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::Profile;
 use xsac::net::{
-    admin_close_doc, admin_list_docs, connect, fetch_stats, render_json, render_text, ChunkServer,
-    ClientConfig, DocRegistry, ServerConfig,
+    admin_close_doc, connect, fetch_stats, render_json, render_text, ChunkServer, ClientConfig,
+    DocRegistry, ServerConfig,
 };
 use xsac::obs::PhaseProfile;
 use xsac::soe::{DocServer, ServerDoc, SessionSpec};
@@ -75,12 +75,12 @@ fn main() {
         client.doc().protected.store.report_profile(&phases).expect("report");
     }
 
-    // The admin surface: list what the service is routing, close a
-    // tenant, and note that its metrics row survives the close.
+    // List what the service is routing (the read-only Stats rows), then
+    // close a tenant through the admin surface; its row survives the close.
     let cfg = ClientConfig::default();
     if !json {
-        for d in admin_list_docs(addr, &cfg).expect("list docs") {
-            println!("admin: doc {:?} open={} lazy={}", d.doc_id, d.open, d.lazy);
+        for d in fetch_stats(addr, &cfg).expect("list docs").registry.docs {
+            println!("stats: doc {:?} open={} lazy={}", d.doc_id, d.open, d.lazy);
         }
         let closed = admin_close_doc(addr, "archive-2025", &cfg).expect("close doc");
         println!("admin: closed archive-2025 = {closed}\n");

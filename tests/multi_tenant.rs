@@ -268,7 +268,7 @@ fn killed_and_restarted_server_resumes_all_tenants() {
         let registry_b = registry_over(&tenants, 3);
         move || {
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while handle_a.metrics().chunks_served() < 6 {
+            while handle_a.service_snapshot().chunks_served < 6 {
                 assert!(std::time::Instant::now() < deadline, "workload never started");
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }

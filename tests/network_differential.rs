@@ -3,7 +3,7 @@
 //! one — the paper's client-based-enforcement claim made literal.
 //!
 //! A `ChunkServer` serves a hospital document on 127.0.0.1; a
-//! `RemoteStore` client runs the five Figure-10 views × {ECB, ECB-MHT}
+//! `RemoteStore` client runs the five Figure-10 views × all four integrity schemes
 //! through the **unchanged** session code. Delivery logs, `AccessCost`
 //! (including the refetch audit) and every session statistic must be
 //! byte-identical to the in-memory backend, and both must match the DOM
@@ -42,7 +42,7 @@ fn remote_sessions_equal_in_memory_sessions_and_oracle() {
     let doc = hospital();
     let frequent = physician_name(0);
     let rare = physician_name(HospitalConfig::default().physicians - 1);
-    for scheme in [IntegrityScheme::Ecb, IntegrityScheme::EcbMht] {
+    for scheme in IntegrityScheme::ALL {
         let mem = ServerDoc::prepare(&doc, &key(), scheme, tiny_layout());
         let served = ServerDoc::prepare(&doc, &key(), scheme, tiny_layout());
         let handle = ChunkServer::new(served, "hospital").spawn("127.0.0.1:0").expect("spawn");

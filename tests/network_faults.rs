@@ -243,7 +243,7 @@ fn mid_stream_server_restart_resumes_identically() {
         let proxy = std::sync::Arc::clone(&proxy);
         move || {
             let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-            while handle_a.metrics().chunks_served() < 4 {
+            while handle_a.service_snapshot().chunks_served < 4 {
                 assert!(std::time::Instant::now() < deadline, "session never started");
                 std::thread::sleep(std::time::Duration::from_millis(1));
             }

@@ -18,8 +18,7 @@
 //!   minimizer decides, the delivered view equals the unminimized view
 //!   and the oracle.
 //!
-//! Plus the observability plumbing: compiler events recorded against a
-//! document roll up into the dissemination service's snapshot.
+//! The Figure-10 angle runs under all four integrity schemes.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -31,7 +30,6 @@ use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::profiles::{figure10_query, stacked_researcher_policy, View};
 use xsac::datagen::rulegen::{random_policy, RuleGenConfig};
-use xsac::net::ChunkServer;
 use xsac::soe::{
     run_session_shared, ServerDoc, SessionConfig, SessionResult, Strategy as SoeStrategy,
 };
@@ -75,7 +73,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 4, ..Default::default() })]
 
     /// Minimized == unminimized == oracle on the Figure-10 views, with
-    /// and without a query, under both integrity schemes and both
+    /// and without a query, under all four integrity schemes and both
     /// consumption strategies. The views carry no redundant rule, so
     /// the compilations must be *indistinguishable* in every metered
     /// quantity, not just in the delivered view.
@@ -89,7 +87,7 @@ proptest! {
         let doc = hospital_document(&config, doc_seed as u64);
         let frequent = physician_name(0);
         let rare = physician_name(config.physicians - 1);
-        for scheme in [IntegrityScheme::Ecb, IntegrityScheme::EcbMht] {
+        for scheme in IntegrityScheme::ALL {
             let server = ServerDoc::prepare(&doc, &key(), scheme, layout());
             for view in View::ALL {
                 let mut dict = server.dict.clone();
@@ -249,36 +247,4 @@ fn stacked_researcher_minimizes_to_the_base_policy() {
         stacked_raw.stats.token_ops
     );
     assert_eq!(reassemble_to_string(&dict, &stacked_min.log), oracle_view_string(&doc, &stacked));
-}
-
-/// Client-side compiler events roll up through the document registry
-/// into the service snapshot an operator scrapes.
-#[test]
-fn compiler_events_roll_into_the_service_snapshot() {
-    let doc = hospital_document(&HospitalConfig { folders: 1, ..Default::default() }, 3);
-    let server_doc = ServerDoc::prepare(&doc, &key(), IntegrityScheme::Ecb, layout());
-    let mut dict = server_doc.dict.clone();
-    let stacked = stacked_researcher_policy("r", 10, 4, &mut dict);
-    let compiled = CompiledPolicy::compile(&stacked);
-    let stats = *compiled.minimize_stats();
-
-    let server = ChunkServer::new(server_doc, "hospital");
-    let registry = server.registry();
-    assert!(registry.record_policy_compile("hospital", &stats, false));
-    assert!(registry.record_policy_compile("hospital", &stats, true));
-    assert!(registry.record_policy_compile("hospital", &stats, true));
-    assert!(
-        !registry.record_policy_compile("no-such-doc", &stats, false),
-        "unknown ids must not record"
-    );
-
-    let snap = server.service_snapshot();
-    assert_eq!(snap.policy_compiles, 1);
-    assert_eq!(snap.policy_cache_hits, 2);
-    assert_eq!(snap.rules_minimized, 63);
-    let row = &snap.registry.docs[0];
-    assert_eq!(row.doc_id, "hospital");
-    assert_eq!(row.policy_compiles, 1);
-    assert_eq!(row.policy_cache_hits, 2);
-    assert_eq!(row.rules_minimized, 63);
 }

@@ -1,7 +1,7 @@
 //! Differential property test for the out-of-core read path: a
 //! file-backed session must be *indistinguishable* from an in-memory one.
 //!
-//! Random hospital documents × all five Figure-10 views × {ECB, ECB-MHT}
+//! Random hospital documents × all five Figure-10 views × all four integrity schemes
 //! × random chunk layouts: the file-backed server (ciphertext encrypted
 //! chunk-at-a-time straight to disk, served through a bounded resident
 //! window) must produce byte-identical delivery logs and identical
@@ -52,7 +52,7 @@ proptest! {
         let doc = hospital_document(&config, doc_seed as u64);
         let frequent = physician_name(0);
         let rare = physician_name(config.physicians - 1);
-        for scheme in [IntegrityScheme::Ecb, IntegrityScheme::EcbMht] {
+        for scheme in IntegrityScheme::ALL {
             let mem = ServerDoc::prepare(&doc, &key(), scheme, layout);
             let tmp = TempPath::new("streaming-diff");
             let window = window_chunks * layout.chunk_size;

@@ -1,7 +1,7 @@
 //! The unified telemetry surface, end to end:
 //!
 //! * **differential** — the runtime span-clock switch must change *no*
-//!   output byte: the five Figure-10 views × {ECB, ECB-MHT} produce
+//!   output byte: the five Figure-10 views × all four integrity schemes produce
 //!   identical delivery logs, result sizes and `AccessCost` with
 //!   telemetry on and off (phases are the only thing that moves);
 //! * **aggregation** — 8 threads of sessions against a two-tenant
@@ -13,9 +13,10 @@
 //! * **coverage** — a real admission rejection and real shared-pool
 //!   evictions must surface in the Prometheus text exposition with
 //!   their live values, not as synthetic fixtures;
-//! * **hostility** — `Report` before `Hello`, `Admin` while disabled
-//!   and unparseable frames must each produce a *typed* fault frame on
-//!   a connection that keeps serving afterwards.
+//! * **hostility** — `Report` before `Hello`, `Admin` while disabled,
+//!   the retired document-listing admin op and unparseable frames must
+//!   each produce a *typed* fault frame on a connection that keeps
+//!   serving afterwards.
 //!
 //! Tests that depend on the global runtime switch serialize on one lock
 //! (the test harness runs threads in parallel).
@@ -31,8 +32,8 @@ use xsac::net::wire::{
     read_frame, write_frame, AdminOp, Request, Response, DEFAULT_CLIENT_MAX_FRAME, PROTOCOL_VERSION,
 };
 use xsac::net::{
-    admin_close_doc, admin_list_docs, connect, decode_snapshot, encode_snapshot, fetch_stats,
-    render_text, ChunkServer, ClientConfig, ConnectError, DocRegistry, Fault, ServerConfig,
+    admin_close_doc, connect, decode_snapshot, encode_snapshot, fetch_stats, render_text,
+    ChunkServer, ClientConfig, ConnectError, DocRegistry, Fault, ServerConfig,
 };
 use xsac::obs::{self, Phase, PhaseProfile};
 use xsac::soe::{
@@ -64,7 +65,7 @@ fn runtime_switch_changes_no_output_bytes() {
     let doc = hospital();
     let frequent = physician_name(0);
     let rare = physician_name(HospitalConfig::default().physicians - 1);
-    for scheme in [IntegrityScheme::Ecb, IntegrityScheme::EcbMht] {
+    for scheme in IntegrityScheme::ALL {
         let server = ServerDoc::prepare(&doc, &key(), scheme, tiny_layout());
         for view in View::ALL {
             let mut dict = server.dict.clone();
@@ -267,9 +268,17 @@ fn hostile_stats_admin_and_report_frames_are_typed_and_survivable() {
         other => panic!("expected BadRequest for Report-before-Hello, got {other:?}"),
     }
     // Admin while the surface is switched off: typed, permanent.
-    match call_raw(&mut sock, &mut buf, &Request::Admin(AdminOp::ListDocs)) {
+    let close = Request::Admin(AdminOp::CloseDoc { doc_id: "doc".to_owned() });
+    match call_raw(&mut sock, &mut buf, &close) {
         Response::Err(Fault::AdminDisabled) => {}
         other => panic!("expected AdminDisabled, got {other:?}"),
+    }
+    // The retired document-listing admin op (tag 0): a typed rejection.
+    write_frame(&mut sock, &[0x05, 0x00]).expect("write retired admin op");
+    read_frame(&mut sock, DEFAULT_CLIENT_MAX_FRAME, &mut buf).expect("read");
+    match Response::decode(&buf).expect("decode") {
+        Response::Err(Fault::BadRequest { .. }) => {}
+        other => panic!("expected BadRequest for the retired admin op, got {other:?}"),
     }
     // A Stats request with trailing garbage is unparseable — typed, not
     // a hang and not a disconnect.
@@ -284,7 +293,7 @@ fn hostile_stats_admin_and_report_frames_are_typed_and_survivable() {
     match call_raw(&mut sock, &mut buf, &Request::Stats) {
         Response::Stats(bytes) => {
             let snap = decode_snapshot(&bytes).expect("snapshot decodes");
-            assert!(snap.fault_frames >= 3, "the three hostile frames were not counted");
+            assert!(snap.fault_frames >= 4, "the four hostile frames were not counted");
         }
         other => panic!("expected Stats, got {other:?}"),
     }
@@ -333,7 +342,7 @@ fn admin_surface_lists_and_closes_tenants_when_enabled() {
     let addr = handle.addr();
     let cfg = ClientConfig::default();
 
-    let docs = admin_list_docs(addr, &cfg).expect("list");
+    let docs = fetch_stats(addr, &cfg).expect("list").registry.docs;
     assert_eq!(docs.len(), 2);
     let lazy = docs.iter().find(|d| d.doc_id == "lazy").expect("lazy row");
     assert!(lazy.lazy, "file tenants are lazy");
