@@ -76,5 +76,36 @@ fn bench_protected_reads(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_primitives, bench_fast_vs_reference, bench_protected_reads);
+/// One warm ECB-MHT fragment fetch: an 8-byte read that misses the
+/// working buffer but finds the chunk's Merkle tree and digest cached —
+/// hash the 128-byte fragment, recombine a log-size proof, decipher one
+/// block. `ns_per_iter` is the per-fragment verify cost that the
+/// perfbench trace's `crypto.hash_ms` is read against.
+fn bench_mht_fragment(c: &mut Criterion) {
+    let k = key();
+    let data: Vec<u8> = (0..2048).map(|i| (i % 251) as u8).collect();
+    let doc = ProtectedDoc::protect(&data, &k, IntegrityScheme::EcbMht, ChunkLayout::default());
+    let (fs, fragments) = (doc.layout.fragment_size, doc.layout.fragments_per_chunk());
+    let mut r = SoeReader::new(&doc, &k);
+    r.read(0, 8).unwrap(); // builds chunk 0's tree, deciphers its digest
+    let mut group = c.benchmark_group("crypto/mht-fragment");
+    group.throughput(Throughput::Bytes(fs as u64));
+    group.bench_function("warm-read-8", |b| {
+        let mut f = 0;
+        b.iter(|| {
+            // A different fragment every time, so every read fetches.
+            f = (f + 1) % fragments;
+            r.read(f * fs, 8).unwrap()[0]
+        })
+    });
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_primitives,
+    bench_fast_vs_reference,
+    bench_protected_reads,
+    bench_mht_fragment
+);
 criterion_main!(benches);

@@ -26,10 +26,12 @@
 //! * [`merkle`] — per-chunk Merkle trees over ciphertext fragments;
 //! * [`protocol`] — the four integrity schemes of Figure 11 (ECB,
 //!   CBC-SHA, CBC-SHAC, ECB-MHT) with SOE/terminal cost accounting; the
-//!   [`SoeReader`] caches each visited chunk's Merkle leaves so terminal
-//!   hashing is amortized to one chunk-length per visited chunk, and
-//!   pulls every ciphertext byte through the document's store — storage
-//!   failures surface as typed [`ReadError`]s, never panics.
+//!   [`SoeReader`] caches each visited chunk's whole Merkle tree so
+//!   terminal hashing is amortized to one chunk-length per visited chunk
+//!   and every proof is a table lookup, deciphers ECB-MHT blocks only as
+//!   reads consume them, and pulls every ciphertext byte through the
+//!   document's store — storage failures surface as typed [`ReadError`]s,
+//!   never panics.
 
 pub mod chunk;
 pub mod des;

@@ -9,13 +9,18 @@
 //! the other fragments following the Merkle hash tree strategy; the SOE
 //! recomputes the root and compares it to the (encrypted) ChunkDigest."
 //!
-//! Division of labour: the *terminal* computes the leaf digests of a chunk
-//! — once per visited chunk, via [`fragment_hashes_into`], after which
-//! [`SoeReader`](crate::SoeReader) serves every intra-chunk proof from its
-//! leaf cache — and derives [`range_proof`]s from them. The *SOE* hashes
-//! only the fragments it actually reads and recombines them with the proof
-//! through [`root_from_range`]; it never trusts a terminal-computed leaf
-//! for bytes it consumed.
+//! Division of labour: the *terminal* builds each visited chunk's whole
+//! tree once — [`merkle_tree`] over its [`fragment_hashes`], 2n−1 node
+//! digests in pre-order from n leaf hashes and n−1 combines — after which
+//! [`SoeReader`](crate::SoeReader) reads every intra-chunk proof out of
+//! that table with [`tree_proof`] (copies, no hashing). The *SOE* hashes
+//! only the fragments it actually reads and recombines them with the
+//! proof through [`root_from_range`]; it never trusts a terminal-computed
+//! digest for bytes it consumed.
+//!
+//! Both sides agree on one left-complete shape (`left_leaves`): the
+//! builder and the proof reader walk the node table, the SOE walks the
+//! same shape over its own leaves and the proof.
 
 use crate::sha1::{sha1, Digest, Sha1};
 use std::ops::Range;
@@ -29,30 +34,38 @@ pub fn combine(left: &Digest, right: &Digest) -> Digest {
 }
 
 /// Leaf digests of a chunk: one SHA-1 per fragment (over ciphertext).
-///
-/// Allocates a fresh vector; the terminal-side cache in
-/// [`SoeReader`](crate::SoeReader) uses [`fragment_hashes_into`] instead so
-/// one allocation serves a whole session.
 pub fn fragment_hashes(chunk: &[u8], fragment_size: usize) -> Vec<Digest> {
-    let mut out = Vec::new();
-    fragment_hashes_into(chunk, fragment_size, &mut out);
-    out
+    chunk.chunks(fragment_size).map(sha1).collect()
 }
 
-/// Like [`fragment_hashes`], but reuses the caller's buffer (cleared
-/// first). This is the terminal's per-chunk leaf computation: it runs once
-/// per *visited chunk*, not once per fragment fetch — the resulting leaves
-/// are cached and every intra-chunk proof is derived from them.
-pub fn fragment_hashes_into(chunk: &[u8], fragment_size: usize, out: &mut Vec<Digest>) {
-    out.clear();
-    out.extend(chunk.chunks(fragment_size).map(sha1));
-}
-
-/// Merkle root of a leaf list. A single leaf is its own root; with an odd
-/// count at some level, the last node is promoted unchanged.
-pub fn merkle_root(leaves: &[Digest]) -> Digest {
+/// The whole Merkle tree over `leaves`: 2n−1 node digests in pre-order
+/// (node, left subtree, right subtree), so `tree[0]` is the root and a
+/// node over k leaves at index i has its left child at i + 1 and its right
+/// child at i + 2·(left leaves). Built with n−1 combines; the terminal
+/// builds one per *visited chunk*, not per fragment fetch.
+pub fn merkle_tree(leaves: &[Digest]) -> Vec<Digest> {
     assert!(!leaves.is_empty(), "cannot hash an empty chunk");
-    subtree_root(leaves, 0..leaves.len())
+    let mut tree = vec![Digest::default(); 2 * leaves.len() - 1];
+    fill(&mut tree, leaves);
+    tree
+}
+
+/// Fills the pre-order table `nodes` of the subtree over `leaves`;
+/// returns its root.
+fn fill(nodes: &mut [Digest], leaves: &[Digest]) -> Digest {
+    nodes[0] = if leaves.len() == 1 {
+        leaves[0]
+    } else {
+        let left = left_leaves(leaves.len());
+        let (l, r) = nodes[1..].split_at_mut(2 * left - 1);
+        combine(&fill(l, &leaves[..left]), &fill(r, &leaves[left..]))
+    };
+    nodes[0]
+}
+
+/// Merkle root of a leaf list. A single leaf is its own root.
+pub fn merkle_root(leaves: &[Digest]) -> Digest {
+    merkle_tree(leaves)[0]
 }
 
 /// Terminal side: the sibling digests the SOE needs to recompute the root
@@ -60,45 +73,46 @@ pub fn merkle_root(leaves: &[Digest]) -> Digest {
 /// traversal order consumed by [`root_from_range`].
 pub fn range_proof(leaves: &[Digest], range: Range<usize>) -> Vec<Digest> {
     let mut proof = Vec::new();
-    collect_proof(leaves, 0..leaves.len(), &range, &mut proof);
+    tree_proof(&merkle_tree(leaves), range, &mut proof);
     proof
 }
 
-fn collect_proof(
-    leaves: &[Digest],
+/// Like [`range_proof`], but read out of a prebuilt [`merkle_tree`] table
+/// into the caller's buffer (cleared first): a lookup, no hashing.
+pub fn tree_proof(tree: &[Digest], range: Range<usize>, out: &mut Vec<Digest>) {
+    out.clear();
+    walk_proof(tree, 0, 0..tree.len().div_ceil(2), &range, out);
+}
+
+fn walk_proof(
+    tree: &[Digest],
+    node: usize,
     interval: Range<usize>,
     range: &Range<usize>,
     out: &mut Vec<Digest>,
 ) {
     if interval.end <= range.start || interval.start >= range.end {
         // Disjoint: the whole subtree is one proof element.
-        out.push(subtree_root(leaves, interval));
+        out.push(tree[node]);
         return;
     }
     if range.start <= interval.start && interval.end <= range.end {
         return; // fully known to the SOE
     }
-    let mid = split_point(&interval);
-    collect_proof(leaves, interval.start..mid, range, out);
-    collect_proof(leaves, mid..interval.end, range, out);
+    let left = left_leaves(interval.len());
+    let mid = interval.start + left;
+    walk_proof(tree, node + 1, interval.start..mid, range, out);
+    walk_proof(tree, node + 2 * left, mid..interval.end, range, out);
 }
 
-fn subtree_root(leaves: &[Digest], interval: Range<usize>) -> Digest {
-    if interval.len() == 1 {
-        return leaves[interval.start];
-    }
-    let mid = split_point(&interval);
-    combine(&subtree_root(leaves, interval.start..mid), &subtree_root(leaves, mid..interval.end))
-}
-
-/// The left subtree covers the largest power of two < len (a left-complete
-/// tree — both sides must agree on this shape).
-fn split_point(interval: &Range<usize>) -> usize {
-    let len = interval.len();
+/// Leaves under the left child of a node over `len` ≥ 2 leaves: the
+/// largest power of two < `len` (a left-complete tree — both sides must
+/// agree on this shape).
+fn left_leaves(len: usize) -> usize {
     debug_assert!(len >= 2);
     let half = (len + 1).next_power_of_two() / 2;
     let left = if half >= len { len / 2 } else { half };
-    interval.start + left.max(1)
+    left.max(1)
 }
 
 /// SOE side: recomputes the root knowing the leaves in `range` (computed
@@ -111,12 +125,7 @@ pub fn root_from_range(
 ) -> Digest {
     assert_eq!(range.len(), range_leaves.len());
     let mut cursor = 0usize;
-    let mut next_proof = |_: Range<usize>| {
-        let d = proof[cursor];
-        cursor += 1;
-        d
-    };
-    let root = root_known(range_leaves, &range, 0..n_leaves, &mut next_proof);
+    let root = root_known(range_leaves, &range, 0..n_leaves, proof, &mut cursor);
     assert_eq!(cursor, proof.len(), "proof length mismatch");
     root
 }
@@ -125,20 +134,22 @@ fn root_known(
     known: &[Digest],
     range: &Range<usize>,
     interval: Range<usize>,
-    next_proof: &mut impl FnMut(Range<usize>) -> Digest,
+    proof: &[Digest],
+    cursor: &mut usize,
 ) -> Digest {
     if interval.end <= range.start || interval.start >= range.end {
-        return next_proof(interval);
+        let d = proof[*cursor];
+        *cursor += 1;
+        return d;
     }
-    if range.start <= interval.start && interval.end <= range.end {
-        // Fully known: compute from the SOE's own leaf hashes.
-        let local: Vec<Digest> = interval.clone().map(|i| known[i - range.start]).collect();
-        return subtree_root(&local, 0..local.len());
+    if interval.len() == 1 {
+        // A leaf the SOE hashed itself.
+        return known[interval.start - range.start];
     }
-    let mid = split_point(&interval);
+    let mid = interval.start + left_leaves(interval.len());
     combine(
-        &root_known(known, range, interval.start..mid, next_proof),
-        &root_known(known, range, mid..interval.end, next_proof),
+        &root_known(known, range, interval.start..mid, proof, cursor),
+        &root_known(known, range, mid..interval.end, proof, cursor),
     )
 }
 
@@ -148,6 +159,61 @@ mod tests {
 
     fn leaves(n: usize) -> Vec<Digest> {
         (0..n).map(|i| sha1(&[i as u8])).collect()
+    }
+
+    /// The recursive derivation the node table replaced: every proof
+    /// element's subtree root recomputed from the leaves.
+    fn reference_range_proof(leaves: &[Digest], range: Range<usize>) -> Vec<Digest> {
+        let mut proof = Vec::new();
+        collect_proof(leaves, 0..leaves.len(), &range, &mut proof);
+        proof
+    }
+
+    fn collect_proof(
+        leaves: &[Digest],
+        interval: Range<usize>,
+        range: &Range<usize>,
+        out: &mut Vec<Digest>,
+    ) {
+        if interval.end <= range.start || interval.start >= range.end {
+            out.push(reference_root(leaves, interval));
+            return;
+        }
+        if range.start <= interval.start && interval.end <= range.end {
+            return;
+        }
+        let mid = interval.start + left_leaves(interval.len());
+        collect_proof(leaves, interval.start..mid, range, out);
+        collect_proof(leaves, mid..interval.end, range, out);
+    }
+
+    fn reference_root(leaves: &[Digest], interval: Range<usize>) -> Digest {
+        if interval.len() == 1 {
+            return leaves[interval.start];
+        }
+        let mid = interval.start + left_leaves(interval.len());
+        combine(
+            &reference_root(leaves, interval.start..mid),
+            &reference_root(leaves, mid..interval.end),
+        )
+    }
+
+    #[test]
+    fn tree_proofs_match_recursive_reference() {
+        let mut proof = Vec::new();
+        for n in 1..=17 {
+            let l = leaves(n);
+            let tree = merkle_tree(&l);
+            assert_eq!(tree.len(), 2 * n - 1);
+            assert_eq!(tree[0], reference_root(&l, 0..n), "n={n}");
+            assert_eq!(tree[0], merkle_root(&l), "n={n}");
+            for a in 0..n {
+                for b in a + 1..=n {
+                    tree_proof(&tree, a..b, &mut proof);
+                    assert_eq!(proof, reference_range_proof(&l, a..b), "n={n} range={a}..{b}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! into Figure-9/11/12 times. The terminal's own computations (fragment
 //! hashes, Merkle proofs) are free for the SOE but tracked for reporting
 //! as [`AccessCost::terminal_bytes_hashed`]; under ECB-MHT the terminal
-//! computes a chunk's leaf hashes *once per visited chunk* and serves
-//! every intra-chunk proof from that cache, so a skip-heavy session's
-//! terminal hashing is linear in the chunks visited, not quadratic in the
-//! fragments fetched per chunk.
+//! builds a chunk's whole Merkle tree *once per visited chunk* and reads
+//! every intra-chunk proof out of it, so a skip-heavy session's terminal
+//! hashing is linear in the chunks visited, not quadratic in the
+//! fragments fetched per chunk. The SOE verifies each ECB-MHT fragment
+//! as ciphertext and deciphers only the 8-byte blocks a read consumes.
 //!
 //! ## Storage backends and failure
 //!
@@ -36,7 +37,7 @@
 
 use crate::chunk::{decrypt_digest, ProtectedDoc, DIGEST_RECORD};
 use crate::des::TripleDes;
-use crate::merkle::{fragment_hashes_into, range_proof, root_from_range};
+use crate::merkle::{fragment_hashes, merkle_tree, root_from_range, tree_proof};
 use crate::modes::{cbc_decrypt_in_place, posxor_decrypt_in_place, BLOCK};
 use crate::sha1::{sha1, Digest};
 use crate::store::{ChunkStore, MemStore, StoreError};
@@ -146,12 +147,13 @@ pub struct AccessCost {
     /// Digest records deciphered inside the SOE.
     pub digests_decrypted: u64,
     /// Bytes hashed by the (free, untrusted) terminal. Under ECB-MHT this
-    /// is amortized by the leaf-hash cache: at most one chunk-length per
-    /// visited chunk, however many fragments of it are fetched. When
-    /// sessions share a [`LeafCache`], the **first toucher pays**: a
-    /// chunk's hashing is charged to the one session that computed its
-    /// leaves, every later session meters zero for it — so the sum across
-    /// all sessions over one document stays ≤ one document length.
+    /// is amortized by the tree cache: at most one chunk-length per
+    /// visited chunk, however many fragments of it are fetched. It counts
+    /// the leaf (fragment) bytes only, not the 40-byte inner-node combines
+    /// of the tree build. When sessions share a [`LeafCache`], the **first
+    /// toucher pays**: a chunk's hashing is charged to the one session that
+    /// built its tree, every later session meters zero for it — so the sum
+    /// across all sessions over one document stays ≤ one document length.
     pub terminal_bytes_hashed: u64,
     /// Number of read requests.
     pub reads: u64,
@@ -180,14 +182,15 @@ impl AccessCost {
     }
 }
 
-/// Terminal-side Merkle leaf-hash cache (ECB-MHT), shareable across
-/// sessions serving the same [`ProtectedDoc`].
+/// Terminal-side Merkle tree cache (ECB-MHT), shareable across sessions
+/// serving the same [`ProtectedDoc`].
 ///
-/// One lazily-initialized slot per chunk: the first session to fetch any
-/// fragment of a chunk computes (and is metered for) the chunk's leaf
-/// digests; every other fetch — same session or a concurrent one — derives
-/// its Merkle proofs from the cached leaves for free. Reads are lock-free
-/// (`OnceLock::get` on the hot path); the terminal is untrusted, abundant
+/// One lazily-initialized slot per chunk holding the chunk's whole tree
+/// ([`merkle_tree`]: 2n−1 digests, about 300 bytes more than its n leaves
+/// at the default layout): the first session to fetch any fragment of a
+/// chunk builds (and is metered for) it; every other fetch — same session
+/// or a concurrent one — reads its Merkle proof out of the cached table
+/// for free. Reads are lock-free (`OnceLock::get` on the hot path); the terminal is untrusted, abundant
 /// hardware (§2), so none of this occupies SOE memory, and a poisoned
 /// cache can at worst cause verification *failures*, never forged
 /// acceptance — the SOE still checks every proof against its decrypted
@@ -204,15 +207,14 @@ impl LeafCache {
         LeafCache { chunks }
     }
 
-    /// The chunk's cached leaf digests, if already computed.
+    /// The chunk's cached tree, if already built.
     fn get(&self, ci: usize) -> Option<&[Digest]> {
         self.chunks.get(ci).and_then(|c| c.get()).map(Vec::as_slice)
     }
 
-    /// The chunk's leaf digests, computed on first touch from `chunk`'s
-    /// ciphertext bytes. `charge` runs exactly once per chunk across
-    /// *all* sharers — in the session that actually computes the hashes
-    /// (first toucher pays).
+    /// The chunk's tree, built on first touch from `chunk`'s ciphertext
+    /// bytes. `charge` runs exactly once per chunk across *all* sharers —
+    /// in the session that actually builds the tree (first toucher pays).
     fn get_or_compute(
         &self,
         ci: usize,
@@ -221,19 +223,17 @@ impl LeafCache {
         charge: impl FnOnce(u64),
     ) -> &[Digest] {
         let mut computed = false;
-        let leaves = self.chunks[ci].get_or_init(|| {
-            let mut v = Vec::new();
-            fragment_hashes_into(chunk, fragment_size, &mut v);
+        let tree = self.chunks[ci].get_or_init(|| {
             computed = true;
-            v
+            merkle_tree(&fragment_hashes(chunk, fragment_size))
         });
         if computed {
             charge(chunk.len() as u64);
         }
-        leaves
+        tree
     }
 
-    /// Number of chunks whose leaves have been computed (diagnostics).
+    /// Number of chunks whose trees have been built (diagnostics).
     pub fn warmed_chunks(&self) -> usize {
         self.chunks.iter().filter(|c| c.get().is_some()).count()
     }
@@ -246,9 +246,10 @@ impl LeafCache {
 /// The reader models a *streaming* SOE with a small working buffer: the
 /// most recently fetched unit (covering blocks within one chunk for ECB, a
 /// fragment for ECB-MHT, a chunk for the CBC schemes — all fit the SOE RAM
-/// of §2) stays decrypted in secure memory, so consecutive reads of nearby
-/// bytes are free. Random jumps refetch; that asymmetry is exactly what
-/// the paper's Figure 11 measures. The unit bound also bounds *terminal*
+/// of §2) stays in secure memory, so consecutive reads of nearby bytes are
+/// free. An ECB-MHT fragment stays ciphertext once verified; each of its
+/// blocks is deciphered the first time a read consumes it. Random jumps
+/// refetch; that asymmetry is exactly what the paper's Figure 11 measures. The unit bound also bounds *terminal*
 /// residency: over an out-of-core store, a session keeps O(chunk) bytes
 /// in memory, never O(document), and reports its buffers to the store's
 /// [`ResidencyMeter`](crate::store::ResidencyMeter) when it has one.
@@ -258,18 +259,24 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     /// Plaintext offset of the working buffer (meaningful when the
     /// buffer is non-empty).
     cache_start: usize,
-    /// Decrypted working buffer: plaintext of the last fetched unit. The
-    /// allocation is reused across fetches — ciphertext is staged in and
-    /// deciphered in place, so a session costs O(units-with-growth)
-    /// allocations, not O(blocks). Discarded whole on any failed fetch:
+    /// Working buffer: the last fetched unit. The allocation is reused
+    /// across fetches — ciphertext is staged in and deciphered in place, so
+    /// a session costs O(units-with-growth) allocations, not O(blocks).
+    /// Plaintext throughout, except under ECB-MHT, where only the blocks
+    /// marked in `plain_blocks` are. Discarded whole on any failed fetch:
     /// partial or unverified plaintext is never served.
     cache: Vec<u8>,
+    /// ECB-MHT only: one bit per 8-byte block of `cache`, set once that
+    /// block has been deciphered in place. Reset on every fetch.
+    plain_blocks: Vec<u64>,
+    /// Reused buffer for the Merkle proof of the fragment being fetched.
+    proof: Vec<Digest>,
     /// Terminal-side chunk staging buffer: used only over stores without
-    /// a borrowed-slice fast path, to hash a cold chunk's Merkle leaves.
+    /// a borrowed-slice fast path, to build a cold chunk's Merkle tree.
     chunk_scratch: Vec<u8>,
     /// Which chunk's ciphertext `chunk_scratch` currently holds, when
     /// valid — lets a cold ECB-MHT fetch serve its fragment from the
-    /// chunk it just read for leaf hashing instead of a second store
+    /// chunk it just read for the tree build instead of a second store
     /// read. The store is read-only, so the copy never goes stale.
     scratch_chunk: Option<usize>,
     /// Buffer bytes currently registered with the store's residency
@@ -278,13 +285,13 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     /// Chunk digest decrypted last ("one digest per visited chunk in the
     /// worst case, when the chunks accessed are not contiguous").
     digest_cache: Option<(usize, Digest)>,
-    /// Terminal-side leaf-hash cache (ECB-MHT only). The terminal is
+    /// Terminal-side Merkle tree cache (ECB-MHT only). The terminal is
     /// free, untrusted and abundant hardware (§2), so it keeps every
-    /// visited chunk's leaves — for the whole session when the reader owns
+    /// visited chunk's tree — for the whole session when the reader owns
     /// the cache (created lazily on first MHT fetch), or across *all*
     /// sessions over the document when a shared cache was supplied via
-    /// [`SoeReader::with_leaf_cache`]. Either way a chunk's fragments are
-    /// hashed at most once per cache lifetime, whatever the access pattern
+    /// [`SoeReader::with_leaf_cache`]. Either way a chunk's tree is built
+    /// at most once per cache lifetime, whatever the access pattern
     /// — including the backward jumps of pending-subtree readbacks. None
     /// of this occupies SOE memory.
     leaves: Option<Arc<LeafCache>>,
@@ -303,8 +310,9 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     /// Accumulated costs.
     pub cost: AccessCost,
     /// Wall time per pipeline phase: staging charged to
-    /// [`Phase::Fetch`], cipher work to [`Phase::Decrypt`], digest work
-    /// to [`Phase::Hash`] (terminal leaf hashing included — it runs on
+    /// [`Phase::Fetch`], cipher work to [`Phase::Decrypt`] (for ECB-MHT,
+    /// at serve time, as blocks are first consumed), digest work to
+    /// [`Phase::Hash`] (the terminal's tree build included — it runs on
     /// the same host here). Telemetry only: kept *outside* [`AccessCost`]
     /// because the differential harnesses compare costs exactly and
     /// timings are nondeterministic.
@@ -319,6 +327,8 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
             key,
             cache_start: 0,
             cache: Vec::new(),
+            plain_blocks: Vec::new(),
+            proof: Vec::new(),
             chunk_scratch: Vec::new(),
             scratch_chunk: None,
             registered_resident: 0,
@@ -333,8 +343,8 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     }
 
     /// New reader session sharing a cross-session [`LeafCache`] (the
-    /// multi-session serving path: leaf hashing happens once per chunk per
-    /// *document*, not per session).
+    /// multi-session serving path: tree building happens once per chunk
+    /// per *document*, not per session).
     pub fn with_leaf_cache(
         doc: &'a ProtectedDoc<S>,
         key: &'a TripleDes,
@@ -372,7 +382,8 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     /// Transfers, verifies and decrypts the range without copying the
     /// plaintext out — for callers that only need the metering and the
     /// integrity check (the session simulator decodes from its own
-    /// plaintext image). The served bytes stay in the working buffer.
+    /// plaintext image). The served bytes stay, deciphered, in the working
+    /// buffer.
     pub fn touch(&mut self, offset: usize, len: usize) -> Result<(), ReadError> {
         self.consume(offset, len, None)
     }
@@ -398,6 +409,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
         let cached = self.cache_start..self.cache_start + self.cache.len();
         if !self.cache.is_empty() && offset < cached.start && end > cached.start {
             let take = end.min(cached.end) - cached.start;
+            self.decipher(0, take);
             self.held.extend_from_slice(&self.cache[..take]);
             self.held_start = cached.start;
             self.note_residency();
@@ -408,14 +420,16 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
             let cached = self.cache_start..self.cache_start + self.cache.len();
             if !self.cache.is_empty() && cached.contains(&pos) {
                 let take = (end - pos).min(cached.end - pos);
+                let lo = pos - self.cache_start;
+                self.decipher(lo, lo + take);
                 if let Some(out) = out.as_deref_mut() {
-                    let lo = pos - self.cache_start;
                     out.extend_from_slice(&self.cache[lo..lo + take]);
                 }
                 if matches!(self.doc.scheme, IntegrityScheme::CbcShac | IntegrityScheme::EcbMht) {
-                    // These schemes verify *ciphertext*; decryption
-                    // happens lazily, only for the bytes actually
-                    // consumed.
+                    // These schemes verify *ciphertext*, so decryption is
+                    // charged per byte served. ECB-MHT deciphers exactly
+                    // the served blocks (`decipher`); CBC chaining has the
+                    // whole CBC-SHAC chunk deciphered at fetch time.
                     self.cost.bytes_decrypted += take as u64;
                 }
                 pos += take;
@@ -487,6 +501,35 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     /// contents are unverified ciphertext or garbage).
     fn drop_cache(&mut self) {
         self.cache.clear();
+    }
+
+    /// ECB-MHT: deciphers, in place, the blocks of the working buffer's
+    /// bytes `lo..hi` not deciphered since the last fetch (position-XOR
+    /// ECB deciphers any block on its own). A range with nothing new
+    /// reads no clock. No-op for the other schemes, whose fetched units
+    /// are plaintext already.
+    fn decipher(&mut self, lo: usize, hi: usize) {
+        if self.doc.scheme != IntegrityScheme::EcbMht {
+            return;
+        }
+        let blocks = lo / BLOCK..hi.div_ceil(BLOCK);
+        let is_plain = |mask: &[u64], b: usize| mask[b / 64] & (1 << (b % 64)) != 0;
+        let Some(first) = blocks.clone().find(|&b| !is_plain(&self.plain_blocks, b)) else {
+            return;
+        };
+        let t = Tick::now();
+        let first_block = (self.cache_start / BLOCK) as u64;
+        let mut deciphered = 0;
+        for b in first..blocks.end {
+            if !is_plain(&self.plain_blocks, b) {
+                let block = &mut self.cache[b * BLOCK..(b + 1) * BLOCK];
+                posxor_decrypt_in_place(self.key, block, first_block + b as u64);
+                self.plain_blocks[b / 64] |= 1 << (b % 64);
+                deciphered += 1;
+            }
+        }
+        self.phases.record(Phase::Decrypt, t);
+        note_deciphered(deciphered);
     }
 
     /// Reports the reader's buffer footprint to the store's residency
@@ -603,14 +646,16 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
             }
             IntegrityScheme::EcbMht => {
                 // Unit: one fragment + its Merkle proof; per-fragment
-                // verification against the (cached) chunk digest.
+                // verification of the ciphertext against the (cached)
+                // chunk digest. Nothing is deciphered here: `consume`
+                // deciphers each block the first time it serves it.
                 let (f_lo, f_hi) = self.fragment_extent(pos);
-                // Terminal: leaf hashes of the chunk, computed at most
-                // once per chunk per cache lifetime — every further fetch
-                // in the chunk (even after jumping away and back, as
-                // pending readbacks do, or from a concurrent session
-                // sharing the cache) derives its proof from the cached
-                // leaves. The computing session alone is charged.
+                // Terminal: the chunk's whole tree, built at most once
+                // per chunk per cache lifetime — every further fetch in
+                // the chunk (even after jumping away and back, as pending
+                // readbacks do, or from a concurrent session sharing the
+                // cache) reads its proof out of the cached table. The
+                // building session alone is charged.
                 let cache = match &self.leaves {
                     Some(c) => Arc::clone(c),
                     None => {
@@ -619,11 +664,12 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                         c
                     }
                 };
-                let leaves = self.chunk_leaves(&cache, ci, chunk_range.clone())?;
-                // One chained lap for the whole unit (Fetch → Hash →
-                // Decrypt): fragments are 128 bytes, so per-operation
-                // clock brackets here would cost more than the work they
-                // time — the A/B bench holds the whole span clock to <2%.
+                let tree = self.chunk_tree(&cache, ci, chunk_range.clone())?;
+                // One chained lap for the whole unit (Fetch → Hash, and
+                // Decrypt for a chunk's digest): fragments are 128 bytes,
+                // so per-operation clock brackets here would cost more
+                // than the work they time — the A/B bench holds the whole
+                // span clock to <2%.
                 let mut lap = SpanClock::start(Phase::Fetch);
                 // Stage the fragment ciphertext into the working buffer.
                 // When the scratch buffer holds this chunk (the cold
@@ -638,22 +684,25 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 } else {
                     self.stage(f_lo, f_hi)?;
                 }
+                self.plain_blocks.clear();
+                self.plain_blocks.resize(self.cache.len().div_ceil(BLOCK).div_ceil(64), 0);
                 // All fallible store reads are behind us: charge the unit.
                 self.cost.bytes_to_soe += (f_hi - f_lo) as u64;
                 self.note_unit_fetched(f_lo, f_hi);
                 let f_idx = (f_lo - chunk_range.start) / layout.fragment_size;
                 lap.switch(&mut self.phases, Phase::Hash);
-                let proof = range_proof(leaves, f_idx..f_idx + 1);
-                self.cost.bytes_to_soe += (proof.len() * 20) as u64;
+                tree_proof(tree, f_idx..f_idx + 1, &mut self.proof);
+                let proof_len = self.proof.len() as u64;
+                self.cost.bytes_to_soe += proof_len * 20;
                 // SOE: hash the fragment, recombine, compare to digest.
-                self.cost.bytes_hashed += (f_hi - f_lo) as u64 + (proof.len() as u64 + 1) * 40;
+                self.cost.bytes_hashed += (f_hi - f_lo) as u64 + (proof_len + 1) * 40;
                 let own = [sha1(&self.cache)];
-                let n_leaves = leaves.len();
-                let root = root_from_range(n_leaves, f_idx..f_idx + 1, &own, &proof);
-                lap.switch(&mut self.phases, Phase::Decrypt);
+                let n_leaves = tree.len().div_ceil(2);
+                let root = root_from_range(n_leaves, f_idx..f_idx + 1, &own, &self.proof);
                 let expect = match self.digest_cache {
                     Some((c, d)) if c == ci => d,
                     _ => {
+                        lap.switch(&mut self.phases, Phase::Decrypt);
                         self.cost.bytes_to_soe += DIGEST_RECORD as u64;
                         self.cost.digests_decrypted += 1;
                         self.cost.bytes_decrypted += DIGEST_RECORD as u64;
@@ -662,23 +711,20 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                         d
                     }
                 };
+                lap.stop(&mut self.phases);
                 if root != expect {
                     return Err(IntegrityError { chunk: ci }.into());
                 }
-                // Decryption charged per byte served (position-XOR ECB
-                // deciphers any block independently).
-                posxor_decrypt_in_place(self.key, &mut self.cache, (f_lo / BLOCK) as u64);
-                lap.stop(&mut self.phases);
             }
         }
         Ok(())
     }
 
-    /// The chunk's Merkle leaf digests out of `cache`, computing them on
-    /// first touch. Over a borrowed-slice store the chunk bytes come for
-    /// free; out-of-core stores stage the chunk through the reader's
-    /// scratch buffer (a fallible, bounded read) only while cold.
-    fn chunk_leaves<'c>(
+    /// The chunk's Merkle tree out of `cache`, building it on first
+    /// touch. Over a borrowed-slice store the chunk bytes come for free;
+    /// out-of-core stores stage the chunk through the reader's scratch
+    /// buffer (a fallible, bounded read) only while cold.
+    fn chunk_tree<'c>(
         &mut self,
         cache: &'c LeafCache,
         ci: usize,
@@ -687,15 +733,15 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
         let fragment_size = self.doc.layout.fragment_size;
         // Warm lookups (every fragment fetch after the chunk's first)
         // must not touch the clock: this runs once per 128-byte unit.
-        if let Some(leaves) = cache.get(ci) {
-            return Ok(leaves);
+        if let Some(tree) = cache.get(ci) {
+            return Ok(tree);
         }
         if let Some(all) = self.doc.store.as_slice() {
             let cost = &mut self.cost;
             let phases = &mut self.phases;
             let t = Tick::now();
-            // The charge closure runs only when this call computed the
-            // leaves (first toucher), so a racing session that lost the
+            // The charge closure runs only when this call built the tree
+            // (first toucher), so a racing session that lost the
             // compute records nothing.
             return Ok(cache.get_or_compute(ci, &all[chunk_range], fragment_size, |n| {
                 cost.terminal_bytes_hashed += n;
@@ -703,7 +749,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
             }));
         }
         // Cold chunk over an out-of-core store: stage its ciphertext in
-        // the scratch buffer to hash the leaves. Two racing sessions may
+        // the scratch buffer to build the tree. Two racing sessions may
         // both stage, but only the one whose init closure runs is charged
         // (first toucher pays), exactly as on the in-memory path.
         let t = Tick::now();
@@ -742,11 +788,31 @@ impl<S: ChunkStore> Drop for SoeReader<'_, S> {
     }
 }
 
+/// Counts the blocks the ECB-MHT path physically deciphers: a no-op
+/// outside tests, a per-thread meter inside them.
+#[cfg(not(test))]
+fn note_deciphered(_blocks: u64) {}
+#[cfg(test)]
+use tests::note_deciphered;
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::chunk::ChunkLayout;
     use crate::store::{FaultStore, InjectedFault, TempPath};
+    use std::cell::Cell;
+
+    thread_local! {
+        static DECIPHERED: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(super) fn note_deciphered(blocks: u64) {
+        DECIPHERED.with(|c| c.set(c.get() + blocks));
+    }
+
+    fn deciphered() -> u64 {
+        DECIPHERED.with(Cell::get)
+    }
 
     fn key() -> TripleDes {
         TripleDes::new(*b"abcdefghijklmnopqrstuvwx")
@@ -898,6 +964,51 @@ mod tests {
         // readbacks never re-hash.
         r.read(0, 8).unwrap();
         assert_eq!(r.cost.terminal_bytes_hashed, chunk0_len + chunk1_len, "revisit is free");
+    }
+
+    #[test]
+    fn mht_deciphers_only_the_blocks_it_serves() {
+        let (p, data) = doc(IntegrityScheme::EcbMht, 3 * 2048);
+        let k = key();
+        let fs = p.layout.fragment_size;
+        // Every block of the working buffer is either deciphered (marked,
+        // and equal to the plaintext) or untouched ciphertext.
+        let check_buffer = |r: &SoeReader<'_>| {
+            for (b, block) in r.cache.chunks(BLOCK).enumerate() {
+                let at = r.cache_start + b * BLOCK;
+                let (plain, cipher) = (&data[at..at + BLOCK], &p.ciphertext()[at..at + BLOCK]);
+                assert_ne!(plain, cipher);
+                let marked = r.plain_blocks[b / 64] & (1 << (b % 64)) != 0;
+                assert_eq!(block, if marked { plain } else { cipher }, "block at {at}");
+            }
+        };
+        let mut r = SoeReader::new(&p, &k);
+        // (read or touch, offset, len, blocks newly deciphered): every
+        // fetched unit deciphers each block it serves exactly once.
+        let script: [(bool, usize, usize, u64); 9] = [
+            (true, 0, 8, 1),           // fragment 0, block 0
+            (true, 20, 30, 5),         // forward: blocks 2..=6
+            (true, 4, 8, 1),           // blocks 0, 1: only block 1 is new
+            (false, fs + 40, 16, 2),   // touch fragment 1, blocks 5, 6
+            (true, fs + 40, 16, 0),    // …then read them: nothing new
+            (true, fs - 8, 16, 2),     // backward straddle: held block + refetched block
+            (true, 2 * fs - 6, 20, 3), // fragment boundary: blocks 15 | 0, 1
+            (true, 2048 - 12, 24, 4),  // chunk boundary: blocks 14, 15 | 0, 1
+            (true, 2048 - 12, 24, 2),  // backward again: chunk 0's tail refetched
+        ];
+        for (i, (read, off, len, new_blocks)) in script.into_iter().enumerate() {
+            let before = deciphered();
+            if read {
+                assert_eq!(r.read(off, len).unwrap(), &data[off..off + len], "step {i}");
+            } else {
+                r.touch(off, len).unwrap();
+            }
+            assert_eq!(deciphered() - before, new_blocks, "step {i}: {off}+{len}");
+            check_buffer(&r);
+            if i == 0 {
+                assert_eq!(&r.cache[8..], &p.ciphertext()[8..fs], "rest still ciphertext");
+            }
+        }
     }
 
     #[test]

@@ -6,9 +6,9 @@
 //! Everything that does not depend on a single session is shared here,
 //! per document:
 //!
-//! * a cross-session **terminal leaf-hash cache** ([`LeafCache`]): under
-//!   ECB-MHT, a chunk's Merkle leaves are computed once per *document*
-//!   (first toucher pays, lock-free warm reads), not once per session;
+//! * a cross-session **terminal Merkle tree cache** ([`LeafCache`]): under
+//!   ECB-MHT, a chunk's Merkle tree is built once per *document* (first
+//!   toucher pays, lock-free warm reads), not once per session;
 //! * a per-role **compiled-policy cache**: rule automata and
 //!   `USER`-resolved comparison literals compile once per role
 //!   ([`CompiledPolicy`]) and are shared by every session of that role.
