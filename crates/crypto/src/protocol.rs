@@ -269,6 +269,18 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     /// ECB-MHT only: one bit per 8-byte block of `cache`, set once that
     /// block has been deciphered in place. Reset on every fetch.
     plain_blocks: Vec<u64>,
+    /// ECB-MHT only: the current unit's fetch lap, left open until the
+    /// unit's first decipher (which directly follows the fetch) switches
+    /// it to [`Phase::Decrypt`] and stops it, with the digest-record
+    /// blocks deciphered in its Decrypt span, if any.
+    open_lap: Option<(SpanClock, u64)>,
+    /// ECB-MHT only: nanoseconds and blocks of every timed Decrypt span
+    /// so far, and their ratio in 16.16 fixed point — the rate untimed
+    /// deciphers are charged at. A ratio of sums, not the last unit's own
+    /// rate: a one-block span with a stall in it must not price a whole
+    /// fragment.
+    decipher_timed: (u64, u64),
+    decipher_rate: u64,
     /// Reused buffer for the Merkle proof of the fragment being fetched.
     proof: Vec<Digest>,
     /// Terminal-side chunk staging buffer: used only over stores without
@@ -311,9 +323,10 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     pub cost: AccessCost,
     /// Wall time per pipeline phase: staging charged to
     /// [`Phase::Fetch`], cipher work to [`Phase::Decrypt`] (for ECB-MHT,
-    /// at serve time, as blocks are first consumed), digest work to
-    /// [`Phase::Hash`] (the terminal's tree build included — it runs on
-    /// the same host here). Telemetry only: kept *outside* [`AccessCost`]
+    /// at serve time, as blocks are first consumed: each unit's first
+    /// decipher is timed and sets the rate its later ones are charged
+    /// at), digest work to [`Phase::Hash`] (the terminal's tree build
+    /// included — it runs on the same host here). Telemetry only: kept *outside* [`AccessCost`]
     /// because the differential harnesses compare costs exactly and
     /// timings are nondeterministic.
     pub phases: PhaseProfile,
@@ -328,6 +341,9 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
             cache_start: 0,
             cache: Vec::new(),
             plain_blocks: Vec::new(),
+            open_lap: None,
+            decipher_timed: (0, 0),
+            decipher_rate: 0,
             proof: Vec::new(),
             chunk_scratch: Vec::new(),
             scratch_chunk: None,
@@ -505,9 +521,15 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
 
     /// ECB-MHT: deciphers, in place, the blocks of the working buffer's
     /// bytes `lo..hi` not deciphered since the last fetch (position-XOR
-    /// ECB deciphers any block on its own). A range with nothing new
-    /// reads no clock. No-op for the other schemes, whose fetched units
-    /// are plaintext already.
+    /// ECB deciphers any block on its own). No-op for the other schemes,
+    /// whose fetched units are plaintext already.
+    ///
+    /// Timing adds no clock read to the fetch lap's. A unit's first
+    /// decipher runs right after its fetch and ends the fetch lap, left
+    /// open for it, with a Decrypt span; later deciphers, often a block or
+    /// two each, are charged at the timed spans' per-block rate without
+    /// reading the clock — a clock pair per serve would cost more than
+    /// the span clock's <2% budget allows.
     fn decipher(&mut self, lo: usize, hi: usize) {
         if self.doc.scheme != IntegrityScheme::EcbMht {
             return;
@@ -517,7 +539,11 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
         let Some(first) = blocks.clone().find(|&b| !is_plain(&self.plain_blocks, b)) else {
             return;
         };
-        let t = Tick::now();
+        let mut lap = self.open_lap.take();
+        let before = self.phases.get(Phase::Decrypt);
+        if let Some((lap, _)) = &mut lap {
+            lap.switch(&mut self.phases, Phase::Decrypt);
+        }
         let first_block = (self.cache_start / BLOCK) as u64;
         let mut deciphered = 0;
         for b in first..blocks.end {
@@ -528,7 +554,16 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 deciphered += 1;
             }
         }
-        self.phases.record(Phase::Decrypt, t);
+        match lap {
+            Some((lap, digest_blocks)) => {
+                lap.stop(&mut self.phases);
+                let (nanos, blocks) = &mut self.decipher_timed;
+                *nanos += self.phases.get(Phase::Decrypt) - before;
+                *blocks += deciphered + digest_blocks;
+                self.decipher_rate = (*nanos << 16) / *blocks;
+            }
+            None => self.phases.add_nanos(Phase::Decrypt, (self.decipher_rate * deciphered) >> 16),
+        }
         note_deciphered(deciphered);
     }
 
@@ -669,7 +704,8 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 // Decrypt for a chunk's digest): fragments are 128 bytes,
                 // so per-operation clock brackets here would cost more
                 // than the work they time — the A/B bench holds the whole
-                // span clock to <2%.
+                // span clock to <2%. The lap stays open and ends with the
+                // unit's first decipher (see `decipher`).
                 let mut lap = SpanClock::start(Phase::Fetch);
                 // Stage the fragment ciphertext into the working buffer.
                 // When the scratch buffer holds this chunk (the cold
@@ -699,6 +735,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 let own = [sha1(&self.cache)];
                 let n_leaves = tree.len().div_ceil(2);
                 let root = root_from_range(n_leaves, f_idx..f_idx + 1, &own, &self.proof);
+                let mut digest_blocks = 0;
                 let expect = match self.digest_cache {
                     Some((c, d)) if c == ci => d,
                     _ => {
@@ -708,13 +745,15 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                         self.cost.bytes_decrypted += DIGEST_RECORD as u64;
                         let d = decrypt_digest(self.key, ci, self.digest_record(ci)?);
                         self.digest_cache = Some((ci, d));
+                        digest_blocks = (DIGEST_RECORD / BLOCK) as u64;
                         d
                     }
                 };
-                lap.stop(&mut self.phases);
                 if root != expect {
+                    lap.stop(&mut self.phases);
                     return Err(IntegrityError { chunk: ci }.into());
                 }
+                self.open_lap = Some((lap, digest_blocks));
             }
         }
         Ok(())
@@ -1009,6 +1048,26 @@ mod tests {
                 assert_eq!(&r.cache[8..], &p.ciphertext()[8..fs], "rest still ciphertext");
             }
         }
+    }
+
+    #[test]
+    fn mht_decrypt_time_costs_no_clock_read_past_a_units_first_decipher() {
+        let (p, data) = doc(IntegrityScheme::EcbMht, 2048);
+        let k = key();
+        let mut r = SoeReader::new(&p, &k);
+        // The unit's first decipher closes its fetch lap with a timed span…
+        assert_eq!(r.read(0, 8).unwrap(), &data[..8]);
+        assert!(r.open_lap.is_none());
+        let rate = r.decipher_rate;
+        assert!(rate > 0, "telemetry is on by default");
+        // …later blocks of the unit are charged at the timed rate…
+        let at = r.phases.get(Phase::Decrypt);
+        assert_eq!(r.read(8, 24).unwrap(), &data[8..32]);
+        assert_eq!(r.phases.get(Phase::Decrypt) - at, (rate * 3) >> 16);
+        // …and a range with no new blocks is charged nothing.
+        let at = r.phases.get(Phase::Decrypt);
+        assert_eq!(r.read(0, 32).unwrap(), &data[..32]);
+        assert_eq!(r.phases.get(Phase::Decrypt), at);
     }
 
     #[test]
