@@ -69,14 +69,11 @@ pub struct EvalConfig {
     /// (§3.3). With `false` the evaluator always answers `Continue` —
     /// the brute-force mode used as a baseline and in differential tests.
     pub enable_skip_directives: bool,
-    /// Replace the names of denied ancestors kept by the structural rule
-    /// with a dummy tag (§2).
-    pub dummy_denied_ancestors: bool,
 }
 
 impl Default for EvalConfig {
     fn default() -> Self {
-        EvalConfig { enable_skip_directives: true, dummy_denied_ancestors: false }
+        EvalConfig { enable_skip_directives: true }
     }
 }
 
@@ -347,12 +344,10 @@ impl Evaluator {
         }
     }
 
-    /// Sets the dummy tag used for denied structural shells (call before
-    /// feeding events; requires `config.dummy_denied_ancestors`).
+    /// Replaces the names of denied ancestors kept by the structural rule
+    /// with `dummy` (§2). Call before feeding events.
     pub fn with_dummy_tag(mut self, dummy: TagId) -> Self {
-        if self.config.dummy_denied_ancestors {
-            self.output = OutputBuilder::new(Some(dummy));
-        }
+        self.output = OutputBuilder::new(Some(dummy));
         self
     }
 
@@ -1140,7 +1135,7 @@ mod tests {
             let doc = Document::parse(xml).unwrap();
             let mut dict = doc.dict.clone();
             let policy = Policy::parse("u", rules, &mut dict).unwrap();
-            let cfg = EvalConfig { enable_skip_directives: false, ..Default::default() };
+            let cfg = EvalConfig { enable_skip_directives: false };
             let mut eval = Evaluator::new(&policy, None, cfg);
             for ev in doc.events() {
                 eval.event(&ev);

@@ -83,12 +83,6 @@ impl Policy {
         self.rules = keep;
         removed
     }
-
-    /// Total number of predicates across all rules (drives the access
-    /// control CPU cost in the paper's Figure 9 discussion).
-    pub fn predicate_count(&self) -> usize {
-        self.rules.iter().map(|r| r.automaton.preds.len()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -107,7 +101,6 @@ mod tests {
         assert_eq!(p.rules.len(), 2);
         assert_eq!(p.rules[0].sign, Sign::Permit);
         assert_eq!(p.rules[1].sign, Sign::Deny);
-        assert_eq!(p.predicate_count(), 1);
         assert!(dict.get("Folder").is_some());
     }
 

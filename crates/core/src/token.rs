@@ -215,18 +215,6 @@ impl TokenStack {
     pub fn depth(&self) -> usize {
         self.levels.len() - 1
     }
-
-    /// Removes all tokens at the top level (the `TS[top].NT = ∅` of
-    /// Figure 5, extended to predicate tokens when a full skip is decided).
-    pub fn clear_top_nav(&mut self) {
-        let removed = {
-            let top = self.top_mut();
-            let n = top.nav.len();
-            top.nav.clear();
-            n
-        };
-        self.total -= removed;
-    }
 }
 
 #[cfg(test)]
@@ -275,18 +263,5 @@ mod tests {
         assert_eq!(RuleRef::from_owner(0), RuleRef::Rule(0));
         assert_eq!(RuleRef::from_owner(7), RuleRef::Rule(7));
         assert_eq!(RuleRef::from_owner(ir::OWNER_QUERY), RuleRef::Query);
-    }
-
-    #[test]
-    fn clear_top_nav_only_clears_nav() {
-        let mut ts = TokenStack::new(TokenLevel::default());
-        ts.push(TokenLevel {
-            nav: vec![nav(1)],
-            pred: vec![PredToken { pred: 0, instr: 5, inst: PredInstId(1) }],
-            armed: vec![],
-        });
-        ts.clear_top_nav();
-        assert!(ts.top().nav.is_empty());
-        assert_eq!(ts.top().pred.len(), 1, "PT tokens must survive (pending predicates)");
     }
 }

@@ -95,7 +95,7 @@ fn run_streaming(
         .collect();
     let policy = Policy::parse("ann", &rules, &mut dict).unwrap();
     let q = query.map(|q| Automaton::parse(q, &mut dict).unwrap());
-    let config = EvalConfig { enable_skip_directives: optimized, ..Default::default() };
+    let config = EvalConfig { enable_skip_directives: optimized };
     let mut eval = Evaluator::new(&policy, q.as_ref(), config);
     for ev in doc.events() {
         eval.event(&ev);

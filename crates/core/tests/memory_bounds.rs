@@ -65,7 +65,7 @@ fn token_peak_scales_with_depth_only() {
     };
     // Measure the raw stacks: the §3.3 pruning would otherwise flatten
     // the growth (that, too, is asserted — below).
-    let raw = EvalConfig { enable_skip_directives: false, ..Default::default() };
+    let raw = EvalConfig { enable_skip_directives: false };
     let d10 = run_cfg(&make(10), rules, raw.clone());
     let d40 = run_cfg(&make(40), rules, raw);
     assert!(d40.peak_tokens > d10.peak_tokens, "deeper nesting keeps more proxies");

@@ -315,7 +315,7 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     /// request starts before the working buffer but overlaps it, the
     /// overlap is moved here before the fetch loop overwrites the buffer,
     /// and served in place — the channel (and the refetch audit) only
-    /// see the bytes that actually move. Valid for one `consume` call.
+    /// see the bytes that actually move. Valid for one `read_into` call.
     held: Vec<u8>,
     /// Plaintext offset of `held` (`usize::MAX` when `held` is empty).
     held_start: usize,
@@ -375,7 +375,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     /// Reads `len` plaintext bytes at `offset`, verifying integrity per
     /// the document's scheme.
     pub fn read(&mut self, offset: usize, len: usize) -> Result<Vec<u8>, ReadError> {
-        // Clip the pre-allocation: `len` is unvalidated until `consume`
+        // Clip the pre-allocation: `len` is unvalidated until `read_into`
         // bounds-checks it (an absurd request must error, not abort).
         let mut out = Vec::with_capacity(len.min(self.doc.store.len()));
         self.read_into(offset, len, &mut out)?;
@@ -391,24 +391,6 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
         offset: usize,
         len: usize,
         out: &mut Vec<u8>,
-    ) -> Result<(), ReadError> {
-        self.consume(offset, len, Some(out))
-    }
-
-    /// Transfers, verifies and decrypts the range without copying the
-    /// plaintext out — for callers that only need the metering and the
-    /// integrity check (the session simulator decodes from its own
-    /// plaintext image). The served bytes stay, deciphered, in the working
-    /// buffer.
-    pub fn touch(&mut self, offset: usize, len: usize) -> Result<(), ReadError> {
-        self.consume(offset, len, None)
-    }
-
-    fn consume(
-        &mut self,
-        offset: usize,
-        len: usize,
-        mut out: Option<&mut Vec<u8>>,
     ) -> Result<(), ReadError> {
         self.cost.reads += 1;
         // A request beyond the store is a storage-level fault (a
@@ -430,7 +412,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
             self.held_start = cached.start;
             self.note_residency();
         }
-        let rollback = out.as_deref().map(Vec::len);
+        let rollback = out.len();
         let mut pos = offset;
         while pos < end {
             let cached = self.cache_start..self.cache_start + self.cache.len();
@@ -438,9 +420,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 let take = (end - pos).min(cached.end - pos);
                 let lo = pos - self.cache_start;
                 self.decipher(lo, lo + take);
-                if let Some(out) = out.as_deref_mut() {
-                    out.extend_from_slice(&self.cache[lo..lo + take]);
-                }
+                out.extend_from_slice(&self.cache[lo..lo + take]);
                 if matches!(self.doc.scheme, IntegrityScheme::CbcShac | IntegrityScheme::EcbMht) {
                     // These schemes verify *ciphertext*, so decryption is
                     // charged per byte served. ECB-MHT deciphers exactly
@@ -456,10 +436,8 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 if pos < held_end {
                     // Still-resident plaintext: no transfer, no refetch.
                     let take = (end - pos).min(held_end - pos);
-                    if let Some(out) = out.as_deref_mut() {
-                        let lo = pos - self.held_start;
-                        out.extend_from_slice(&self.held[lo..lo + take]);
-                    }
+                    let lo = pos - self.held_start;
+                    out.extend_from_slice(&self.held[lo..lo + take]);
                     if matches!(self.doc.scheme, IntegrityScheme::CbcShac | IntegrityScheme::EcbMht)
                     {
                         self.cost.bytes_decrypted += take as u64;
@@ -482,9 +460,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 // so every error path of `fetch_unit`, present and
                 // future, is covered structurally.
                 self.drop_cache();
-                if let (Some(out), Some(rollback)) = (out.as_deref_mut(), rollback) {
-                    out.truncate(rollback);
-                }
+                out.truncate(rollback);
                 return Err(e);
             }
         }
@@ -495,7 +471,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     /// read from the store, reusing its allocation. Resident stores are
     /// copied from directly (the zero-copy fast path of PR 1); out-of-
     /// core stores go through a bounded `read_at`. The caller
-    /// (`consume`) discards the buffer on any failure.
+    /// (`read_into`) discards the buffer on any failure.
     /// Unmetered: every caller is a `fetch_unit` arm whose chained span
     /// clock is already in its Fetch lap (one clock read per phase
     /// transition for the whole unit — per-operation brackets here would
@@ -609,7 +585,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     /// working buffer. Costs are charged only after the fallible store
     /// reads succeed, so a session that retries past a transient fault
     /// meters exactly like a fault-free one; on any error the caller
-    /// (`consume`) discards the working buffer.
+    /// (`read_into`) discards the working buffer.
     fn fetch_unit(&mut self, pos: usize, req_end: usize) -> Result<(), ReadError> {
         let layout = self.doc.layout;
         let ci = layout.chunk_of(pos);
@@ -682,7 +658,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
             IntegrityScheme::EcbMht => {
                 // Unit: one fragment + its Merkle proof; per-fragment
                 // verification of the ciphertext against the (cached)
-                // chunk digest. Nothing is deciphered here: `consume`
+                // chunk digest. Nothing is deciphered here: `read_into`
                 // deciphers each block the first time it serves it.
                 let (f_lo, f_hi) = self.fragment_extent(pos);
                 // Terminal: the chunk's whole tree, built at most once
@@ -1022,26 +998,22 @@ mod tests {
             }
         };
         let mut r = SoeReader::new(&p, &k);
-        // (read or touch, offset, len, blocks newly deciphered): every
-        // fetched unit deciphers each block it serves exactly once.
-        let script: [(bool, usize, usize, u64); 9] = [
-            (true, 0, 8, 1),           // fragment 0, block 0
-            (true, 20, 30, 5),         // forward: blocks 2..=6
-            (true, 4, 8, 1),           // blocks 0, 1: only block 1 is new
-            (false, fs + 40, 16, 2),   // touch fragment 1, blocks 5, 6
-            (true, fs + 40, 16, 0),    // …then read them: nothing new
-            (true, fs - 8, 16, 2),     // backward straddle: held block + refetched block
-            (true, 2 * fs - 6, 20, 3), // fragment boundary: blocks 15 | 0, 1
-            (true, 2048 - 12, 24, 4),  // chunk boundary: blocks 14, 15 | 0, 1
-            (true, 2048 - 12, 24, 2),  // backward again: chunk 0's tail refetched
+        // (offset, len, blocks newly deciphered): every fetched unit
+        // deciphers each block it serves exactly once.
+        let script: [(usize, usize, u64); 9] = [
+            (0, 8, 1),           // fragment 0, block 0
+            (20, 30, 5),         // forward: blocks 2..=6
+            (4, 8, 1),           // blocks 0, 1: only block 1 is new
+            (fs + 40, 16, 2),    // fragment 1, blocks 5, 6
+            (fs + 40, 16, 0),    // …again: nothing new
+            (fs - 8, 16, 2),     // backward straddle: held block + refetched block
+            (2 * fs - 6, 20, 3), // fragment boundary: blocks 15 | 0, 1
+            (2048 - 12, 24, 4),  // chunk boundary: blocks 14, 15 | 0, 1
+            (2048 - 12, 24, 2),  // backward again: chunk 0's tail refetched
         ];
-        for (i, (read, off, len, new_blocks)) in script.into_iter().enumerate() {
+        for (i, (off, len, new_blocks)) in script.into_iter().enumerate() {
             let before = deciphered();
-            if read {
-                assert_eq!(r.read(off, len).unwrap(), &data[off..off + len], "step {i}");
-            } else {
-                r.touch(off, len).unwrap();
-            }
+            assert_eq!(r.read(off, len).unwrap(), &data[off..off + len], "step {i}");
             assert_eq!(deciphered() - before, new_blocks, "step {i}: {off}+{len}");
             check_buffer(&r);
             if i == 0 {
@@ -1239,24 +1211,6 @@ mod tests {
         let d1 = r.cost.digests_decrypted;
         r.read(64, 64).unwrap();
         assert_eq!(r.cost.digests_decrypted, d1, "same chunk: no second digest decryption");
-    }
-
-    #[test]
-    fn touch_meters_like_read_and_verifies() {
-        let (p, _) = doc(IntegrityScheme::EcbMht, 8192);
-        let k = key();
-        let mut reading = SoeReader::new(&p, &k);
-        let mut touching = SoeReader::new(&p, &k);
-        for (off, len) in [(0usize, 100usize), (4096, 512), (3, 5)] {
-            reading.read(off, len).unwrap();
-            touching.touch(off, len).unwrap();
-        }
-        assert_eq!(touching.cost, reading.cost, "touch must meter exactly like read");
-        // And it still performs the real integrity check.
-        let mut bad = p.clone();
-        bad.ciphertext_mut()[10] ^= 1;
-        let mut t = SoeReader::new(&bad, &k);
-        assert!(t.touch(8, 8).is_err());
     }
 
     #[test]

@@ -730,24 +730,6 @@ impl FileStore {
         })
     }
 
-    /// Opens an existing ciphertext file whose resident chunks draw from
-    /// `pool`'s **shared** budget instead of a private window — the
-    /// multi-tenant registry shape: N file-backed documents served under
-    /// one global residency bound.
-    pub fn open_in_pool(
-        path: &Path,
-        chunk_size: usize,
-        pool: &Arc<WindowPool>,
-    ) -> io::Result<FileStore> {
-        let file = File::open(path)?;
-        let len = file.metadata()?.len() as usize;
-        Ok(FileStore {
-            len,
-            file: Mutex::new(file),
-            window: ChunkWindow::in_pool(pool, len, chunk_size),
-        })
-    }
-
     /// Wraps an already-opened ciphertext `file` with an
     /// already-constructed `window` (sized for the file's length) — for
     /// callers that must do the blocking `open`/`stat` outside a lock
@@ -1117,8 +1099,11 @@ mod tests {
         let (da, db) = (data(8 * 512), data(6 * 512));
         std::fs::write(ta.path(), &da).unwrap();
         std::fs::write(tb.path(), &db).unwrap();
-        let a = FileStore::open_in_pool(ta.path(), 512, &pool).unwrap();
-        let b = FileStore::open_in_pool(tb.path(), 512, &pool).unwrap();
+        let open = |path: &Path, len| {
+            let file = File::open(path).unwrap();
+            FileStore::from_open_file(file, ChunkWindow::in_pool(&pool, len, 512))
+        };
+        let (a, b) = (open(ta.path(), da.len()), open(tb.path(), db.len()));
         let mut buf = [0u8; 8];
         for i in 0..8 {
             a.read_at(i * 512, &mut buf).unwrap();
@@ -1149,7 +1134,8 @@ mod tests {
         let tmp = TempPath::new("pool-purge");
         let bytes = data(4 * 512);
         std::fs::write(tmp.path(), &bytes).unwrap();
-        let s = FileStore::open_in_pool(tmp.path(), 512, &pool).unwrap();
+        let file = File::open(tmp.path()).unwrap();
+        let s = FileStore::from_open_file(file, ChunkWindow::in_pool(&pool, bytes.len(), 512));
         let mut buf = vec![0u8; bytes.len()];
         s.read_at(0, &mut buf).unwrap();
         assert_eq!(buf, bytes);
@@ -1178,7 +1164,8 @@ mod tests {
         let bytes = data(4 * 512);
         std::fs::write(tmp.path(), &bytes).unwrap();
         let mut buf = vec![0u8; bytes.len()];
-        let s = FileStore::open_in_pool(tmp.path(), 512, &pool).unwrap();
+        let file = File::open(tmp.path()).unwrap();
+        let s = FileStore::from_open_file(file, ChunkWindow::in_pool(&pool, bytes.len(), 512));
         s.read_at(0, &mut buf).unwrap();
         assert_eq!(buf, bytes);
         let token = s.window().pool_doc();

@@ -279,22 +279,6 @@ impl<'a> BitReader<'a> {
     pub fn seek(&mut self, byte: usize) {
         self.pos = byte * 8;
     }
-
-    /// Reads `n` raw bytes (aligned).
-    pub fn read_bytes(&mut self, n: usize) -> Option<&'a [u8]> {
-        debug_assert_eq!(self.pos % 8, 0);
-        let start = self.pos / 8;
-        if start + n > self.data.len() {
-            return None;
-        }
-        self.pos += n * 8;
-        Some(&self.data[start..start + n])
-    }
-
-    /// True when all bytes are consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos >= self.data.len() * 8
-    }
 }
 
 #[cfg(test)]
@@ -341,8 +325,6 @@ mod tests {
         assert_eq!(r.read_bit(), Some(true));
         r.align();
         assert_eq!(r.byte_pos(), 1);
-        assert_eq!(r.read_bytes(2), Some(&b"xy"[..]));
-        assert!(r.at_end());
     }
 
     #[test]
@@ -351,7 +333,6 @@ mod tests {
         let mut r = BitReader::at(&buf, 0);
         assert_eq!(r.read(8), Some(0xFF));
         assert_eq!(r.read(1), None);
-        assert_eq!(r.read_bytes(1), None);
     }
 
     #[test]

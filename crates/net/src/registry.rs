@@ -12,7 +12,8 @@
 //!   with one resident entry;
 //! * **lazy file-backed** documents ([`DocRegistry::insert_file`]) —
 //!   registered as metadata + a ciphertext path, opened on first route
-//!   through [`FileStore::open_in_pool`] so every tenant's resident
+//!   through [`FileStore::from_open_file`] over a
+//!   [`ChunkWindow::in_pool`] window, so every tenant's resident
 //!   chunks draw from the registry's one shared [`WindowPool`] budget,
 //!   and closed again (LRU, [`max_open_docs`](DocRegistry::with_max_open_docs))
 //!   when too many lazy tenants are open at once.

@@ -31,7 +31,6 @@ use std::sync::{Arc, Mutex};
 use xsac_core::{CompiledPolicy, CompilerMode, Policy};
 use xsac_crypto::store::{ChunkStore, MemStore};
 use xsac_crypto::{LeafCache, TripleDes};
-use xsac_obs::{AtomicHistogram, Histogram, PhaseProfile, SharedPhaseProfile, Tick};
 use xsac_xpath::Automaton;
 
 /// One requested session: a subject (role) with its policy, optional
@@ -132,11 +131,6 @@ pub struct DocServer<S: ChunkStore = MemStore> {
     rules_in: AtomicUsize,
     /// Σ rules dropped by minimization over all fresh compilations.
     rules_dropped: AtomicUsize,
-    /// Σ per-session phase timings over every successful [`DocServer::serve`]
-    /// (telemetry; zero when the span clock is off).
-    phases: SharedPhaseProfile,
-    /// Wall time per successful session, log-bucketed (nanoseconds).
-    session_latency: AtomicHistogram,
 }
 
 impl<S: ChunkStore> DocServer<S> {
@@ -152,8 +146,6 @@ impl<S: ChunkStore> DocServer<S> {
             cache_hits: AtomicUsize::new(0),
             rules_in: AtomicUsize::new(0),
             rules_dropped: AtomicUsize::new(0),
-            phases: SharedPhaseProfile::new(),
-            session_latency: AtomicHistogram::new(),
         }
     }
 
@@ -239,35 +231,17 @@ impl<S: ChunkStore> DocServer<S> {
         }
     }
 
-    /// Runs one session against the shared caches. Successful sessions
-    /// roll their phase profile and wall time into the server's
-    /// telemetry aggregates ([`DocServer::phase_snapshot`],
-    /// [`DocServer::session_latency`]).
+    /// Runs one session against the shared caches.
     pub fn serve(&self, spec: &SessionSpec) -> Result<SessionResult, SessionError> {
         let compiled = self.compiled_policy_mode(&spec.role, &spec.policy, spec.mode);
-        let t = Tick::now();
-        let res = run_session_shared(
+        run_session_shared(
             &self.doc,
             &self.key,
             &compiled,
             spec.query.as_ref(),
             &spec.config,
             Some(&self.leaves),
-        )?;
-        self.session_latency.record(t.elapsed_nanos());
-        self.phases.merge(&res.phases);
-        Ok(res)
-    }
-
-    /// Σ phase timings over every successful session served so far.
-    pub fn phase_snapshot(&self) -> PhaseProfile {
-        self.phases.snapshot()
-    }
-
-    /// Log-bucketed wall time (nanoseconds) of every successful session
-    /// served so far.
-    pub fn session_latency(&self) -> Histogram {
-        self.session_latency.snapshot()
+        )
     }
 
     /// Runs the sessions one after another on the calling thread (shared

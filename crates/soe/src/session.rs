@@ -265,10 +265,8 @@ pub fn run_session_shared<S: ChunkStore>(
     let source = SoeSource { reader, len: server.protected.plain_len };
     let mut decoder = CursorDecoder::new(source, server.dict.len())?;
 
-    let eval_config = EvalConfig {
-        enable_skip_directives: config.strategy != Strategy::BruteForce,
-        ..Default::default()
-    };
+    let eval_config =
+        EvalConfig { enable_skip_directives: config.strategy != Strategy::BruteForce };
     let use_desc_filter = config.strategy == Strategy::Tcsbr;
     let mut eval = Evaluator::with_compiled(Arc::clone(policy), query, eval_config);
 

@@ -90,11 +90,6 @@ impl TagDict {
         self.names.len() <= 1
     }
 
-    /// Number of *element* tags (excluding `#text`), i.e. the `Nt` of §4.1.
-    pub fn element_tag_count(&self) -> usize {
-        self.names.len() - 1
-    }
-
     /// Iterates over `(TagId, name)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (TagId, &str)> {
         self.names.iter().enumerate().map(|(i, n)| (TagId(i as u32), n.as_str()))
@@ -117,7 +112,6 @@ mod tests {
         assert_eq!(d.get(TEXT_TAG_NAME), Some(TagId::TEXT));
         assert_eq!(d.name(TagId::TEXT), TEXT_TAG_NAME);
         assert_eq!(d.len(), 1);
-        assert_eq!(d.element_tag_count(), 0);
         assert!(d.is_empty());
     }
 
@@ -129,7 +123,6 @@ mod tests {
         assert_ne!(a, b);
         assert_eq!(d.intern("Folder"), a);
         assert_eq!(d.len(), 3);
-        assert_eq!(d.element_tag_count(), 2);
         assert!(!d.is_empty());
     }
 

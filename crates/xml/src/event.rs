@@ -29,16 +29,6 @@ impl<'a> Event<'a> {
         }
     }
 
-    /// True for [`Event::Open`].
-    pub fn is_open(&self) -> bool {
-        matches!(self, Event::Open(_))
-    }
-
-    /// True for [`Event::Close`].
-    pub fn is_close(&self) -> bool {
-        matches!(self, Event::Close(_))
-    }
-
     /// The tag of an open/close event, if any.
     pub fn tag(&self) -> Option<TagId> {
         match self {
@@ -74,11 +64,9 @@ mod tests {
         let o = Event::Open(TagId(3));
         let c = Event::Close(TagId(3));
         let t = Event::Text(Cow::Borrowed("hi"));
-        assert!(o.is_open() && !o.is_close());
-        assert!(c.is_close() && !c.is_open());
         assert_eq!(o.tag(), Some(TagId(3)));
+        assert_eq!(c.tag(), Some(TagId(3)));
         assert_eq!(t.tag(), None);
-        assert!(!t.is_open() && !t.is_close());
     }
 
     #[test]

@@ -86,13 +86,6 @@ pub fn document_to_string(doc: &Document) -> String {
     w.finish()
 }
 
-/// Serializes the subtree rooted at `id`.
-pub fn subtree_to_string(doc: &Document, id: NodeId) -> String {
-    let mut w = XmlWriter::new(&doc.dict);
-    doc.emit(id, &mut |e| w.event(e));
-    w.finish()
-}
-
 /// Byte length of the *textual* XML serialization of a node, used by the
 /// `NC` (non-compressed) encoding baseline of Figure 8.
 pub fn textual_len(doc: &Document, id: NodeId) -> usize {
@@ -135,7 +128,9 @@ mod tests {
     fn subtree_serialization() {
         let doc = Document::parse("<a><b>x</b><c>y</c></a>").unwrap();
         let b = doc.children(doc.root())[0];
-        assert_eq!(subtree_to_string(&doc, b), "<b>x</b>");
+        let mut w = XmlWriter::new(&doc.dict);
+        doc.emit(b, &mut |e| w.event(e));
+        assert_eq!(w.finish(), "<b>x</b>");
     }
 
     #[test]

@@ -149,16 +149,6 @@ impl Path {
     pub fn predicate_count(&self) -> usize {
         self.steps.iter().map(|s| s.predicates.len()).sum()
     }
-
-    /// True when any step uses the descendant axis (including inside
-    /// predicates) — the condition that makes rule instances multiply
-    /// (§3.1, "rule instances materialization").
-    pub fn has_descendant_axis(&self) -> bool {
-        self.steps.iter().any(|s| {
-            s.axis == Axis::Descendant
-                || s.predicates.iter().any(|p| p.steps.iter().any(|ps| ps.axis == Axis::Descendant))
-        })
-    }
 }
 
 impl fmt::Display for NameTest {

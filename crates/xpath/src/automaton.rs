@@ -173,11 +173,6 @@ impl Automaton {
         &self.states[id as usize]
     }
 
-    /// True when the rule carries at least one predicate.
-    pub fn has_predicates(&self) -> bool {
-        !self.preds.is_empty()
-    }
-
     /// Walks each linear chain backwards accumulating required tags.
     fn compute_remaining_labels(&mut self) {
         // Chains are identified by following `transition` from every chain
@@ -329,7 +324,6 @@ mod tests {
         assert_eq!(l, Label::Tag(dict.get("c").unwrap()));
         assert!(a.state(f).is_final);
         assert!(a.preds.is_empty());
-        assert!(!a.has_predicates());
     }
 
     #[test]

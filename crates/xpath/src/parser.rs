@@ -245,7 +245,6 @@ mod tests {
         let path = p("//a/*/b");
         assert_eq!(path.steps[0].axis, Axis::Descendant);
         assert_eq!(path.steps[1].test, NameTest::Wildcard);
-        assert!(path.has_descendant_axis());
     }
 
     #[test]

@@ -177,8 +177,7 @@ fn structural_rule_with_dummy_names() {
     let mut dict = doc.dict.clone();
     let policy = Policy::parse("u", &[(Sign::Permit, "//leaf")], &mut dict).unwrap();
     let dummy = xsac::xml::writer::dummy_tag(&mut dict);
-    let config = EvalConfig { dummy_denied_ancestors: true, ..Default::default() };
-    let mut eval = Evaluator::new(&policy, None, config).with_dummy_tag(dummy);
+    let mut eval = Evaluator::new(&policy, None, EvalConfig::default()).with_dummy_tag(dummy);
     for ev in doc.events() {
         eval.event(&ev);
     }
