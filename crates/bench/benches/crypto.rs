@@ -76,17 +76,30 @@ fn bench_protected_reads(c: &mut Criterion) {
     group.finish();
 }
 
-/// One warm ECB-MHT fragment fetch: an 8-byte read that misses the
-/// working buffer but finds the chunk's Merkle tree and digest cached —
-/// hash the 128-byte fragment, recombine a log-size proof, decipher one
-/// block. `ns_per_iter` is the per-fragment verify cost that the
-/// perfbench trace's `crypto.hash_ms` is read against.
+/// ECB-MHT fragment fetches with the chunk's Merkle tree cached on the
+/// terminal side and its digest decrypted.
+///
+/// * `warm-read-8`: an 8-byte read of the next fragment, cycling through
+///   one chunk, so every read fetches. After the first lap the SOE has
+///   authenticated the whole tree: the floor of a fetch — hash the
+///   128-byte fragment, compare it with its trusted leaf digest, decipher
+///   one block; no proof.
+/// * `sequential-chunk-scan`: an 8-byte read of each of the 16 fragments
+///   of a chunk, in order, alternating between two chunks so every scan
+///   starts from the chunk digest alone: one digest decryption, 16
+///   fragment hashes and the 15 proof digests (and combines) a
+///   sequential scan needs.
+///
+/// `ns_per_iter` is the verify cost that the perfbench trace's
+/// `crypto.hash_ms` is read against.
 fn bench_mht_fragment(c: &mut Criterion) {
     let k = key();
-    let data: Vec<u8> = (0..2048).map(|i| (i % 251) as u8).collect();
+    let data: Vec<u8> = (0..4096).map(|i| (i % 251) as u8).collect();
     let doc = ProtectedDoc::protect(&data, &k, IntegrityScheme::EcbMht, ChunkLayout::default());
     let (fs, fragments) = (doc.layout.fragment_size, doc.layout.fragments_per_chunk());
+    let chunk = doc.layout.chunk_size;
     let mut r = SoeReader::new(&doc, &k);
+    r.read(chunk, 8).unwrap(); // builds chunk 1's tree
     r.read(0, 8).unwrap(); // builds chunk 0's tree, deciphers its digest
     let mut group = c.benchmark_group("crypto/mht-fragment");
     group.throughput(Throughput::Bytes(fs as u64));
@@ -96,6 +109,14 @@ fn bench_mht_fragment(c: &mut Criterion) {
             // A different fragment every time, so every read fetches.
             f = (f + 1) % fragments;
             r.read(f * fs, 8).unwrap()[0]
+        })
+    });
+    group.throughput(Throughput::Bytes(chunk as u64));
+    group.bench_function("sequential-chunk-scan", |b| {
+        let mut base = 0;
+        b.iter(|| {
+            base = chunk - base;
+            (0..fragments).map(|f| r.read(base + f * fs, 8).unwrap()[0]).fold(0u8, |a, x| a ^ x)
         })
     });
     group.finish();

@@ -28,7 +28,9 @@
 //!   CBC-SHA, CBC-SHAC, ECB-MHT) with SOE/terminal cost accounting; the
 //!   [`SoeReader`] caches each visited chunk's whole Merkle tree so
 //!   terminal hashing is amortized to one chunk-length per visited chunk
-//!   and every proof is a table lookup, deciphers ECB-MHT blocks only as
+//!   and every proof is a table lookup, keeps the Merkle nodes it has
+//!   authenticated in the current chunk so a fetch ships only the proof
+//!   siblings it cannot vouch for yet, deciphers ECB-MHT blocks only as
 //!   reads consume them, and pulls every ciphertext byte through the
 //!   document's store — storage failures surface as typed [`ReadError`]s,
 //!   never panics.

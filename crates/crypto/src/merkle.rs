@@ -12,18 +12,26 @@
 //! Division of labour: the *terminal* builds each visited chunk's whole
 //! tree once — [`merkle_tree`] over its [`fragment_hashes`], 2n−1 node
 //! digests in pre-order from n leaf hashes and n−1 combines — after which
-//! [`SoeReader`](crate::SoeReader) reads every intra-chunk proof out of
-//! that table with [`tree_proof`] (copies, no hashing). The *SOE* hashes
-//! only the fragments it actually reads and recombines them with the
-//! proof through [`root_from_range`]; it never trusts a terminal-computed
+//! [`SoeReader`](crate::SoeReader) reads every proof out of that table
+//! with [`leaf_proof`] (copies, no hashing). The *SOE* hashes only the
+//! fragments it actually reads and never trusts a terminal-computed
 //! digest for bytes it consumed.
 //!
-//! Both sides agree on one left-complete shape (`left_leaves`): the
-//! builder and the proof reader walk the node table, the SOE walks the
-//! same shape over its own leaves and the proof.
+//! Unlike Appendix A, the SOE does not recompute the root on every fetch.
+//! It keeps the nodes it has authenticated in the current chunk
+//! ([`VerifiedNodes`]: the decrypted chunk digest, then every recomputed
+//! path node and every proof sibling that checked out), as in the
+//! hash-tree cache of Gassend et al. (HPCA 2003). A fetch asks only for
+//! the siblings below its fragment's deepest authenticated ancestor and
+//! recombines up to that ancestor: the fragment after the one just
+//! verified needs at most the siblings under their common ancestor, often
+//! none, against the log-size proof of a fresh chunk. "Only the root is
+//! known" is the stateless verifier, so there is one verify path.
+//!
+//! Both sides agree on one left-complete shape (`left_leaves`) and walk
+//! the same pre-order node table.
 
 use crate::sha1::{sha1, Digest, Sha1};
-use std::ops::Range;
 
 /// Combines two child digests.
 pub fn combine(left: &Digest, right: &Digest) -> Digest {
@@ -68,43 +76,6 @@ pub fn merkle_root(leaves: &[Digest]) -> Digest {
     merkle_tree(leaves)[0]
 }
 
-/// Terminal side: the sibling digests the SOE needs to recompute the root
-/// while knowing only the leaves in `range`. Returned in the deterministic
-/// traversal order consumed by [`root_from_range`].
-pub fn range_proof(leaves: &[Digest], range: Range<usize>) -> Vec<Digest> {
-    let mut proof = Vec::new();
-    tree_proof(&merkle_tree(leaves), range, &mut proof);
-    proof
-}
-
-/// Like [`range_proof`], but read out of a prebuilt [`merkle_tree`] table
-/// into the caller's buffer (cleared first): a lookup, no hashing.
-pub fn tree_proof(tree: &[Digest], range: Range<usize>, out: &mut Vec<Digest>) {
-    out.clear();
-    walk_proof(tree, 0, 0..tree.len().div_ceil(2), &range, out);
-}
-
-fn walk_proof(
-    tree: &[Digest],
-    node: usize,
-    interval: Range<usize>,
-    range: &Range<usize>,
-    out: &mut Vec<Digest>,
-) {
-    if interval.end <= range.start || interval.start >= range.end {
-        // Disjoint: the whole subtree is one proof element.
-        out.push(tree[node]);
-        return;
-    }
-    if range.start <= interval.start && interval.end <= range.end {
-        return; // fully known to the SOE
-    }
-    let left = left_leaves(interval.len());
-    let mid = interval.start + left;
-    walk_proof(tree, node + 1, interval.start..mid, range, out);
-    walk_proof(tree, node + 2 * left, mid..interval.end, range, out);
-}
-
 /// Leaves under the left child of a node over `len` ≥ 2 leaves: the
 /// largest power of two < `len` (a left-complete tree — both sides must
 /// agree on this shape).
@@ -115,87 +86,189 @@ fn left_leaves(len: usize) -> usize {
     left.max(1)
 }
 
-/// SOE side: recomputes the root knowing the leaves in `range` (computed
-/// from the bytes it read) and the terminal-provided `proof`.
-pub fn root_from_range(
-    n_leaves: usize,
-    range: Range<usize>,
-    range_leaves: &[Digest],
-    proof: &[Digest],
-) -> Digest {
-    assert_eq!(range.len(), range_leaves.len());
-    let mut cursor = 0usize;
-    let root = root_known(range_leaves, &range, 0..n_leaves, proof, &mut cursor);
-    assert_eq!(cursor, proof.len(), "proof length mismatch");
-    root
+/// One node on a leaf's root-to-leaf path, below the root.
+struct Step {
+    /// Pre-order index of the path node.
+    node: usize,
+    /// Pre-order index of its sibling.
+    sibling: usize,
+    /// Is the path node its parent's left child?
+    left: bool,
 }
 
-fn root_known(
-    known: &[Digest],
-    range: &Range<usize>,
-    interval: Range<usize>,
-    proof: &[Digest],
-    cursor: &mut usize,
-) -> Digest {
-    if interval.end <= range.start || interval.start >= range.end {
-        let d = proof[*cursor];
-        *cursor += 1;
-        return d;
+/// The path from the root of a pre-order tree over `n` leaves down to
+/// `leaf`, top-down, one [`Step`] per level below the root. Index
+/// arithmetic only: no hashing, no allocation.
+fn path(n: usize, leaf: usize) -> impl Iterator<Item = Step> {
+    let (mut node, mut span) = (0, 0..n);
+    std::iter::from_fn(move || {
+        if span.len() < 2 {
+            return None;
+        }
+        let left = left_leaves(span.len());
+        let mid = span.start + left;
+        let (l, r) = (node + 1, node + 2 * left);
+        let step = if leaf < mid {
+            span.end = mid;
+            Step { node: l, sibling: r, left: true }
+        } else {
+            span.start = mid;
+            Step { node: r, sibling: l, left: false }
+        };
+        node = step.node;
+        Some(step)
+    })
+}
+
+fn is_known(known: &[u64], node: usize) -> bool {
+    known.get(node / 64).is_some_and(|w| w & (1 << (node % 64)) != 0)
+}
+
+/// How many path steps of `leaf` are already authenticated, and the
+/// deepest such node (the root if none). The known set is closed under
+/// parent and sibling (see [`VerifiedNodes`]), so they form a prefix of
+/// the path, ending at the leaf's deepest known ancestor.
+fn known_prefix(n: usize, leaf: usize, known: &[u64]) -> (usize, usize) {
+    path(n, leaf).take_while(|s| is_known(known, s.node)).fold((0, 0), |(d, _), s| (d + 1, s.node))
+}
+
+/// Terminal side: the sibling digests the SOE needs to authenticate leaf
+/// `leaf` while it trusts the nodes marked in `known` — those of the path
+/// nodes below the leaf's deepest known ancestor, top-down, read out of a
+/// prebuilt [`merkle_tree`] table into the caller's buffer (cleared
+/// first). A lookup, no hashing; empty when the leaf itself is known.
+/// With only the root known this is the full log-size proof of
+/// Appendix A.
+pub fn leaf_proof(tree: &[Digest], leaf: usize, known: &[u64], out: &mut Vec<Digest>) {
+    out.clear();
+    let n = tree.len().div_ceil(2);
+    out.extend(path(n, leaf).skip(known_prefix(n, leaf, known).0).map(|s| tree[s.sibling]));
+}
+
+/// SOE side: the authenticated nodes of one chunk's Merkle tree — a
+/// pre-order table shaped like [`merkle_tree`]'s, of which only the slots
+/// marked in a bitmask are trusted. [`reset`](Self::reset) trusts the
+/// root alone (the decrypted chunk digest); every accepted
+/// [`verify_leaf`](Self::verify_leaf) adds the leaf's recomputed path and
+/// the proof siblings, so the known set is always closed under parent and
+/// sibling. At most 2n−1 digests for n leaves (620 B at 16 fragments per
+/// chunk), in buffers reused across chunks.
+#[derive(Default)]
+pub struct VerifiedNodes {
+    nodes: Vec<Digest>,
+    known: Vec<u64>,
+}
+
+impl VerifiedNodes {
+    /// Forgets every node and trusts `root` as the root of a tree over
+    /// `n` ≥ 1 leaves.
+    pub fn reset(&mut self, n: usize, root: Digest) {
+        let len = 2 * n - 1;
+        self.nodes.clear();
+        self.nodes.resize(len, Digest::default());
+        self.nodes[0] = root;
+        self.known.clear();
+        self.known.resize(len.div_ceil(64), 0);
+        self.known[0] = 1;
     }
-    if interval.len() == 1 {
-        // A leaf the SOE hashed itself.
-        return known[interval.start - range.start];
+
+    /// The known-node mask, as [`leaf_proof`] takes it.
+    pub fn known(&self) -> &[u64] {
+        &self.known
     }
-    let mid = interval.start + left_leaves(interval.len());
-    combine(
-        &root_known(known, range, interval.start..mid, proof, cursor),
-        &root_known(known, range, mid..interval.end, proof, cursor),
-    )
+
+    /// The authenticated digest of pre-order node `node`, if known.
+    pub fn get(&self, node: usize) -> Option<&Digest> {
+        is_known(&self.known, node).then(|| &self.nodes[node])
+    }
+
+    /// Authenticates `digest` as leaf `leaf`, given the siblings that
+    /// [`leaf_proof`] returns for this known set: recombines up to the
+    /// leaf's deepest known ancestor (one combine per sibling) and
+    /// compares with its trusted digest. On a match, records the
+    /// recomputed path nodes and the siblings as known. On a mismatch, or
+    /// a proof of the wrong length, returns false and trusts nothing new.
+    pub fn verify_leaf(&mut self, leaf: usize, digest: Digest, proof: &[Digest]) -> bool {
+        let n = self.nodes.len().div_ceil(2);
+        let (depth, anchor) = known_prefix(n, leaf, &self.known);
+        let mut siblings = proof.iter();
+        // Recomputed digests land in unknown slots only (the closure
+        // property), so a failed check leaves every trusted slot as it was.
+        let got = climb(&mut self.nodes, &mut path(n, leaf).skip(depth), digest, &mut siblings);
+        if got != Some(self.nodes[anchor]) || siblings.len() != 0 {
+            return false;
+        }
+        for s in path(n, leaf).skip(depth) {
+            for node in [s.node, s.sibling] {
+                self.known[node / 64] |= 1 << (node % 64);
+            }
+        }
+        true
+    }
+}
+
+/// Recomputes the digest at the top of `steps` from the leaf's `digest`
+/// and the siblings, consumed top-down; each step's node and sibling
+/// digests are written into `nodes`. `None` when the proof runs short.
+fn climb(
+    nodes: &mut [Digest],
+    steps: &mut impl Iterator<Item = Step>,
+    digest: Digest,
+    siblings: &mut std::slice::Iter<'_, Digest>,
+) -> Option<Digest> {
+    let Some(step) = steps.next() else {
+        return Some(digest);
+    };
+    let sibling = *siblings.next()?;
+    let below = climb(nodes, steps, digest, siblings)?;
+    nodes[step.node] = below;
+    nodes[step.sibling] = sibling;
+    Some(if step.left { combine(&below, &sibling) } else { combine(&sibling, &below) })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
 
     fn leaves(n: usize) -> Vec<Digest> {
         (0..n).map(|i| sha1(&[i as u8])).collect()
     }
 
-    /// The recursive derivation the node table replaced: every proof
-    /// element's subtree root recomputed from the leaves.
-    fn reference_range_proof(leaves: &[Digest], range: Range<usize>) -> Vec<Digest> {
-        let mut proof = Vec::new();
-        collect_proof(leaves, 0..leaves.len(), &range, &mut proof);
-        proof
-    }
-
-    fn collect_proof(
-        leaves: &[Digest],
-        interval: Range<usize>,
-        range: &Range<usize>,
-        out: &mut Vec<Digest>,
-    ) {
-        if interval.end <= range.start || interval.start >= range.end {
-            out.push(reference_root(leaves, interval));
+    /// The recursive derivation the node table replaced: a leaf's full
+    /// proof, top-down, each sibling's subtree root recomputed from the
+    /// leaves.
+    fn reference_proof(leaves: &[Digest], span: Range<usize>, leaf: usize, out: &mut Vec<Digest>) {
+        if span.len() == 1 {
             return;
         }
-        if range.start <= interval.start && interval.end <= range.end {
-            return;
-        }
-        let mid = interval.start + left_leaves(interval.len());
-        collect_proof(leaves, interval.start..mid, range, out);
-        collect_proof(leaves, mid..interval.end, range, out);
+        let mid = span.start + left_leaves(span.len());
+        let (on, off) = if leaf < mid {
+            (span.start..mid, mid..span.end)
+        } else {
+            (mid..span.end, span.start..mid)
+        };
+        out.push(reference_root(leaves, off));
+        reference_proof(leaves, on, leaf, out);
     }
 
-    fn reference_root(leaves: &[Digest], interval: Range<usize>) -> Digest {
-        if interval.len() == 1 {
-            return leaves[interval.start];
+    fn reference_root(leaves: &[Digest], span: Range<usize>) -> Digest {
+        if span.len() == 1 {
+            return leaves[span.start];
         }
-        let mid = interval.start + left_leaves(interval.len());
-        combine(
-            &reference_root(leaves, interval.start..mid),
-            &reference_root(leaves, mid..interval.end),
-        )
+        let mid = span.start + left_leaves(span.len());
+        combine(&reference_root(leaves, span.start..mid), &reference_root(leaves, mid..span.end))
+    }
+
+    fn fresh(n: usize, root: Digest) -> VerifiedNodes {
+        let mut v = VerifiedNodes::default();
+        v.reset(n, root);
+        v
+    }
+
+    /// Every trusted slot, for before/after comparisons.
+    fn trusted(v: &VerifiedNodes) -> Vec<Option<Digest>> {
+        (0..64 * v.known().len()).map(|i| v.get(i).copied()).collect()
     }
 
     #[test]
@@ -207,11 +280,12 @@ mod tests {
             assert_eq!(tree.len(), 2 * n - 1);
             assert_eq!(tree[0], reference_root(&l, 0..n), "n={n}");
             assert_eq!(tree[0], merkle_root(&l), "n={n}");
-            for a in 0..n {
-                for b in a + 1..=n {
-                    tree_proof(&tree, a..b, &mut proof);
-                    assert_eq!(proof, reference_range_proof(&l, a..b), "n={n} range={a}..{b}");
-                }
+            let root_only = fresh(n, tree[0]);
+            for leaf in 0..n {
+                leaf_proof(&tree, leaf, root_only.known(), &mut proof);
+                let mut want = Vec::new();
+                reference_proof(&l, 0..n, leaf, &mut want);
+                assert_eq!(proof, want, "n={n} leaf={leaf}");
             }
         }
     }
@@ -220,43 +294,103 @@ mod tests {
     fn single_leaf_root() {
         let l = leaves(1);
         assert_eq!(merkle_root(&l), l[0]);
+        let mut v = fresh(1, l[0]);
+        let mut proof = vec![l[0]];
+        leaf_proof(&merkle_tree(&l), 0, v.known(), &mut proof);
+        assert!(proof.is_empty());
+        assert!(v.verify_leaf(0, l[0], &proof));
+        assert!(!v.verify_leaf(0, l[0], &[l[0]]), "a one-leaf tree takes no proof");
     }
 
     #[test]
     fn figure_f1_shape() {
-        // 8 fragments, SOE reads fragment 2 (0-based): proof = H1..H2
-        // combined pair, H4, H5678 — i.e. 3 digests.
+        // 8 fragments, SOE reads fragment 2 (0-based): proof = H5678,
+        // H1..H2 combined pair, H4 — i.e. 3 digests.
         let l = leaves(8);
-        let proof = range_proof(&l, 2..3);
+        let tree = merkle_tree(&l);
+        let mut v = fresh(8, tree[0]);
+        let mut proof = Vec::new();
+        leaf_proof(&tree, 2, v.known(), &mut proof);
         assert_eq!(proof.len(), 3);
-        let root = root_from_range(8, 2..3, &l[2..3], &proof);
-        assert_eq!(root, merkle_root(&l));
+        assert!(v.verify_leaf(2, l[2], &proof));
     }
 
     #[test]
-    fn all_ranges_all_sizes_verify() {
+    fn every_leaf_every_size_verifies_from_the_root() {
+        let mut proof = Vec::new();
         for n in 1..=9 {
             let l = leaves(n);
-            let root = merkle_root(&l);
-            for a in 0..n {
-                for b in a + 1..=n {
-                    let proof = range_proof(&l, a..b);
-                    let got = root_from_range(n, a..b, &l[a..b], &proof);
-                    assert_eq!(got, root, "n={n} range={a}..{b}");
-                }
+            let tree = merkle_tree(&l);
+            for (leaf, digest) in l.iter().enumerate() {
+                let mut v = fresh(n, tree[0]);
+                leaf_proof(&tree, leaf, v.known(), &mut proof);
+                assert!(v.verify_leaf(leaf, *digest, &proof), "n={n} leaf={leaf}");
             }
+        }
+    }
+
+    #[test]
+    fn sequential_scan_of_sixteen_leaves_ships_fifteen_digests() {
+        // 4 + 0 + 1 + 0 + 2 + 0 + 1 + 0 + 3 + 0 + 1 + 0 + 2 + 0 + 1 + 0:
+        // one digest per leaf but the first, instead of 4 per leaf.
+        let l = leaves(16);
+        let tree = merkle_tree(&l);
+        let mut v = fresh(16, tree[0]);
+        let mut proof = Vec::new();
+        let mut shipped = Vec::new();
+        for (leaf, digest) in l.iter().enumerate() {
+            leaf_proof(&tree, leaf, v.known(), &mut proof);
+            shipped.push(proof.len());
+            assert!(v.verify_leaf(leaf, *digest, &proof), "leaf {leaf}");
+        }
+        assert_eq!(shipped, [4, 0, 1, 0, 2, 0, 1, 0, 3, 0, 1, 0, 2, 0, 1, 0]);
+        assert_eq!(trusted(&v).iter().flatten().count(), 31, "the whole tree is known");
+    }
+
+    #[test]
+    fn node_table_stays_within_two_n_minus_one_digests_and_is_reused() {
+        let root = merkle_root(&leaves(16));
+        let mut v = fresh(16, root);
+        let (ptr, cap) = (v.nodes.as_ptr(), v.nodes.capacity());
+        assert!(cap <= 31, "{cap}");
+        for n in [5, 16, 1, 9, 16] {
+            v.reset(n, root);
+            assert_eq!(v.nodes.len(), 2 * n - 1);
+            assert_eq!((v.nodes.as_ptr(), v.nodes.capacity()), (ptr, cap), "n={n}: reallocated");
         }
     }
 
     #[test]
     fn wrong_leaf_fails_verification() {
         let l = leaves(8);
-        let root = merkle_root(&l);
-        let proof = range_proof(&l, 3..5);
-        let mut bad = l[3..5].to_vec();
-        bad[0][0] ^= 1;
-        let got = root_from_range(8, 3..5, &bad, &proof);
-        assert_ne!(got, root);
+        let tree = merkle_tree(&l);
+        let mut v = fresh(8, tree[0]);
+        let mut proof = Vec::new();
+        leaf_proof(&tree, 0, v.known(), &mut proof);
+        assert!(v.verify_leaf(0, l[0], &proof));
+        let before = trusted(&v);
+        for leaf in [1, 5] {
+            let mut bad = l[leaf];
+            bad[0] ^= 1;
+            leaf_proof(&tree, leaf, v.known(), &mut proof);
+            assert!(!v.verify_leaf(leaf, bad, &proof), "leaf {leaf}");
+            assert_eq!(trusted(&v), before, "leaf {leaf}");
+        }
+    }
+
+    #[test]
+    fn proof_of_the_wrong_length_is_rejected_not_a_panic() {
+        let l = leaves(8);
+        let tree = merkle_tree(&l);
+        let mut proof = Vec::new();
+        leaf_proof(&tree, 3, fresh(8, tree[0]).known(), &mut proof);
+        let mut v = fresh(8, tree[0]);
+        assert!(!v.verify_leaf(3, l[3], &proof[..2]), "short");
+        let mut long = proof.clone();
+        long.push(l[0]);
+        assert!(!v.verify_leaf(3, l[3], &long), "long");
+        assert!(!v.verify_leaf(3, l[3], &[]), "empty");
+        assert!(v.verify_leaf(3, l[3], &proof));
     }
 
     #[test]
@@ -270,7 +404,9 @@ mod tests {
     #[test]
     fn proof_size_logarithmic() {
         let l = leaves(64);
-        let proof = range_proof(&l, 17..18);
+        let tree = merkle_tree(&l);
+        let mut proof = Vec::new();
+        leaf_proof(&tree, 17, fresh(64, tree[0]).known(), &mut proof);
         assert!(
             proof.len() <= 6,
             "single-leaf proof in a 64-leaf tree is ≤ log2(64): {}",

@@ -6,7 +6,7 @@
 //! | `ECB` | position-XOR ECB | none | covering blocks only |
 //! | `CBC-SHA` | per-chunk CBC | SHA-1 over *plaintext* chunks | whole chunk decrypted & hashed |
 //! | `CBC-SHAC` | per-chunk CBC | SHA-1 over *ciphertext* chunks | whole chunk transferred & hashed, partial decryption |
-//! | `ECB-MHT` | position-XOR ECB | per-chunk Merkle tree over ciphertext fragments | covering fragments + log-size proof; one digest decryption per visited chunk |
+//! | `ECB-MHT` | position-XOR ECB | per-chunk Merkle tree over ciphertext fragments | covering fragments + the proof siblings the SOE has not yet authenticated in the chunk (a log-size proof on a chunk's first fetch, often none for the next fragment); one digest decryption per visited chunk |
 //!
 //! The [`SoeReader`] plays the SOE: every byte entering it is charged as
 //! communication, every block it deciphers as decryption, every byte it
@@ -19,6 +19,10 @@
 //! hashing is linear in the chunks visited, not quadratic in the
 //! fragments fetched per chunk. The SOE verifies each ECB-MHT fragment
 //! as ciphertext and deciphers only the 8-byte blocks a read consumes.
+//! It keeps the Merkle nodes it has authenticated in the current chunk
+//! ([`VerifiedNodes`]), so a fetch ships and recombines only the siblings
+//! below the fragment's deepest authenticated ancestor: less than the
+//! per-fragment proof of Appendix A, and charged as such.
 //!
 //! ## Storage backends and failure
 //!
@@ -37,7 +41,7 @@
 
 use crate::chunk::{decrypt_digest, ProtectedDoc, DIGEST_RECORD};
 use crate::des::TripleDes;
-use crate::merkle::{fragment_hashes, merkle_tree, root_from_range, tree_proof};
+use crate::merkle::{fragment_hashes, leaf_proof, merkle_tree, VerifiedNodes};
 use crate::modes::{cbc_decrypt_in_place, posxor_decrypt_in_place, BLOCK};
 use crate::sha1::{sha1, Digest};
 use crate::store::{ChunkStore, MemStore, StoreError};
@@ -271,9 +275,8 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     plain_blocks: Vec<u64>,
     /// ECB-MHT only: the current unit's fetch lap, left open until the
     /// unit's first decipher (which directly follows the fetch) switches
-    /// it to [`Phase::Decrypt`] and stops it, with the digest-record
-    /// blocks deciphered in its Decrypt span, if any.
-    open_lap: Option<(SpanClock, u64)>,
+    /// it to [`Phase::Decrypt`] and stops it.
+    open_lap: Option<SpanClock>,
     /// ECB-MHT only: nanoseconds and blocks of every timed Decrypt span
     /// so far, and their ratio in 16.16 fixed point — the rate untimed
     /// deciphers are charged at. A ratio of sums, not the last unit's own
@@ -281,7 +284,8 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     /// fragment.
     decipher_timed: (u64, u64),
     decipher_rate: u64,
-    /// Reused buffer for the Merkle proof of the fragment being fetched.
+    /// Reused buffer for the Merkle proof of the fragment being fetched:
+    /// only the siblings `verified` cannot already vouch for.
     proof: Vec<Digest>,
     /// Terminal-side chunk staging buffer: used only over stores without
     /// a borrowed-slice fast path, to build a cold chunk's Merkle tree.
@@ -294,9 +298,16 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     /// Buffer bytes currently registered with the store's residency
     /// meter (0 when the store has none).
     registered_resident: usize,
-    /// Chunk digest decrypted last ("one digest per visited chunk in the
-    /// worst case, when the chunks accessed are not contiguous").
-    digest_cache: Option<(usize, Digest)>,
+    /// ECB-MHT only: the chunk whose digest was decrypted last ("one
+    /// digest per visited chunk in the worst case, when the chunks
+    /// accessed are not contiguous"), and the Merkle nodes of that chunk
+    /// the SOE has authenticated so far: the digest itself, then every
+    /// path node and sibling of a fragment proof that checked out. SOE
+    /// memory, at most 2n−1 digests for n fragments per chunk; moving to
+    /// another chunk forgets them, so a readback that jumps back
+    /// re-proves from the chunk digest.
+    verified_chunk: Option<usize>,
+    verified: VerifiedNodes,
     /// Terminal-side Merkle tree cache (ECB-MHT only). The terminal is
     /// free, untrusted and abundant hardware (§2), so it keeps every
     /// visited chunk's tree — for the whole session when the reader owns
@@ -348,7 +359,8 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
             chunk_scratch: Vec::new(),
             scratch_chunk: None,
             registered_resident: 0,
-            digest_cache: None,
+            verified_chunk: None,
+            verified: VerifiedNodes::default(),
             leaves: None,
             fetched_blocks: Vec::new(),
             held: Vec::new(),
@@ -517,7 +529,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
         };
         let mut lap = self.open_lap.take();
         let before = self.phases.get(Phase::Decrypt);
-        if let Some((lap, _)) = &mut lap {
+        if let Some(lap) = &mut lap {
             lap.switch(&mut self.phases, Phase::Decrypt);
         }
         let first_block = (self.cache_start / BLOCK) as u64;
@@ -531,11 +543,11 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
             }
         }
         match lap {
-            Some((lap, digest_blocks)) => {
+            Some(lap) => {
                 lap.stop(&mut self.phases);
                 let (nanos, blocks) = &mut self.decipher_timed;
                 *nanos += self.phases.get(Phase::Decrypt) - before;
-                *blocks += deciphered + digest_blocks;
+                *blocks += deciphered;
                 self.decipher_rate = (*nanos << 16) / *blocks;
             }
             None => self.phases.add_nanos(Phase::Decrypt, (self.decipher_rate * deciphered) >> 16),
@@ -656,10 +668,11 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 lap.stop(&mut self.phases);
             }
             IntegrityScheme::EcbMht => {
-                // Unit: one fragment + its Merkle proof; per-fragment
-                // verification of the ciphertext against the (cached)
-                // chunk digest. Nothing is deciphered here: `read_into`
-                // deciphers each block the first time it serves it.
+                // Unit: one fragment + the part of its Merkle proof the
+                // SOE cannot vouch for yet; the fragment's ciphertext is
+                // verified against the chunk's authenticated nodes.
+                // Nothing is deciphered here: `read_into` deciphers each
+                // block the first time it serves it.
                 let (f_lo, f_hi) = self.fragment_extent(pos);
                 // Terminal: the chunk's whole tree, built at most once
                 // per chunk per cache lifetime — every further fetch in
@@ -676,11 +689,11 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                     }
                 };
                 let tree = self.chunk_tree(&cache, ci, chunk_range.clone())?;
-                // One chained lap for the whole unit (Fetch → Hash, and
-                // Decrypt for a chunk's digest): fragments are 128 bytes,
-                // so per-operation clock brackets here would cost more
-                // than the work they time — the A/B bench holds the whole
-                // span clock to <2%. The lap stays open and ends with the
+                // One chained lap for the whole unit (Fetch, Decrypt for a
+                // chunk's digest, Hash): fragments are 128 bytes, so
+                // per-operation clock brackets here would cost more than
+                // the work they time — the A/B bench holds the whole span
+                // clock to <2%. The lap stays open and ends with the
                 // unit's first decipher (see `decipher`).
                 let mut lap = SpanClock::start(Phase::Fetch);
                 // Stage the fragment ciphertext into the working buffer.
@@ -701,35 +714,31 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 // All fallible store reads are behind us: charge the unit.
                 self.cost.bytes_to_soe += (f_hi - f_lo) as u64;
                 self.note_unit_fetched(f_lo, f_hi);
-                let f_idx = (f_lo - chunk_range.start) / layout.fragment_size;
+                if self.verified_chunk != Some(ci) {
+                    // A new chunk: its decrypted digest is the only node
+                    // the SOE trusts.
+                    lap.switch(&mut self.phases, Phase::Decrypt);
+                    self.cost.bytes_to_soe += DIGEST_RECORD as u64;
+                    self.cost.digests_decrypted += 1;
+                    self.cost.bytes_decrypted += DIGEST_RECORD as u64;
+                    let d = decrypt_digest(self.key, ci, self.digest_record(ci)?);
+                    self.verified.reset(chunk_range.len().div_ceil(layout.fragment_size), d);
+                    self.verified_chunk = Some(ci);
+                }
                 lap.switch(&mut self.phases, Phase::Hash);
-                tree_proof(tree, f_idx..f_idx + 1, &mut self.proof);
+                let f_idx = (f_lo - chunk_range.start) / layout.fragment_size;
+                leaf_proof(tree, f_idx, self.verified.known(), &mut self.proof);
+                // SOE: hash the fragment, recombine it with the shipped
+                // siblings (one 40-byte combine each) up to its deepest
+                // authenticated ancestor, and compare.
                 let proof_len = self.proof.len() as u64;
                 self.cost.bytes_to_soe += proof_len * 20;
-                // SOE: hash the fragment, recombine, compare to digest.
-                self.cost.bytes_hashed += (f_hi - f_lo) as u64 + (proof_len + 1) * 40;
-                let own = [sha1(&self.cache)];
-                let n_leaves = tree.len().div_ceil(2);
-                let root = root_from_range(n_leaves, f_idx..f_idx + 1, &own, &self.proof);
-                let mut digest_blocks = 0;
-                let expect = match self.digest_cache {
-                    Some((c, d)) if c == ci => d,
-                    _ => {
-                        lap.switch(&mut self.phases, Phase::Decrypt);
-                        self.cost.bytes_to_soe += DIGEST_RECORD as u64;
-                        self.cost.digests_decrypted += 1;
-                        self.cost.bytes_decrypted += DIGEST_RECORD as u64;
-                        let d = decrypt_digest(self.key, ci, self.digest_record(ci)?);
-                        self.digest_cache = Some((ci, d));
-                        digest_blocks = (DIGEST_RECORD / BLOCK) as u64;
-                        d
-                    }
-                };
-                if root != expect {
+                self.cost.bytes_hashed += (f_hi - f_lo) as u64 + proof_len * 40;
+                if !self.verified.verify_leaf(f_idx, sha1(&self.cache), &self.proof) {
                     lap.stop(&mut self.phases);
                     return Err(IntegrityError { chunk: ci }.into());
                 }
-                self.open_lap = Some((lap, digest_blocks));
+                self.open_lap = Some(lap);
             }
         }
         Ok(())
@@ -1045,14 +1054,16 @@ mod tests {
     #[test]
     fn mht_cached_fetches_meter_like_fresh_ones() {
         // Apart from terminal hashing, a warm-cache fragment fetch charges
-        // exactly what a fresh reader would: the SOE-side costs (transfer,
-        // decryption, hashing) are unchanged by the terminal's cache.
+        // what a fresh reader would, less the proof digests the SOE has
+        // already authenticated: the terminal's cache changes no SOE-side
+        // cost, the SOE's own node cache only removes shipped siblings and
+        // their combines.
         let (p, _) = doc(IntegrityScheme::EcbMht, 4096);
         let k = key();
         let mut warm = SoeReader::new(&p, &k);
         warm.read(0, 8).unwrap(); // warms leaf + digest caches of chunk 0
         let before = warm.cost;
-        warm.read(1024, 8).unwrap(); // distinct fragment, same chunk
+        warm.read(1024, 8).unwrap(); // fragment 8, same chunk
         let mut fresh = SoeReader::new(&p, &k);
         fresh.read(1024, 8).unwrap();
         let warm_delta = AccessCost {
@@ -1064,11 +1075,136 @@ mod tests {
             reads: warm.cost.reads - before.reads,
             bytes_refetched: warm.cost.bytes_refetched - before.bytes_refetched,
         };
-        assert_eq!(warm_delta.bytes_to_soe, fresh.cost.bytes_to_soe - DIGEST_RECORD as u64);
+        // Fragment 0's proof authenticated the right half of the tree, so
+        // fragment 8 ships 3 siblings under it instead of a 4-digest proof.
+        let fs = p.layout.fragment_size as u64;
+        assert_eq!(fresh.cost.bytes_to_soe, fs + 4 * 20 + DIGEST_RECORD as u64);
+        assert_eq!(fresh.cost.bytes_hashed, fs + 4 * 40);
+        assert_eq!(warm_delta.bytes_to_soe, fs + 3 * 20);
+        assert_eq!(warm_delta.bytes_hashed, fs + 3 * 40);
         assert_eq!(warm_delta.bytes_decrypted, fresh.cost.bytes_decrypted - DIGEST_RECORD as u64);
-        assert_eq!(warm_delta.bytes_hashed, fresh.cost.bytes_hashed);
         assert_eq!(warm_delta.digests_decrypted, 0, "digest cache holds");
         assert_eq!(warm_delta.terminal_bytes_hashed, 0, "leaf cache holds");
+    }
+
+    /// What the SOE trusts: the chunk and its authenticated nodes.
+    fn trusted(r: &SoeReader<'_, impl ChunkStore>) -> (Option<usize>, Vec<Option<Digest>>) {
+        let nodes = (0..64 * r.verified.known().len()).map(|i| r.verified.get(i).copied());
+        (r.verified_chunk, nodes.collect())
+    }
+
+    /// `p` behind a [`FaultStore`], with a terminal tree cache already
+    /// warmed over every chunk: sessions sharing it stage each fragment
+    /// from the store, not from the copy of a chunk read for a cold tree
+    /// build, so corruption injected mid-session reaches them.
+    fn faulty_with_warm_trees(
+        p: &ProtectedDoc,
+    ) -> (ProtectedDoc<FaultStore<MemStore>>, Arc<LeafCache>) {
+        let faulty = p.clone().map_store(FaultStore::new);
+        let cache = Arc::new(LeafCache::for_doc(&faulty));
+        let k = key();
+        let mut warm = SoeReader::with_leaf_cache(&faulty, &k, Arc::clone(&cache));
+        for ci in 0..p.chunk_count() {
+            warm.read(p.chunk_range(ci).start, 8).unwrap();
+        }
+        drop(warm);
+        (faulty, cache)
+    }
+
+    #[test]
+    fn mht_reused_sibling_digest_still_catches_mid_session_corruption() {
+        // Fragment 0's proof authenticates fragment 1's digest, so the
+        // fetch of fragment 1 ships no proof and checks the fragment hash
+        // against that stored digest alone. Corrupting fragment 1 on the
+        // medium after fragment 0 was read must still be caught there.
+        let (p, _) = doc(IntegrityScheme::EcbMht, 4096);
+        let k = key();
+        let fs = p.layout.fragment_size;
+        let (faulty, cache) = faulty_with_warm_trees(&p);
+        let mut r = SoeReader::with_leaf_cache(&faulty, &k, cache);
+        r.read(0, 8).unwrap();
+        faulty.store.corrupt(fs + 3, 0x10);
+        let before = r.cost;
+        let err = r.read(fs, 8).unwrap_err();
+        assert_eq!(err, ReadError::Integrity(IntegrityError { chunk: 0 }));
+        assert_eq!(r.cost.bytes_to_soe - before.bytes_to_soe, fs as u64, "no proof shipped");
+        assert_eq!(r.cost.bytes_hashed - before.bytes_hashed, fs as u64, "no combine run");
+    }
+
+    #[test]
+    fn mht_failed_fetch_leaves_the_trusted_nodes_as_they_were() {
+        let (p, data) = doc(IntegrityScheme::EcbMht, 4096);
+        let k = key();
+        let fs = p.layout.fragment_size;
+        let (faulty, cache) = faulty_with_warm_trees(&p);
+        let mut r = SoeReader::with_leaf_cache(&faulty, &k, cache);
+        let mut clean = SoeReader::new(&p, &k);
+        r.read(0, 8).unwrap();
+        clean.read(0, 8).unwrap();
+        let before = trusted(&r);
+        assert_eq!(before, trusted(&clean));
+        // Fragment 5 ships its siblings under the trusted (4..8) node and
+        // fails against it: nothing it carried is trusted afterwards.
+        faulty.store.corrupt(5 * fs + 1, 4);
+        assert!(r.read(5 * fs, 8).is_err());
+        assert_eq!(trusted(&r), before);
+        // The next fetch meters exactly as if the failed one never ran.
+        let (at, clean_at) = (r.cost, clean.cost);
+        assert_eq!(r.read(2 * fs, 8).unwrap(), &data[2 * fs..2 * fs + 8]);
+        clean.read(2 * fs, 8).unwrap();
+        let shipped = r.cost.bytes_to_soe - at.bytes_to_soe;
+        assert_eq!(shipped, clean.cost.bytes_to_soe - clean_at.bytes_to_soe);
+        assert_eq!(shipped, fs as u64 + 20, "one sibling: fragment 3");
+        assert_eq!(trusted(&r), trusted(&clean));
+        // A fetch into another chunk trusts that chunk's decrypted digest
+        // and nothing its failing proof carried.
+        faulty.store.corrupt(2048 + 1, 4);
+        assert!(r.read(2048, 8).is_err());
+        let (chunk, nodes) = trusted(&r);
+        assert_eq!(chunk, Some(1));
+        assert_eq!(nodes.iter().flatten().count(), 1, "the chunk digest alone");
+    }
+
+    #[test]
+    fn mht_readback_into_an_earlier_chunk_reproves_from_its_digest() {
+        // A pending readback jumps back into a chunk visited before. The
+        // nodes trusted then were dropped when the reader moved on, so the
+        // readback decrypts the chunk digest again and ships a full proof.
+        let (p, data) = doc(IntegrityScheme::EcbMht, 3 * 2048);
+        let k = key();
+        let fs = p.layout.fragment_size;
+        let mut r = SoeReader::new(&p, &k);
+        r.read(0, 8).unwrap(); // chunk 0: fragment 1's digest is trusted
+        r.read(2048 + fs, 8).unwrap(); // chunk 1, fragment 1
+        assert_eq!(trusted(&r).0, Some(1));
+        let before = r.cost;
+        assert_eq!(r.read(fs, 8).unwrap(), &data[fs..fs + 8]);
+        assert_eq!(r.cost.digests_decrypted - before.digests_decrypted, 1);
+        assert_eq!(
+            r.cost.bytes_to_soe - before.bytes_to_soe,
+            (fs + 4 * 20 + DIGEST_RECORD) as u64,
+            "a full 4-digest proof: nothing of the first visit is reused"
+        );
+        // Chunk 1's nodes sit at the same table slots as chunk 0's: had
+        // they been reused, fragment 1 of chunk 0 (whose slot then held
+        // chunk 1's fragment-1 digest) could not have verified.
+        assert_eq!(trusted(&r).1.iter().flatten().count(), 9, "root + 4 path nodes + 4 siblings");
+    }
+
+    #[test]
+    fn mht_fetch_path_reuses_its_proof_buffer() {
+        // After the first full proof sized it, no fetch reallocates the
+        // proof buffer, whatever chunk or fragment it reads.
+        let (p, data) = doc(IntegrityScheme::EcbMht, 2 * 2048);
+        let k = key();
+        let fs = p.layout.fragment_size;
+        let mut r = SoeReader::new(&p, &k);
+        r.read(0, 8).unwrap();
+        let buffer = (r.proof.as_ptr(), r.proof.capacity());
+        for off in (0..2 * 2048).step_by(fs).rev().chain((0..2 * 2048).step_by(3 * fs)) {
+            assert_eq!(r.read(off, 8).unwrap(), &data[off..off + 8]);
+            assert_eq!((r.proof.as_ptr(), r.proof.capacity()), buffer, "fetch at {off}");
+        }
     }
 
     #[test]

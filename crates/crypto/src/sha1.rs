@@ -114,7 +114,7 @@ impl Sha1 {
 /// the five working variables rotate through the round macro's argument
 /// order instead of being shuffled — no 80-word schedule array, no
 /// per-round `match`, no register moves. ECB-MHT sessions are hash-bound
-/// (every fragment fetched is hashed, plus two digests per proof level),
+/// (every fragment fetched is hashed, plus two digests per proof sibling),
 /// so this loop is the terminal *and* SOE hot path.
 // The ring writes of the final five expansions are never read again; the
 // expansion macro stays uniform (and the optimizer drops the dead stores).
