@@ -4,11 +4,12 @@
 //! card" (Appendix A), and Figure 12 shows decryption dominating the
 //! end-to-end cost, so this module is the hottest code in the workspace.
 //!
-//! # SP-table derivation
+//! # One kernel over independent blocks
 //!
 //! The classic software optimization (Hoey/Outerbridge lineage, the same
 //! structure used by libdes and its descendants) collapses the per-round
-//! work into table lookups:
+//! work into table lookups, and one kernel (`crypt`) runs it over a
+//! const number of blocks at once:
 //!
 //! * **SP boxes.** Round function `f(R, K) = P(S(E(R) ⊕ K))` applies the
 //!   eight 6→4-bit S-boxes and then the fixed 32-bit permutation `P`.
@@ -19,21 +20,31 @@
 //!   built **at compile time** (`build_sp`) from the FIPS `SBOX`/`P`
 //!   constants of the retained [`reference`](mod@reference) module, so the fast path is
 //!   derived from, not parallel to, the audited tables.
-//! * **Expansion.** `E` duplicates edge bits of each 4-bit nibble: the
-//!   6-bit chunk feeding box `b` is bits `4b..4b+5` of `R` cyclically
-//!   extended by one bit on each side. After one rotate (`R >>> 1`) every
-//!   chunk is a contiguous 6-bit window, so expansion costs one rotate
-//!   plus shifts — no table at all. The round keys are pre-split into
-//!   eight 6-bit pieces aligned with those windows.
+//! * **Pre-rotated halves, packed keys.** `E` feeds box `b` bits
+//!   `4b..4b+5` of `R`, cyclically extended by one bit on each side. In
+//!   `R` rotated right by one bit, the even boxes' inputs are the 6-bit
+//!   windows at offsets 26/18/10/2, and the odd boxes' sit at the same
+//!   offsets of that word rotated left by 4. Both halves stay rotated from
+//!   IP to FP, against SP tables built rotated the same way, and each
+//!   round key is packed into two words with its pieces at those offsets:
+//!   a round is one rotate and two key XORs ahead of its eight lookups.
 //! * **IP/FP.** The initial and final permutations are butterflies: five
 //!   delta-swaps on the 32-bit halves (`ip_split`/`fp_join`) replace
 //!   128 single-bit moves. Their correctness is pinned against the
 //!   bit-by-bit `reference::permute` in the tests below.
-//! * **Round unrolling.** The 16 rounds run two at a time over
-//!   `(u32, u32)` half-blocks with the Feistel swap folded into operand
-//!   order, and 3DES fuses the three passes: `FP∘IP = id`, so the middle
-//!   permutations cancel and one IP + 48 rounds + one FP process each
-//!   block.
+//! * **Fused EDE.** `FP∘IP = id`, so 3DES cancels the middle
+//!   permutations: one IP, one 48-round schedule and one FP per block.
+//! * **Lanes.** A round is eight table loads on one dependency chain, so
+//!   a lone block waits on load latency. The kernel interleaves the
+//!   rounds of `N` independent blocks, so one block's lookups hide the
+//!   other's latency. Every mode whose blocks are independent (see
+//!   [`modes`](crate::modes)) feeds whole runs through two lanes, which
+//!   deliver about 1.5× the one-lane rate; four add nothing.
+//!
+//! A lone block still runs on one lane, and its latency is what a
+//! session mostly pays: sessions read a few bytes at a time, so most
+//! deciphered runs are one or two blocks long. Whole-chunk work
+//! (publishing, CBC chunks) pays the two-lane rate.
 //!
 //! The bit-by-bit FIPS implementation is retained as [`reference`](mod@reference) for
 //! differential testing (`crates/crypto/tests/des_differential.rs` checks
@@ -46,7 +57,8 @@
 
 pub mod reference;
 
-/// The eight merged S+P tables: `SP[b][v] = P(S_b(v) << (28 − 4b))`.
+/// The eight merged S+P tables, outputs rotated right by one bit:
+/// `SP[b][v] = P(S_b(v) << (28 − 4b)) >>> 1`.
 static SP: [[u32; 64]; 8] = build_sp();
 
 /// Builds the SP tables from the FIPS constants at compile time.
@@ -69,7 +81,7 @@ const fn build_sp() -> [[u32; 64]; 8] {
                 out |= ((pre_p >> (32 - src)) & 1) << (31 - i);
                 i += 1;
             }
-            sp[b][v] = out;
+            sp[b][v] = out.rotate_right(1);
             v += 1;
         }
         b += 1;
@@ -111,91 +123,93 @@ fn fp_join(mut l: u32, mut r: u32) -> u64 {
     (u64::from(l) << 32) | u64::from(r)
 }
 
-/// A per-round key pre-split into eight 6-bit pieces aligned with the
-/// post-rotate expansion windows.
-type RoundKey = [u32; 8];
+/// A round key packed for pre-rotated halves: the even boxes' 6-bit
+/// pieces, then the odd boxes', each at offsets 26/18/10/2.
+type PackedKey = [u32; 2];
 
-/// Splits a 48-bit round key into the eight SP-box pieces.
-fn split_key(k: u64) -> RoundKey {
-    core::array::from_fn(|i| ((k >> (42 - 6 * i)) & 0x3F) as u32)
+/// Packs the 48-bit round keys of one DES key, in encryption order.
+fn schedule(key: [u8; 8]) -> [PackedKey; 16] {
+    reference::round_keys(key).map(|k| {
+        let piece = |b: u32| ((k >> (42 - 6 * b)) & 0x3F) as u32;
+        let pack = |odd: u32| (0..4).fold(0, |w, i| w | (piece(2 * i + odd) << (26 - 8 * i)));
+        [pack(0), pack(1)]
+    })
 }
 
-/// The round function: one rotate, eight masked lookups.
+/// The kernel: runs `N` independent blocks through every 16-round pass of
+/// `keys`, their rounds interleaved. Each pass ends with DES's closing
+/// half-swap; the FP and IP between two passes cancel, so nothing else
+/// separates them.
 #[inline(always)]
-fn feistel(r: u32, k: &RoundKey) -> u32 {
-    let s = r.rotate_right(1);
-    SP[0][(((s >> 26) ^ k[0]) & 0x3F) as usize]
-        | SP[1][(((s >> 22) ^ k[1]) & 0x3F) as usize]
-        | SP[2][(((s >> 18) ^ k[2]) & 0x3F) as usize]
-        | SP[3][(((s >> 14) ^ k[3]) & 0x3F) as usize]
-        | SP[4][(((s >> 10) ^ k[4]) & 0x3F) as usize]
-        | SP[5][(((s >> 6) ^ k[5]) & 0x3F) as usize]
-        | SP[6][(((s >> 2) ^ k[6]) & 0x3F) as usize]
-        | SP[7][((s.rotate_left(2) ^ k[7]) & 0x3F) as usize]
-}
-
-/// Sixteen Feistel rounds, two per step with the half-swap folded into
-/// operand order. Returns `(L16, R16)`.
-#[inline(always)]
-fn rounds(mut l: u32, mut r: u32, keys: &[RoundKey; 16]) -> (u32, u32) {
-    for pair in keys.chunks_exact(2) {
-        l ^= feistel(r, &pair[0]);
-        r ^= feistel(l, &pair[1]);
+fn crypt<const N: usize>(keys: &[PackedKey], blocks: [u64; N]) -> [u64; N] {
+    let mut l = [0u32; N];
+    let mut r = [0u32; N];
+    for i in 0..N {
+        let (hi, lo) = ip_split(blocks[i]);
+        (l[i], r[i]) = (hi.rotate_right(1), lo.rotate_right(1));
     }
-    (l, r)
+    let f = |x: u32, k: &PackedKey| {
+        let (e, o) = (x ^ k[0], x.rotate_left(4) ^ k[1]);
+        let sp = |b: usize, w: u32, at: u32| SP[b][((w >> at) & 0x3F) as usize];
+        let even = sp(0, e, 26) | sp(2, e, 18) | sp(4, e, 10) | sp(6, e, 2);
+        let odd = sp(1, o, 26) | sp(3, o, 18) | sp(5, o, 10) | sp(7, o, 2);
+        even | odd
+    };
+    for pass in keys.chunks_exact(16) {
+        for pair in pass.chunks_exact(2) {
+            for i in 0..N {
+                l[i] ^= f(r[i], &pair[0]);
+            }
+            for i in 0..N {
+                r[i] ^= f(l[i], &pair[1]);
+            }
+        }
+        core::mem::swap(&mut l, &mut r);
+    }
+    core::array::from_fn(|i| fp_join(l[i].rotate_left(1), r[i].rotate_left(1)))
 }
 
-/// A DES key schedule, pre-split for the SP-table round function.
+/// A single-DES key schedule, packed for the kernel.
 #[derive(Clone)]
 pub struct Des {
-    enc: [RoundKey; 16],
-    dec: [RoundKey; 16],
+    enc: [PackedKey; 16],
+    dec: [PackedKey; 16],
 }
 
 impl Des {
     /// Builds the key schedule from an 8-byte key (parity bits ignored).
     pub fn new(key: [u8; 8]) -> Des {
-        let rks = reference::round_keys(key);
-        let enc: [RoundKey; 16] = core::array::from_fn(|i| split_key(rks[i]));
-        let dec: [RoundKey; 16] = core::array::from_fn(|i| enc[15 - i]);
+        let enc = schedule(key);
+        let mut dec = enc;
+        dec.reverse();
         Des { enc, dec }
     }
 
     /// Encrypts one 64-bit block.
     pub fn encrypt_block(&self, block: u64) -> u64 {
-        let (l, r) = ip_split(block);
-        let (l, r) = rounds(l, r, &self.enc);
-        fp_join(r, l)
+        crypt(&self.enc, [block])[0]
     }
 
     /// Decrypts one 64-bit block.
     pub fn decrypt_block(&self, block: u64) -> u64 {
-        let (l, r) = ip_split(block);
-        let (l, r) = rounds(l, r, &self.dec);
-        fp_join(r, l)
+        crypt(&self.dec, [block])[0]
     }
 }
 
-/// 3DES in EDE mode with a 24-byte key (K1, K2, K3).
-///
-/// The three DES passes are fused: since `FP ∘ IP` is the identity, the
-/// inner permutations cancel and each block costs one IP, 48 rounds and
-/// one FP.
+/// 3DES in EDE mode with a 24-byte key (K1, K2, K3): one fused 48-round
+/// schedule per direction.
 #[derive(Clone)]
 pub struct TripleDes {
-    k1: Des,
-    k2: Des,
-    k3: Des,
+    enc: [PackedKey; 48],
+    dec: [PackedKey; 48],
 }
 
 impl TripleDes {
     /// Three-key 3DES.
     pub fn new(key: [u8; 24]) -> TripleDes {
-        TripleDes {
-            k1: Des::new(key[0..8].try_into().expect("8")),
-            k2: Des::new(key[8..16].try_into().expect("8")),
-            k3: Des::new(key[16..24].try_into().expect("8")),
-        }
+        let [k1, k2, k3] = [0, 8, 16].map(|at| Des::new(key[at..at + 8].try_into().expect("8")));
+        let fuse = |passes: [&[PackedKey; 16]; 3]| core::array::from_fn(|i| passes[i / 16][i % 16]);
+        TripleDes { enc: fuse([&k1.enc, &k2.dec, &k3.enc]), dec: fuse([&k3.dec, &k2.enc, &k1.dec]) }
     }
 
     /// Two-key 3DES (K1, K2, K1).
@@ -208,20 +222,19 @@ impl TripleDes {
 
     /// Encrypts one block (EDE): `E_{k3}(D_{k2}(E_{k1}(b)))`.
     pub fn encrypt_block(&self, block: u64) -> u64 {
-        let (l, r) = ip_split(block);
-        let (l, r) = rounds(l, r, &self.k1.enc);
-        let (l, r) = rounds(r, l, &self.k2.dec);
-        let (l, r) = rounds(r, l, &self.k3.enc);
-        fp_join(r, l)
+        self.blocks(false, [block])[0]
     }
 
     /// Decrypts one block.
     pub fn decrypt_block(&self, block: u64) -> u64 {
-        let (l, r) = ip_split(block);
-        let (l, r) = rounds(l, r, &self.k3.dec);
-        let (l, r) = rounds(r, l, &self.k2.enc);
-        let (l, r) = rounds(r, l, &self.k1.dec);
-        fp_join(r, l)
+        self.blocks(true, [block])[0]
+    }
+
+    /// Enciphers (or, with `decrypt`, deciphers) `N` independent blocks
+    /// with their rounds interleaved.
+    #[inline]
+    pub(crate) fn blocks<const N: usize>(&self, decrypt: bool, blocks: [u64; N]) -> [u64; N] {
+        crypt(if decrypt { &self.dec } else { &self.enc }, blocks)
     }
 }
 

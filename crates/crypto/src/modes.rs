@@ -7,6 +7,12 @@
 //! different ciphertexts for identical plaintext blocks (defeating
 //! dictionary and statistical attacks) while preserving O(1) random
 //! access, which plain CBC cannot.
+//!
+//! It also makes every block independent, so the cipher can interleave
+//! them: ECB, position-XOR ECB and CBC decryption all go through one lane
+//! driver (`run_blocks`) that hands the 3DES kernel two blocks per call
+//! (see [`crate::des`], "Lanes"). Only CBC encryption, where each block's
+//! input is the previous block's output, runs one block at a time.
 
 use crate::des::TripleDes;
 
@@ -37,42 +43,75 @@ fn put_block(bytes: &mut [u8], v: u64) {
 // Every mode transforms whole blocks inside one caller-provided buffer;
 // the `Vec`-returning wrappers below cost exactly one allocation.
 
+/// Blocks per interleaved cipher call (see [`crate::des`], "Lanes").
+const LANES: usize = 2;
+
+/// The lane driver of every mode whose blocks are independent: block `i`
+/// of `data`, read as `x`, becomes `post(i, x, K(pre(i, x)))`, where `K`
+/// enciphers, or deciphers when `decrypt` is set. Blocks go through the
+/// cipher [`LANES`] at a time, the last few alone; `post` sees them in
+/// order.
+fn run_blocks(
+    cipher: &TripleDes,
+    decrypt: bool,
+    data: &mut [u8],
+    pre: impl Fn(u64, u64) -> u64,
+    mut post: impl FnMut(u64, u64, u64) -> u64,
+) {
+    assert_eq!(data.len() % BLOCK, 0);
+    let mut runs = data.chunks_exact_mut(LANES * BLOCK);
+    let mut first = 0;
+    for run in &mut runs {
+        lanes::<LANES>(cipher, decrypt, run, first, &pre, &mut post);
+        first += LANES as u64;
+    }
+    for block in runs.into_remainder().chunks_exact_mut(BLOCK) {
+        lanes::<1>(cipher, decrypt, block, first, &pre, &mut post);
+        first += 1;
+    }
+}
+
+/// One cipher call of [`run_blocks`] over the `N` blocks of `run`,
+/// numbered from `first`.
+#[inline(always)]
+fn lanes<const N: usize>(
+    cipher: &TripleDes,
+    decrypt: bool,
+    run: &mut [u8],
+    first: u64,
+    pre: &impl Fn(u64, u64) -> u64,
+    post: &mut impl FnMut(u64, u64, u64) -> u64,
+) {
+    let x: [u64; N] = core::array::from_fn(|l| to_block(&run[l * BLOCK..(l + 1) * BLOCK]));
+    let y = cipher.blocks::<N>(decrypt, core::array::from_fn(|l| pre(first + l as u64, x[l])));
+    for (l, block) in run.chunks_exact_mut(BLOCK).enumerate() {
+        put_block(block, post(first + l as u64, x[l], y[l]));
+    }
+}
+
 /// Encrypts whole blocks in ECB mode, in place.
 pub fn ecb_encrypt_in_place(cipher: &TripleDes, data: &mut [u8]) {
-    assert_eq!(data.len() % BLOCK, 0);
-    for chunk in data.chunks_exact_mut(BLOCK) {
-        put_block(chunk, cipher.encrypt_block(to_block(chunk)));
-    }
+    run_blocks(cipher, false, data, |_, x| x, |_, _, y| y);
 }
 
 /// Decrypts whole blocks in ECB mode, in place.
 pub fn ecb_decrypt_in_place(cipher: &TripleDes, data: &mut [u8]) {
-    assert_eq!(data.len() % BLOCK, 0);
-    for chunk in data.chunks_exact_mut(BLOCK) {
-        put_block(chunk, cipher.decrypt_block(to_block(chunk)));
-    }
+    run_blocks(cipher, true, data, |_, x| x, |_, _, y| y);
 }
 
 /// Position-XOR ECB encryption in place: block `i` (counting from
 /// `first_block`) becomes `E_k(b_i ⊕ (first_block + i))`.
 pub fn posxor_encrypt_in_place(cipher: &TripleDes, data: &mut [u8], first_block: u64) {
-    assert_eq!(data.len() % BLOCK, 0);
-    for (i, chunk) in data.chunks_exact_mut(BLOCK).enumerate() {
-        let pos = first_block + i as u64;
-        put_block(chunk, cipher.encrypt_block(to_block(chunk) ^ pos));
-    }
+    run_blocks(cipher, false, data, |i, x| x ^ (first_block + i), |_, _, y| y);
 }
 
 /// Position-XOR ECB decryption in place.
 pub fn posxor_decrypt_in_place(cipher: &TripleDes, data: &mut [u8], first_block: u64) {
-    assert_eq!(data.len() % BLOCK, 0);
-    for (i, chunk) in data.chunks_exact_mut(BLOCK).enumerate() {
-        let pos = first_block + i as u64;
-        put_block(chunk, cipher.decrypt_block(to_block(chunk)) ^ pos);
-    }
+    run_blocks(cipher, true, data, |_, x| x, |i, _, y| y ^ (first_block + i));
 }
 
-/// CBC encryption in place (the CBC-SHA / CBC-SHAC baselines).
+/// CBC encryption in place (the CBC-SHA / CBC-SHAC baselines). Serial:
+/// each block's input is the previous block's output, so one lane.
 pub fn cbc_encrypt_in_place(cipher: &TripleDes, data: &mut [u8], iv: u64) {
     assert_eq!(data.len() % BLOCK, 0);
     let mut prev = iv;
@@ -82,15 +121,11 @@ pub fn cbc_encrypt_in_place(cipher: &TripleDes, data: &mut [u8], iv: u64) {
     }
 }
 
-/// CBC decryption in place.
+/// CBC decryption in place. Each block deciphers on its own, then takes
+/// the previous ciphertext block (or `iv`) off, so it runs on all lanes.
 pub fn cbc_decrypt_in_place(cipher: &TripleDes, data: &mut [u8], iv: u64) {
-    assert_eq!(data.len() % BLOCK, 0);
     let mut prev = iv;
-    for chunk in data.chunks_exact_mut(BLOCK) {
-        let c = to_block(chunk);
-        put_block(chunk, cipher.decrypt_block(c) ^ prev);
-        prev = c;
-    }
+    run_blocks(cipher, true, data, |_, x| x, |_, x, y| y ^ std::mem::replace(&mut prev, x));
 }
 
 // ---------------------------------------------------------------------

@@ -509,8 +509,10 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
 
     /// ECB-MHT: deciphers, in place, the blocks of the working buffer's
     /// bytes `lo..hi` not deciphered since the last fetch (position-XOR
-    /// ECB deciphers any block on its own). No-op for the other schemes,
-    /// whose fetched units are plaintext already.
+    /// ECB deciphers any block on its own). Each contiguous run of such
+    /// blocks goes to the cipher in one call, so its blocks share the
+    /// kernel's lanes. No-op for the other schemes, whose fetched units
+    /// are plaintext already.
     ///
     /// Timing adds no clock read to the fetch lap's. A unit's first
     /// decipher runs right after its fetch and ends the fetch lap, left
@@ -534,13 +536,22 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
         }
         let first_block = (self.cache_start / BLOCK) as u64;
         let mut deciphered = 0;
-        for b in first..blocks.end {
-            if !is_plain(&self.plain_blocks, b) {
-                let block = &mut self.cache[b * BLOCK..(b + 1) * BLOCK];
-                posxor_decrypt_in_place(self.key, block, first_block + b as u64);
-                self.plain_blocks[b / 64] |= 1 << (b % 64);
-                deciphered += 1;
+        let mut b = first;
+        while b < blocks.end {
+            if is_plain(&self.plain_blocks, b) {
+                b += 1;
+                continue;
             }
+            // A maximal run of still-ciphertext blocks: one cipher call.
+            let end = (b..blocks.end).find(|&e| is_plain(&self.plain_blocks, e));
+            let end = end.unwrap_or(blocks.end);
+            let run = &mut self.cache[b * BLOCK..end * BLOCK];
+            posxor_decrypt_in_place(self.key, run, first_block + b as u64);
+            for m in b..end {
+                self.plain_blocks[m / 64] |= 1 << (m % 64);
+            }
+            deciphered += (end - b) as u64;
+            b = end;
         }
         match lap {
             Some(lap) => {
