@@ -136,14 +136,11 @@ enum Payload {
 }
 
 /// One Pending-Stack entry: `<value, level, skiptree, condition, anchor>`.
+/// The paper's `level` is not stored: relations are recovered from the
+/// explicit parent and prev-sibling refs.
 #[derive(Clone, Debug)]
 struct PendingEntry {
     payload: Payload,
-    /// Document depth (the paper's `level`; relations are recovered from
-    /// explicit parent/sibling refs here, the level is kept for memory
-    /// accounting and diagnostics).
-    #[allow(dead_code)]
-    level: u32,
     cond: Arc<Cond>,
     state: EntryState,
     parent: ParentRef,
@@ -226,31 +223,19 @@ impl OutputBuilder {
 
     /// Handles an element open.
     pub fn open_element(&mut self, tag: TagId, disp: Disposition, reg: &PredRegistry) {
-        let parent = self.parent_ref_for_new_child();
-        let prev = self.live.last().and_then(|l| l.last_child);
         let mut rec = LiveElem { tag, emitted: None, pending_idx: None, last_child: None };
         match disp {
             Disposition::Commit => {
-                self.ensure_live_parent_emitted();
-                let anchor = self.anchor_for_committed();
-                let seq = self.emit(anchor, LogNode::Element { tag, granted: true });
-                rec.emitted = Some(seq);
-                self.note_child(ChildRef::Committed(seq));
+                rec.emitted = Some(self.commit(LogNode::Element { tag, granted: true }));
             }
-            Disposition::Drop => {}
+            // A denied element still materializes its unemitted parent's
+            // shadow entry now, as the other dispositions do, so entry
+            // order and the Pending-Stack counts do not depend on it.
+            Disposition::Drop => {
+                self.parent_ref_for_new_child();
+            }
             Disposition::Pend(cond) => {
-                let idx = self.push_entry(PendingEntry {
-                    payload: Payload::Element(tag),
-                    level: self.live.len() as u32 + 1,
-                    cond: cond.clone(),
-                    state: EntryState::Waiting,
-                    parent,
-                    prev_sibling: prev,
-                    anchor_memo: None,
-                });
-                self.watch(idx, &cond, reg);
-                rec.pending_idx = Some(idx);
-                self.note_child(ChildRef::Pending(idx));
+                rec.pending_idx = Some(self.pend(Payload::Element(tag), cond, reg));
             }
         }
         self.live.push(rec);
@@ -260,26 +245,11 @@ impl OutputBuilder {
     pub fn text(&mut self, content: &str, disp: Disposition, reg: &PredRegistry) {
         match disp {
             Disposition::Commit => {
-                self.ensure_live_parent_emitted();
-                let anchor = self.anchor_for_committed();
-                let seq = self.emit(anchor, LogNode::Text(content.to_owned()));
-                self.note_child(ChildRef::Committed(seq));
+                self.commit(LogNode::Text(content.to_owned()));
             }
             Disposition::Drop => {}
             Disposition::Pend(cond) => {
-                let parent = self.parent_ref_for_new_child();
-                let prev = self.live.last().and_then(|l| l.last_child);
-                let idx = self.push_entry(PendingEntry {
-                    payload: Payload::Text(content.to_owned()),
-                    level: self.live.len() as u32 + 1,
-                    cond: cond.clone(),
-                    state: EntryState::Waiting,
-                    parent,
-                    prev_sibling: prev,
-                    anchor_memo: None,
-                });
-                self.watch(idx, &cond, reg);
-                self.note_child(ChildRef::Pending(idx));
+                self.pend(Payload::Text(content.to_owned()), cond, reg);
             }
         }
     }
@@ -301,38 +271,14 @@ impl OutputBuilder {
         subtree: SubtreeRef,
         reg: &PredRegistry,
     ) {
-        let parent = self.parent_ref_for_new_child();
-        let prev = self.live.last().and_then(|l| l.last_child);
-        let idx = self.push_entry(PendingEntry {
-            payload: Payload::Subtree(tag, subtree),
-            level: self.live.len() as u32 + 1,
-            cond: cond.clone(),
-            state: EntryState::Waiting,
-            parent,
-            prev_sibling: prev,
-            anchor_memo: None,
-        });
-        self.watch(idx, &cond, reg);
-        self.note_child(ChildRef::Pending(idx));
+        self.pend(Payload::Subtree(tag, subtree), cond, reg);
     }
 
     /// Registers the *remaining content* of the current element as a
     /// skipped pending forest (skip-on-close, Figure 7: the rest of the
     /// element is skipped once the decision settles mid-element).
     pub fn pend_skipped_rest(&mut self, cond: Arc<Cond>, subtree: SubtreeRef, reg: &PredRegistry) {
-        let parent = self.parent_ref_for_new_child();
-        let prev = self.live.last().and_then(|l| l.last_child);
-        let idx = self.push_entry(PendingEntry {
-            payload: Payload::Forest(subtree),
-            level: self.live.len() as u32 + 1,
-            cond: cond.clone(),
-            state: EntryState::Waiting,
-            parent,
-            prev_sibling: prev,
-            anchor_memo: None,
-        });
-        self.watch(idx, &cond, reg);
-        self.note_child(ChildRef::Pending(idx));
+        self.pend(Payload::Forest(subtree), cond, reg);
     }
 
     /// Processes freshly resolved predicate instances: re-evaluates the
@@ -550,7 +496,6 @@ impl OutputBuilder {
         };
         let entry = PendingEntry {
             payload: Payload::Element(self.live[i].tag),
-            level: i as u32 + 1,
             cond: Cond::f(), // the element itself is denied
             state: EntryState::Waiting,
             parent,
@@ -577,6 +522,35 @@ impl OutputBuilder {
         } else {
             self.live[i - 1].last_child
         }
+    }
+
+    /// Delivers a node of the current element now (decision ⊕), after
+    /// the shells its ancestors need; returns its log seq.
+    fn commit(&mut self, node: LogNode) -> u64 {
+        self.ensure_live_parent_emitted();
+        let anchor = self.anchor_for_committed();
+        let seq = self.emit(anchor, node);
+        self.note_child(ChildRef::Committed(seq));
+        seq
+    }
+
+    /// Buffers a node of the current element in the Pending Stack under
+    /// `cond` (decision ?), watching the condition's unresolved variables;
+    /// returns the entry index.
+    fn pend(&mut self, payload: Payload, cond: Arc<Cond>, reg: &PredRegistry) -> usize {
+        let parent = self.parent_ref_for_new_child();
+        let prev_sibling = self.live.last().and_then(|l| l.last_child);
+        let idx = self.push_entry(PendingEntry {
+            payload,
+            cond: cond.clone(),
+            state: EntryState::Waiting,
+            parent,
+            prev_sibling,
+            anchor_memo: None,
+        });
+        self.watch(idx, &cond, reg);
+        self.note_child(ChildRef::Pending(idx));
+        idx
     }
 
     fn note_child(&mut self, child: ChildRef) {
@@ -731,28 +705,24 @@ impl OutputBuilder {
                 // are applied at reassembly via the entry table.)
                 self.entries[idx].state = EntryState::Done(seq);
             }
-            EntryState::Waiting => match self.entries[idx].payload.clone() {
-                Payload::Element(tag) => {
-                    let anchor = self.prepare_delivery(idx);
-                    let seq = self.emit(anchor, LogNode::Element { tag, granted: true });
-                    self.entries[idx].state = EntryState::Done(seq);
-                    self.entries[idx].anchor_memo = Some(anchor);
-                    self.waiting -= 1;
-                }
-                Payload::Text(t) => {
-                    let anchor = self.prepare_delivery(idx);
-                    let seq = self.emit(anchor, LogNode::Text(t));
-                    self.entries[idx].state = EntryState::Done(seq);
-                    self.entries[idx].anchor_memo = Some(anchor);
-                    self.waiting -= 1;
-                }
-                Payload::Subtree(_, subtree) | Payload::Forest(subtree) => {
-                    // Content must be read back by the driver; completed by
-                    // `deliver_readback`.
-                    self.entries[idx].state = EntryState::ReadbackIssued;
-                    self.readbacks.push(ReadbackRequest { entry: idx, subtree });
-                }
-            },
+            EntryState::Waiting => {
+                let node = match self.entries[idx].payload.clone() {
+                    Payload::Element(tag) => LogNode::Element { tag, granted: true },
+                    Payload::Text(t) => LogNode::Text(t),
+                    Payload::Subtree(_, subtree) | Payload::Forest(subtree) => {
+                        // Content must be read back by the driver; completed
+                        // by `deliver_readback`.
+                        self.entries[idx].state = EntryState::ReadbackIssued;
+                        self.readbacks.push(ReadbackRequest { entry: idx, subtree });
+                        return;
+                    }
+                };
+                let anchor = self.prepare_delivery(idx);
+                let seq = self.emit(anchor, node);
+                self.entries[idx].state = EntryState::Done(seq);
+                self.entries[idx].anchor_memo = Some(anchor);
+                self.waiting -= 1;
+            }
         }
     }
 }

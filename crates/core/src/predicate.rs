@@ -37,16 +37,10 @@ pub enum InstState {
     Expr(Arc<Cond>),
 }
 
-struct Instance {
-    state: InstState,
-    /// Document depth of the anchor element; scope exit at this depth
-    /// resolves Unknown → false.
-    anchor_depth: u32,
-}
-
 /// Registry of all predicate instances created during one evaluation.
 pub struct PredRegistry {
-    instances: Vec<Instance>,
+    /// State of every instance, by id.
+    instances: Vec<InstState>,
     /// Instances per anchor depth, for scope-exit resolution (mirrors the
     /// Predicate Set's discard-on-pop behaviour).
     by_depth: Vec<Vec<PredInstId>>,
@@ -96,7 +90,7 @@ impl PredRegistry {
     /// Creates an instance anchored at `anchor_depth`.
     pub fn create(&mut self, anchor_depth: u32) -> PredInstId {
         let id = PredInstId(self.instances.len() as u32);
-        self.instances.push(Instance { state: InstState::Unknown, anchor_depth });
+        self.instances.push(InstState::Unknown);
         let d = anchor_depth as usize;
         if self.by_depth.len() <= d {
             self.by_depth.resize_with(d + 1, Vec::new);
@@ -109,18 +103,18 @@ impl PredRegistry {
 
     /// Current state.
     pub fn state(&self, id: PredInstId) -> &InstState {
-        &self.instances[id.0 as usize].state
+        &self.instances[id.0 as usize]
     }
 
     /// True when the instance is already satisfied — its tokens can be
     /// dropped (the paper's predicate-suspension optimization).
     pub fn is_true(&self, id: PredInstId) -> bool {
-        matches!(self.instances[id.0 as usize].state, InstState::Known(true))
+        matches!(self.instances[id.0 as usize], InstState::Known(true))
     }
 
     /// True when still unresolved.
     pub fn is_unknown(&self, id: PredInstId) -> bool {
-        matches!(self.instances[id.0 as usize].state, InstState::Unknown)
+        matches!(self.instances[id.0 as usize], InstState::Unknown)
     }
 
     /// Marks an instance satisfied.
@@ -162,7 +156,7 @@ impl PredRegistry {
 
     /// The one state transition: an Unknown instance takes its resolution.
     fn resolve(&mut self, id: PredInstId, state: InstState) {
-        self.instances[id.0 as usize].state = state;
+        self.instances[id.0 as usize] = state;
         self.open_count -= 1;
         self.newly_resolved.push(id);
         self.epoch += 1;
@@ -180,7 +174,7 @@ impl PredRegistry {
 
     /// Lookup closure for [`Cond::eval`].
     pub fn lookup(&self) -> impl Fn(PredInstId) -> VarState + '_ {
-        move |id| match &self.instances[id.0 as usize].state {
+        move |id| match &self.instances[id.0 as usize] {
             InstState::Unknown => VarState::Unknown,
             InstState::Known(b) => VarState::Known(*b),
             InstState::Expr(c) => VarState::Expr(c.clone()),
@@ -190,11 +184,6 @@ impl PredRegistry {
     /// Total instances ever created.
     pub fn created(&self) -> usize {
         self.instances.len()
-    }
-
-    /// Anchor depth of an instance.
-    pub fn anchor_depth(&self, id: PredInstId) -> u32 {
-        self.instances[id.0 as usize].anchor_depth
     }
 }
 
@@ -278,6 +267,5 @@ mod tests {
         let _c = r.create(2);
         assert_eq!(r.peak_open, 2);
         assert_eq!(r.created(), 3);
-        assert_eq!(r.anchor_depth(a), 1);
     }
 }

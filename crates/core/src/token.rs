@@ -173,11 +173,6 @@ impl TokenStack {
         self.levels.last().expect("token stack never empty")
     }
 
-    /// Mutable top level.
-    pub fn top_mut(&mut self) -> &mut TokenLevel {
-        self.levels.last_mut().expect("token stack never empty")
-    }
-
     /// Pushes a new level (open event).
     pub fn push(&mut self, level: TokenLevel) {
         self.total += level.token_count();

@@ -7,12 +7,13 @@
 //! fragments are introduced to allow random accesses inside a chunk and
 //! the block is the unit of encryption."
 //!
-//! Protection is **chunk-at-a-time**: [`protect_chunks`] encrypts and
-//! digests one chunk buffer per iteration and hands it to a sink, so
-//! neither the padded plaintext nor the ciphertext is ever materialized
-//! as a whole. [`ProtectedDoc::protect`] collects the chunks into a
-//! [`MemStore`]; [`ProtectedDoc::protect_to_file`] streams them straight
-//! to disk for documents larger than RAM (the [`FileStore`] backend).
+//! Protection is **chunk-at-a-time**, and [`ChunkProtector`] is the one
+//! protector: plaintext is pushed in slices of any size, and each full
+//! chunk is encrypted, digested and handed to a sink, so neither the
+//! padded plaintext nor the ciphertext is ever materialized as a whole.
+//! Publishing feeds it straight from the skip-index encoder (into memory
+//! or to a file); [`ProtectedDoc::protect`] runs it over a plaintext
+//! already in memory and collects the chunks into a [`MemStore`].
 
 use crate::des::TripleDes;
 use crate::merkle::{fragment_hashes, merkle_root};
@@ -20,7 +21,7 @@ use crate::modes::{cbc_encrypt_in_place, posxor_decrypt_in_place, posxor_encrypt
 use crate::protocol::IntegrityScheme;
 use crate::sha1::{sha1, Digest};
 use crate::store::{ChunkStore, FileStore, MemStore};
-use std::io::{self, BufWriter, Write};
+use std::io;
 use std::path::Path;
 use xsac_obs::{Phase, PhaseProfile, Tick};
 
@@ -99,8 +100,8 @@ pub struct ProtectedDoc<S: ChunkStore = MemStore> {
 /// chunks, and each full chunk is encrypted, digested and handed to
 /// `emit` immediately. One chunk-sized buffer is the only transient
 /// state — neither the plaintext nor the ciphertext is ever materialized
-/// whole, which is what lets `prepare_to_store` run parse → encode →
-/// encrypt → disk as one pass.
+/// whole, which is what lets publishing run encode → encrypt → sink as
+/// one pass.
 pub struct ChunkProtector<'k, E, F: FnMut(&[u8]) -> Result<(), E>> {
     key: &'k TripleDes,
     scheme: IntegrityScheme,
@@ -215,46 +216,15 @@ impl<'k, E, F: FnMut(&[u8]) -> Result<(), E>> ChunkProtector<'k, E, F> {
     }
 
     /// Seals the final partial chunk (block-padded) and returns the
-    /// digest table and the total plaintext length pushed.
-    pub fn finish(self) -> Result<(Vec<[u8; DIGEST_RECORD]>, usize), E> {
-        let (digests, plain_len, _) = self.finish_with_phases()?;
-        Ok((digests, plain_len))
-    }
-
-    /// Like [`ChunkProtector::finish`], also returning the per-phase wall
-    /// time the pipeline accumulated (cipher/digest/emit splits) — the
-    /// protect-side telemetry consumed by `PrepareStats`.
-    pub fn finish_with_phases(
-        mut self,
-    ) -> Result<(Vec<[u8; DIGEST_RECORD]>, usize, PhaseProfile), E> {
+    /// digest table, the total plaintext length pushed, and the wall time
+    /// per protect phase (cipher, digest and emit splits) — telemetry
+    /// only, never part of the byte-exact outputs.
+    pub fn finish(mut self) -> Result<(Vec<[u8; DIGEST_RECORD]>, usize, PhaseProfile), E> {
         if !self.buf.is_empty() {
             self.seal()?;
         }
         Ok((self.digests, self.plain_len, self.phases))
     }
-}
-
-/// Encrypts and authenticates `plaintext` chunk-at-a-time, handing each
-/// ciphertext chunk to `emit` in order. One chunk-sized buffer is the
-/// only transient state — neither the padded plaintext nor the ciphertext
-/// is materialized. Returns the digest table and the padded length.
-///
-/// This is the single protection core: the in-memory and file-backed
-/// paths both drive [`ChunkProtector`] through it (and the one-pass
-/// encode path drives the protector directly), so their outputs are
-/// byte-identical by construction (and re-checked by the differential
-/// tests).
-pub fn protect_chunks<E>(
-    plaintext: &[u8],
-    key: &TripleDes,
-    scheme: IntegrityScheme,
-    layout: ChunkLayout,
-    emit: impl FnMut(&[u8]) -> Result<(), E>,
-) -> Result<(Vec<[u8; DIGEST_RECORD]>, usize), E> {
-    let mut p = ChunkProtector::new(key, scheme, layout, emit);
-    p.push(plaintext)?;
-    let (digests, plain_len) = p.finish()?;
-    Ok((digests, plain_len.div_ceil(BLOCK) * BLOCK))
 }
 
 impl ProtectedDoc {
@@ -267,12 +237,12 @@ impl ProtectedDoc {
         layout: ChunkLayout,
     ) -> ProtectedDoc {
         let mut ciphertext = Vec::with_capacity(plaintext.len().div_ceil(BLOCK) * BLOCK);
-        let (digests, _) =
-            protect_chunks::<std::convert::Infallible>(plaintext, key, scheme, layout, |chunk| {
-                ciphertext.extend_from_slice(chunk);
-                Ok(())
-            })
-            .expect("in-memory emit is infallible");
+        let mut p = ChunkProtector::new(key, scheme, layout, |chunk: &[u8]| {
+            ciphertext.extend_from_slice(chunk);
+            Ok::<(), std::convert::Infallible>(())
+        });
+        p.push(plaintext).unwrap_or_else(|e| match e {});
+        let (digests, _, _) = p.finish().unwrap_or_else(|e| match e {});
         ProtectedDoc {
             scheme,
             layout,
@@ -311,30 +281,6 @@ impl ProtectedDoc {
             digests: self.digests.clone(),
             plain_len: self.plain_len,
         })
-    }
-}
-
-impl ProtectedDoc<FileStore> {
-    /// Encrypts and authenticates `plaintext` straight to `path`,
-    /// chunk-at-a-time — the ciphertext is never materialized in memory
-    /// — then opens it behind a [`FileStore`] with the given resident
-    /// window.
-    pub fn protect_to_file(
-        plaintext: &[u8],
-        key: &TripleDes,
-        scheme: IntegrityScheme,
-        layout: ChunkLayout,
-        path: &Path,
-        window_bytes: usize,
-    ) -> io::Result<ProtectedDoc<FileStore>> {
-        let file = std::fs::File::create(path)?;
-        let mut w = BufWriter::new(file);
-        let (digests, _) =
-            protect_chunks(plaintext, key, scheme, layout, |chunk| w.write_all(chunk))?;
-        w.flush()?;
-        w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        let store = FileStore::open(path, layout.chunk_size, window_bytes)?;
-        Ok(ProtectedDoc { scheme, layout, store, digests, plain_len: plaintext.len() })
     }
 }
 
@@ -443,27 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_protect_matches_in_memory() {
-        // The file-backed path shares the chunk-at-a-time core, and the
-        // bytes on disk prove it: identical ciphertext, identical digest
-        // table, for every scheme and an awkward (padded) length.
-        let k = key();
-        let d = data(4999);
-        let layout = ChunkLayout { chunk_size: 512, fragment_size: 64 };
-        for scheme in IntegrityScheme::ALL {
-            let mem = ProtectedDoc::protect(&d, &k, scheme, layout);
-            let tmp = TempPath::new("protect-stream");
-            let file =
-                ProtectedDoc::protect_to_file(&d, &k, scheme, layout, tmp.path(), 2048).unwrap();
-            assert_eq!(std::fs::read(tmp.path()).unwrap(), mem.ciphertext(), "{scheme:?}");
-            assert_eq!(file.digests, mem.digests, "{scheme:?}");
-            assert_eq!(file.plain_len, mem.plain_len);
-            assert_eq!(file.chunk_count(), mem.chunk_count());
-            assert_eq!(file.stored_len(), mem.stored_len());
-        }
-    }
-
-    #[test]
     fn protector_output_independent_of_push_granularity() {
         // The push-style pipeline must produce the same ciphertext and
         // digest table whether the plaintext arrives whole, byte by byte,
@@ -473,14 +398,7 @@ mod tests {
         let d = data(4999);
         let layout = ChunkLayout { chunk_size: 512, fragment_size: 64 };
         for scheme in IntegrityScheme::ALL {
-            let mut whole = Vec::new();
-            let (digests, padded) =
-                protect_chunks::<std::convert::Infallible>(&d, &k, scheme, layout, |c| {
-                    whole.extend_from_slice(c);
-                    Ok(())
-                })
-                .unwrap();
-            assert_eq!(whole.len(), padded);
+            let whole = ProtectedDoc::protect(&d, &k, scheme, layout);
             for step in [1usize, 7, 131, 512, 4999] {
                 let mut pieced = Vec::new();
                 let mut p = ChunkProtector::<std::convert::Infallible, _>::new(
@@ -496,9 +414,9 @@ mod tests {
                     p.push(s).unwrap();
                 }
                 assert!(p.peak_buffered() <= layout.chunk_size, "{scheme:?}");
-                let (dg, plain_len) = p.finish().unwrap();
-                assert_eq!(pieced, whole, "{scheme:?} step {step}");
-                assert_eq!(dg, digests, "{scheme:?} step {step}");
+                let (dg, plain_len, _) = p.finish().unwrap();
+                assert_eq!(pieced, whole.ciphertext(), "{scheme:?} step {step}");
+                assert_eq!(dg, whole.digests, "{scheme:?} step {step}");
                 assert_eq!(plain_len, d.len());
             }
         }

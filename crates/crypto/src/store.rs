@@ -741,9 +741,9 @@ impl FileStore {
 
     /// Writes `bytes` to `path` and opens it as a store — the
     /// convenience path for converting an in-memory document (tests,
-    /// differential harnesses). Production preparation should stream
-    /// through [`ProtectedDoc::protect_to_file`](crate::ProtectedDoc::protect_to_file)
-    /// instead, which never materializes the ciphertext.
+    /// differential harnesses). Publishing to a file streams instead
+    /// (`ServerDoc::prepare_to_store_with_stats` in `xsac-soe`), never
+    /// materializing the ciphertext.
     pub fn create(
         path: &Path,
         bytes: &[u8],

@@ -4,6 +4,11 @@
 //! metadata need be aligned on a byte frontier"), so writers expose an
 //! explicit [`BitWriter::align`] and readers track their byte position for
 //! subtree skips.
+//!
+//! [`BitWriter`] holds the one bit-packing loop. [`BitSink`] wraps it to
+//! stream completed bytes to a consumer at byte boundaries — the TCSBR
+//! encoder writes through it, so publishing never holds the encoded
+//! document whole.
 
 /// Number of bits needed to express values in `0..=max` (at least 1).
 pub fn width_for(max: u64) -> u32 {
@@ -78,66 +83,24 @@ impl BitWriter {
     }
 }
 
-/// Fallible bit-sink interface: the one surface shared by the in-memory
-/// [`BitWriter`] (infallible) and the streaming [`BitSink`] (whose
-/// downstream consumer — an encryptor, a socket, a file — may fail).
-/// Encoders written against this trait produce byte-identical output on
-/// both, which is what pins the streamed protect path to the in-memory
-/// oracle.
-pub trait BitOut {
-    /// Downstream failure type (`Infallible` for [`BitWriter`]).
-    type Error;
-
-    /// Writes the `width` low bits of `value`, MSB first.
-    fn write(&mut self, value: u64, width: u32) -> Result<(), Self::Error>;
-
-    /// Writes a single flag bit.
-    fn write_bit(&mut self, bit: bool) -> Result<(), Self::Error> {
-        self.write(bit as u64, 1)
-    }
-
-    /// Pads with zero bits to the next byte boundary.
-    fn align(&mut self) -> Result<(), Self::Error>;
-
-    /// Appends raw bytes (must be aligned).
-    fn write_bytes(&mut self, data: &[u8]) -> Result<(), Self::Error>;
-}
-
-impl BitOut for BitWriter {
-    type Error = core::convert::Infallible;
-
-    fn write(&mut self, value: u64, width: u32) -> Result<(), Self::Error> {
-        BitWriter::write(self, value, width);
-        Ok(())
-    }
-
-    fn align(&mut self) -> Result<(), Self::Error> {
-        BitWriter::align(self);
-        Ok(())
-    }
-
-    fn write_bytes(&mut self, data: &[u8]) -> Result<(), Self::Error> {
-        BitWriter::write_bytes(self, data);
-        Ok(())
-    }
-}
-
 /// How many buffered bytes a [`BitSink`] accumulates before handing them
 /// downstream. Small enough that the encoder's resident state stays far
 /// below any chunk, large enough to amortize the callback.
 const SINK_FLUSH: usize = 1024;
 
-/// MSB-first bit writer that streams completed bytes to a consumer
-/// instead of accumulating the whole output — the encoder half of the
-/// one-pass protect path. Only the trailing partial byte (plus at most
-/// `SINK_FLUSH` completed ones) is ever resident.
+/// A [`BitWriter`] that streams its bytes to a consumer instead of
+/// accumulating the whole output — the encoder half of the one-pass
+/// publish path. Bits are packed by the inner writer; bytes go downstream
+/// only at byte boundaries ([`align`](Self::align) and
+/// [`write_bytes`](Self::write_bytes)), once `SINK_FLUSH` of them are
+/// buffered, so the bit writes themselves never call out and never fail.
+/// Resident: under `SINK_FLUSH` bytes plus the longest unaligned run and
+/// the largest short aligned payload written.
 pub struct BitSink<F, E>
 where
     F: FnMut(&[u8]) -> Result<(), E>,
 {
-    bytes: Vec<u8>,
-    /// Bits already used in the last byte (0 = aligned).
-    used: u32,
+    w: BitWriter,
     emit: F,
     /// Total bytes handed downstream.
     emitted: usize,
@@ -151,83 +114,66 @@ where
 {
     /// Fresh sink over a consumer callback.
     pub fn new(emit: F) -> Self {
-        BitSink { bytes: Vec::new(), used: 0, emit, emitted: 0, peak: 0 }
+        BitSink { w: BitWriter::new(), emit, emitted: 0, peak: 0 }
     }
 
-    /// Hands every *completed* byte downstream (the partial last byte, if
-    /// any, stays: later bit writes still mutate it).
-    fn drain(&mut self) -> Result<(), E> {
-        self.peak = self.peak.max(self.bytes.len());
-        let keep = usize::from(self.used > 0);
-        let complete = self.bytes.len() - keep;
-        if complete > 0 {
-            (self.emit)(&self.bytes[..complete])?;
-            self.emitted += complete;
-            self.bytes.copy_within(complete.., 0);
-            self.bytes.truncate(keep);
+    /// Writes the `width` low bits of `value`, MSB first.
+    pub fn write(&mut self, value: u64, width: u32) {
+        self.w.write(value, width);
+    }
+
+    /// Writes a single flag bit.
+    pub fn write_bit(&mut self, bit: bool) {
+        self.w.write_bit(bit);
+    }
+
+    /// Pads with zero bits to the next byte boundary, then hands the
+    /// buffer downstream if it is full enough.
+    pub fn align(&mut self) -> Result<(), E> {
+        self.w.align();
+        self.drain_if_full()
+    }
+
+    /// Appends raw bytes (must be aligned). A payload of `SINK_FLUSH` bytes
+    /// or more (a long text body) goes downstream directly, after what is
+    /// buffered.
+    pub fn write_bytes(&mut self, data: &[u8]) -> Result<(), E> {
+        if data.len() < SINK_FLUSH {
+            self.w.write_bytes(data);
+            return self.drain_if_full();
         }
+        assert_eq!(self.w.used, 0, "write_bytes requires byte alignment");
+        self.drain()?;
+        (self.emit)(data)?;
+        self.emitted += data.len();
         Ok(())
     }
 
-    fn maybe_drain(&mut self) -> Result<(), E> {
-        self.peak = self.peak.max(self.bytes.len());
-        if self.bytes.len() >= SINK_FLUSH {
+    fn drain_if_full(&mut self) -> Result<(), E> {
+        if self.w.len() >= SINK_FLUSH {
             self.drain()?;
         }
         Ok(())
     }
 
-    /// Finishes: flushes everything (including a final partial byte,
-    /// zero-padded by construction) and returns `(total_bytes, peak_buffered)`.
+    /// Hands every buffered byte downstream (called at byte boundaries
+    /// only, so there is no partial byte to keep).
+    fn drain(&mut self) -> Result<(), E> {
+        self.peak = self.peak.max(self.w.len());
+        if !self.w.is_empty() {
+            (self.emit)(&self.w.bytes)?;
+            self.emitted += self.w.len();
+            self.w.bytes.clear();
+        }
+        Ok(())
+    }
+
+    /// Finishes: zero-pads a final partial byte, flushes everything and
+    /// returns `(total_bytes, peak_buffered)`.
     pub fn finish(mut self) -> Result<(usize, usize), E> {
-        self.used = 0;
+        self.w.align();
         self.drain()?;
         Ok((self.emitted, self.peak))
-    }
-}
-
-impl<F, E> BitOut for BitSink<F, E>
-where
-    F: FnMut(&[u8]) -> Result<(), E>,
-{
-    type Error = E;
-
-    fn write(&mut self, value: u64, width: u32) -> Result<(), E> {
-        debug_assert!(width <= 64);
-        debug_assert!(
-            width == 64 || value < (1u64 << width),
-            "value {value} overflows {width} bits"
-        );
-        for i in (0..width).rev() {
-            let bit = (value >> i) & 1;
-            if self.used == 0 {
-                self.bytes.push(0);
-            }
-            let last = self.bytes.last_mut().expect("pushed");
-            *last |= (bit as u8) << (7 - self.used);
-            self.used = (self.used + 1) % 8;
-        }
-        self.maybe_drain()
-    }
-
-    fn align(&mut self) -> Result<(), E> {
-        self.used = 0;
-        Ok(())
-    }
-
-    fn write_bytes(&mut self, data: &[u8]) -> Result<(), E> {
-        assert_eq!(self.used, 0, "write_bytes requires byte alignment");
-        // Large aligned payloads (text bodies) bypass the buffer: drain
-        // what is pending, then forward the slice directly.
-        if data.len() >= SINK_FLUSH {
-            self.drain()?;
-            debug_assert!(self.bytes.is_empty());
-            (self.emit)(data)?;
-            self.emitted += data.len();
-            return Ok(());
-        }
-        self.bytes.extend_from_slice(data);
-        self.maybe_drain()
     }
 }
 
@@ -284,6 +230,7 @@ impl<'a> BitReader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn width_for_boundaries() {
@@ -350,29 +297,21 @@ mod tests {
         assert_eq!(r.read(0), Some(0));
     }
 
-    #[test]
-    fn sink_matches_writer_byte_for_byte() {
-        // The same write sequence through the buffering writer and the
-        // streaming sink must produce identical bytes, across flush
-        // boundaries, unaligned runs, and large aligned payloads.
-        let big = vec![0xABu8; 3000];
-        let drive = |w: &mut dyn BitOut<Error = std::convert::Infallible>| {
-            for i in 0..2000u64 {
-                w.write(i % 32, 5).unwrap();
-                if i % 7 == 0 {
-                    w.align().unwrap();
-                    w.write_bytes(&[i as u8, (i >> 8) as u8]).unwrap();
-                }
-            }
-            w.align().unwrap();
-            w.write_bytes(&big).unwrap();
-            w.write_bit(true).unwrap();
-            w.align().unwrap();
-        };
-        let mut writer = BitWriter::new();
-        drive(&mut writer);
-        let expect = writer.finish();
+    /// One step of a bit-sink drive: a bit write, an alignment, or an
+    /// aligned raw payload.
+    #[derive(Clone, Debug)]
+    enum Op {
+        Write(u64, u32),
+        Align,
+        Bytes(Vec<u8>),
+    }
 
+    /// Runs `ops` through a [`BitWriter`] and a [`BitSink`], returning the
+    /// writer's bytes, the sink's streamed bytes, its emit count, its
+    /// `(total, peak)` and the longest run of bytes any one boundary
+    /// added to its buffer (an unaligned run or a short payload).
+    fn drive(ops: &[Op]) -> (Vec<u8>, Vec<u8>, usize, (usize, usize), usize) {
+        let mut writer = BitWriter::new();
         let mut streamed = Vec::new();
         let mut chunks = 0usize;
         let mut sink = BitSink::new(|b: &[u8]| {
@@ -380,23 +319,89 @@ mod tests {
             streamed.extend_from_slice(b);
             Ok::<(), std::convert::Infallible>(())
         });
-        // `dyn` dispatch needs Infallible on both; the sink's E is
-        // Infallible here so drive it directly instead.
-        for i in 0..2000u64 {
-            sink.write(i % 32, 5).unwrap();
-            if i % 7 == 0 {
-                sink.align().unwrap();
-                sink.write_bytes(&[i as u8, (i >> 8) as u8]).unwrap();
+        let (mut run_bits, mut segment) = (0u64, 0usize);
+        for op in ops {
+            match op {
+                Op::Write(v, w) => {
+                    writer.write(*v, *w);
+                    sink.write(*v, *w);
+                    run_bits += u64::from(*w);
+                }
+                Op::Align => {
+                    writer.align();
+                    sink.align().unwrap();
+                }
+                Op::Bytes(data) => {
+                    writer.align();
+                    writer.write_bytes(data);
+                    sink.align().unwrap();
+                    sink.write_bytes(data).unwrap();
+                    if data.len() < SINK_FLUSH {
+                        segment = segment.max(data.len());
+                    }
+                }
+            }
+            if !matches!(op, Op::Write(..)) {
+                segment = segment.max(run_bits.div_ceil(8) as usize);
+                run_bits = 0;
             }
         }
-        sink.align().unwrap();
-        sink.write_bytes(&big).unwrap();
-        sink.write_bit(true).unwrap();
-        sink.align().unwrap();
-        let (total, peak) = sink.finish().unwrap();
+        segment = segment.max(run_bits.div_ceil(8) as usize);
+        let out = sink.finish().unwrap();
+        (writer.finish(), streamed, chunks, out, segment)
+    }
+
+    #[test]
+    fn sink_matches_writer_byte_for_byte() {
+        // The same write sequence through the buffering writer and the
+        // streaming sink must produce identical bytes, across flush
+        // boundaries, unaligned runs, and large aligned payloads.
+        let mut ops = Vec::new();
+        for i in 0..2000u64 {
+            ops.push(Op::Write(i % 32, 5));
+            if i % 7 == 0 {
+                ops.push(Op::Align);
+                ops.push(Op::Bytes(vec![i as u8, (i >> 8) as u8]));
+            }
+        }
+        ops.push(Op::Bytes(vec![0xABu8; 3000]));
+        ops.push(Op::Write(1, 1));
+        ops.push(Op::Align);
+        let (expect, streamed, chunks, (total, peak), _) = drive(&ops);
         assert_eq!(streamed, expect);
         assert_eq!(total, expect.len());
         assert!(chunks > 1, "must stream incrementally, not accumulate");
         assert!(peak <= super::SINK_FLUSH + 8, "sink buffered {peak} bytes");
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        (0u8..4, any::<u64>(), 0u32..=64, 0usize..3 * SINK_FLUSH).prop_map(|(kind, v, w, n)| {
+            match kind {
+                0 | 1 => Op::Write(if w == 64 { v } else { v & ((1u64 << w) - 1) }, w),
+                2 => Op::Align,
+                // Half the payloads short, half straddling `SINK_FLUSH`.
+                _ => Op::Bytes((0..if v % 2 == 0 { n % 64 } else { n }).map(|i| i as u8).collect()),
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 128, ..Default::default() })]
+
+        /// Random write / align / write_bytes sequences: the sink streams
+        /// exactly the writer's bytes. Peak bound: the buffer is drained at
+        /// every boundary that finds `SINK_FLUSH` bytes or more, so it never
+        /// holds more than `SINK_FLUSH - 1` bytes plus what one boundary
+        /// adds — the longest unaligned run or short payload.
+        #[test]
+        fn sink_matches_writer_on_random_sequences(ops in prop::collection::vec(op(), 0..400)) {
+            let (expect, streamed, _, (total, peak), segment) = drive(&ops);
+            prop_assert_eq!(&streamed, &expect);
+            prop_assert_eq!(total, expect.len());
+            prop_assert!(
+                peak < SINK_FLUSH + segment,
+                "sink buffered {} bytes, bound {} + {}", peak, SINK_FLUSH, segment
+            );
+        }
     }
 }

@@ -35,7 +35,7 @@
 //! bitmap per internal element. All sizes reported include the serialized
 //! tag dictionary for the compressed variants.
 
-use crate::bits::{width_for, BitOut, BitSink, BitWriter};
+use crate::bits::{width_for, BitSink, BitWriter};
 use xsac_xml::{Document, Node, NodeId, TagId};
 
 /// The five encodings of Figure 8.
@@ -73,8 +73,6 @@ impl Encoding {
 /// An encoded document.
 #[derive(Clone, Debug)]
 pub struct EncodedDoc {
-    /// Which encoding produced it.
-    pub encoding: Encoding,
     /// The encoded bytes (for `NC`, the UTF-8 text).
     pub bytes: Vec<u8>,
     /// Total bytes of text content (the denominators of Figure 8).
@@ -98,7 +96,6 @@ impl EncodedDoc {
 /// Per-node layout facts shared by the encoders.
 struct NodeFacts {
     /// Sorted descendant tags (with `#text`) — `DescTag_e`.
-    #[allow(dead_code)] // kept symmetrical with the TCSBR writer's needs
     desc: Vec<TagId>,
     /// Body length in bytes (children records, or text bytes).
     body: u64,
@@ -161,12 +158,7 @@ fn text_bytes_of(doc: &Document) -> usize {
 
 fn encode_nc(doc: &Document) -> EncodedDoc {
     let text = xsac_xml::writer::document_to_string(doc);
-    EncodedDoc {
-        encoding: Encoding::NC,
-        text_bytes: text_bytes_of(doc),
-        bytes: text.into_bytes(),
-        dict_bytes: 0,
-    }
+    EncodedDoc { text_bytes: text_bytes_of(doc), bytes: text.into_bytes(), dict_bytes: 0 }
 }
 
 /// TC: byte-aligned event records. Event codes: `00` open (+ tag code),
@@ -205,7 +197,6 @@ fn encode_tc(doc: &Document) -> EncodedDoc {
     };
     doc.emit(doc.root(), &mut |e| emit(&mut w, e));
     EncodedDoc {
-        encoding: Encoding::TC,
         bytes: w.finish(),
         text_bytes: text_bytes_of(doc),
         dict_bytes: doc.dict.serialized_len(),
@@ -300,7 +291,6 @@ fn encode_tcs(doc: &Document, bitmaps: bool) -> EncodedDoc {
     }
     emit(doc, doc.root(), &mut w, &sizes, &desc, tagw, sizew, nt);
     EncodedDoc {
-        encoding: if bitmaps { Encoding::TCSB } else { Encoding::TCS },
         bytes: w.finish(),
         text_bytes: text_bytes_of(doc),
         dict_bytes: doc.dict.serialized_len(),
@@ -324,20 +314,15 @@ fn record_len_global(
     u64::from(bits.div_ceil(8))
 }
 
-/// TCSBR — the Skip index.
+/// TCSBR — the Skip index: the streamed encoder collected into memory.
 fn encode_tcsbr(doc: &Document) -> EncodedDoc {
-    let facts = compute_tcsbr_facts(doc);
-    let mut w = BitWriter::new();
-    let root_record =
-        facts[doc.root().index()].body + header_len_tcsbr(doc, doc.root(), &facts, &root_ctx(doc));
-    w.write_bytes(&(root_record as u32).to_be_bytes());
-    emit_tcsbr(doc, doc.root(), &root_ctx(doc), &facts, &mut w).unwrap_or_else(|e| match e {});
-    EncodedDoc {
-        encoding: Encoding::TCSBR,
-        bytes: w.finish(),
-        text_bytes: text_bytes_of(doc),
-        dict_bytes: doc.dict.serialized_len(),
-    }
+    let mut bytes = Vec::new();
+    encode_tcsbr_stream(doc, |b| {
+        bytes.extend_from_slice(b);
+        Ok::<(), std::convert::Infallible>(())
+    })
+    .unwrap_or_else(|e| match e {});
+    EncodedDoc { bytes, text_bytes: text_bytes_of(doc), dict_bytes: doc.dict.serialized_len() }
 }
 
 /// Outcome of a streamed TCSBR encode (see [`encode_tcsbr_stream`]).
@@ -346,25 +331,24 @@ pub struct StreamedEncode {
     /// Total encoded length handed downstream (header + root record).
     pub encoded_len: usize,
     /// Peak bytes the encoder itself had buffered — O(1), never
-    /// O(document); the figure `prepare_to_store` folds into its
-    /// protect-peak accounting.
+    /// O(document); the figure publishing folds into its protect-peak
+    /// accounting.
     pub peak_buffered: usize,
 }
 
 /// Streams the TCSBR encoding of `doc` into `emit` without ever holding
-/// the encoded bytes whole: the per-node layout facts are O(nodes), the
-/// byte buffer is O(1), and `emit` receives the exact byte sequence that
-/// [`encode_document`] would have produced (pinned by test). This is the
-/// encoder half of the one-pass parse → encode → encrypt → disk protect
-/// path; the consumer's error type `E` propagates out unchanged.
+/// the encoded bytes whole: the per-node layout facts are O(nodes) and the
+/// byte buffer is O(1). This is the one TCSBR writer — [`encode_document`]
+/// collects it into memory, and publishing feeds it straight to the
+/// encryptor; the consumer's error type `E` propagates out unchanged.
 pub fn encode_tcsbr_stream<E>(
     doc: &Document,
     emit: impl FnMut(&[u8]) -> Result<(), E>,
 ) -> Result<StreamedEncode, E> {
     let facts = compute_tcsbr_facts(doc);
     let ctx = root_ctx(doc);
-    let root_record =
-        facts[doc.root().index()].body + header_len_tcsbr(doc, doc.root(), &facts, &ctx);
+    let root = &facts[doc.root().index()];
+    let root_record = root.body + header_len_with(root, ctx.tags.len(), ctx.body);
     let mut w = BitSink::new(emit);
     w.write_bytes(&(root_record as u32).to_be_bytes())?;
     emit_tcsbr(doc, doc.root(), &ctx, &facts, &mut w)?;
@@ -435,17 +419,16 @@ fn header_len_with(node: &NodeFacts, parent_tags: usize, parent_body: u64) -> u6
     u64::from(bits.div_ceil(8))
 }
 
-fn header_len_tcsbr(_doc: &Document, id: NodeId, facts: &[NodeFacts], ctx: &Ctx) -> u64 {
-    header_len_with(&facts[id.index()], ctx.tags.len(), ctx.body)
-}
-
-fn emit_tcsbr<W: BitOut>(
+fn emit_tcsbr<F, E>(
     doc: &Document,
     id: NodeId,
     ctx: &Ctx,
     facts: &[NodeFacts],
-    w: &mut W,
-) -> Result<(), W::Error> {
+    w: &mut BitSink<F, E>,
+) -> Result<(), E>
+where
+    F: FnMut(&[u8]) -> Result<(), E>,
+{
     let f = &facts[id.index()];
     let tagw = width_for(ctx.tags.len().saturating_sub(1) as u64);
     let sizew = width_for(ctx.body);
@@ -454,12 +437,12 @@ fn emit_tcsbr<W: BitOut>(
         .tags
         .binary_search(&tag)
         .unwrap_or_else(|_| panic!("tag {tag:?} missing from parent context"));
-    w.write_bit(f.leaf)?;
-    w.write(idx as u64, tagw)?;
-    w.write(f.body, sizew)?;
+    w.write_bit(f.leaf);
+    w.write(idx as u64, tagw);
+    w.write(f.body, sizew);
     if !f.leaf {
         for t in &ctx.tags {
-            w.write_bit(f.desc.binary_search(t).is_ok())?;
+            w.write_bit(f.desc.binary_search(t).is_ok());
         }
     }
     w.align()?;
@@ -490,7 +473,6 @@ mod tests {
         for enc in Encoding::ALL {
             let e = encode_document(&d, enc);
             assert!(!e.bytes.is_empty(), "{:?}", enc);
-            assert_eq!(e.encoding, enc);
             assert_eq!(e.text_bytes, 10); // one+two+3+ff+4 = 3+3+1+2+1
         }
     }
@@ -558,9 +540,10 @@ mod tests {
 
     #[test]
     fn streamed_tcsbr_matches_in_memory() {
-        // The streamed encoder must hand downstream the exact bytes the
-        // in-memory encoder produces — the identity the whole one-pass
-        // protect path rests on.
+        // However the consumer receives it, the stream is one TCSBR
+        // document: its 4-byte header announces exactly the root record
+        // that follows, the reported length is what was handed over, and
+        // the encoder itself buffers O(1), not O(document).
         let mut xml = String::from("<r>");
         for i in 0..200 {
             xml.push_str(&format!("<x><y>{}</y><z>payload-{i}-0123456789</z></x>", "t".repeat(i)));
@@ -570,20 +553,22 @@ mod tests {
             ["<a></a>", "<a><b>one</b><c>two</c></a>", "<a>t1<b><c><d>deep</d></c></b>t2</a>", &xml]
         {
             let d = Document::parse(xml).unwrap();
-            let expect = encode_document(&d, Encoding::TCSBR);
             let mut streamed = Vec::new();
             let out = encode_tcsbr_stream(&d, |b| {
+                assert!(!b.is_empty(), "empty slices are never handed downstream");
                 streamed.extend_from_slice(b);
                 Ok::<(), std::convert::Infallible>(())
             })
             .unwrap();
-            assert_eq!(streamed, expect.bytes, "stream diverged for {}", &xml[..20.min(xml.len())]);
-            assert_eq!(out.encoded_len, expect.bytes.len());
+            assert_eq!(streamed, encode_document(&d, Encoding::TCSBR).bytes);
+            assert_eq!(out.encoded_len, streamed.len());
+            let root_record = u32::from_be_bytes(streamed[..4].try_into().unwrap()) as usize;
+            assert_eq!(root_record + 4, streamed.len(), "header of {}", &xml[..20.min(xml.len())]);
             assert!(
                 out.peak_buffered < 2048,
                 "encoder buffered {} bytes of a {}-byte document",
                 out.peak_buffered,
-                expect.bytes.len()
+                streamed.len()
             );
         }
     }

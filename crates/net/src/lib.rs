@@ -299,7 +299,7 @@ mod tests {
 
     #[test]
     fn file_backed_server_disk_to_socket() {
-        // The composition the tentpole promises: prepare_to_store writes
+        // Disk to socket: prepare_to_store_with_stats writes
         // ciphertext straight to disk; ChunkServer serves it through the
         // FileStore window; a remote client reads it back byte-exactly.
         let xml = wide_xml();
@@ -307,7 +307,7 @@ mod tests {
         let mem = ServerDoc::prepare(&doc, &key(), IntegrityScheme::EcbMht, tiny_layout());
         let want = mem.protected.ciphertext().to_vec();
         let tmp = xsac_crypto::store::TempPath::new("net-disk-to-socket");
-        let file = ServerDoc::prepare_to_store(
+        let file = ServerDoc::prepare_to_store_with_stats(
             &doc,
             &key(),
             IntegrityScheme::EcbMht,
@@ -315,7 +315,8 @@ mod tests {
             tmp.path(),
             1024,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         let handle = ChunkServer::new(file, "doc").spawn("127.0.0.1:0").unwrap();
         let remote = connect(handle.addr(), "doc", ClientConfig::default()).unwrap();
         let mut got = vec![0u8; remote.protected.ciphertext_len()];
@@ -611,7 +612,7 @@ mod tests {
         let registry = Arc::new(DocRegistry::new(512).with_max_open_docs(1));
         for id in ["a", "b"] {
             let tmp = xsac_crypto::store::TempPath::new("net-lazy-tenant");
-            let file = ServerDoc::prepare_to_store(
+            let file = ServerDoc::prepare_to_store_with_stats(
                 &doc,
                 &key(),
                 IntegrityScheme::EcbMht,
@@ -619,7 +620,8 @@ mod tests {
                 tmp.path(),
                 1024,
             )
-            .unwrap();
+            .unwrap()
+            .0;
             registry.insert_file(id, file.meta(), tmp.path());
             tmps.push(tmp);
         }
@@ -660,6 +662,83 @@ mod tests {
         handle.shutdown().unwrap();
     }
 
+    /// Sends `req` as one frame on `sock` and reads back the response.
+    fn call(sock: &mut std::net::TcpStream, req: &wire::Request) -> wire::Response {
+        let mut buf = Vec::new();
+        wire::write_frame(sock, &req.encode()).unwrap();
+        wire::read_frame(sock, 1 << 20, &mut buf).unwrap();
+        wire::Response::decode(&buf).unwrap()
+    }
+
+    #[test]
+    fn old_protocol_hello_is_typed_fault_and_connection_survives() {
+        let xml = wide_xml();
+        let handle = ChunkServer::new(prepared(&xml, IntegrityScheme::Ecb), "doc")
+            .spawn("127.0.0.1:0")
+            .unwrap();
+        let mut sock = std::net::TcpStream::connect(handle.addr()).unwrap();
+        let hello = |version| wire::Request::Hello { version, doc_id: "doc".to_owned() };
+        match call(&mut sock, &hello(1)) {
+            wire::Response::Err(Fault::VersionMismatch { server: 2 }) => {}
+            other => panic!("expected VersionMismatch {{ server: 2 }}, got {other:?}"),
+        }
+        match call(&mut sock, &hello(PROTOCOL_VERSION)) {
+            wire::Response::Hello(info) => assert_eq!(info.version, 2),
+            other => panic!("a correct Hello must succeed after a mismatch, got {other:?}"),
+        }
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn truncated_lazy_file_is_refused_at_open() {
+        // A lazy tenant's file no longer matches its registered meta: the
+        // open is refused with a permanent typed error, `Hello` answers a
+        // fault frame, the tenant stays closed, and the connection still
+        // routes to a healthy tenant.
+        let doc = xsac_xml::Document::parse(&wide_xml()).unwrap();
+        let registry = Arc::new(DocRegistry::new(1 << 20));
+        let mut tmps = Vec::new();
+        for id in ["cut", "whole"] {
+            let tmp = xsac_crypto::store::TempPath::new("net-truncated");
+            let layout = tiny_layout();
+            let file = ServerDoc::prepare_to_store_with_stats(
+                &doc,
+                &key(),
+                IntegrityScheme::EcbMht,
+                layout,
+                tmp.path(),
+                1024,
+            )
+            .unwrap()
+            .0;
+            registry.insert_file(id, file.meta(), tmp.path());
+            tmps.push(tmp);
+        }
+        let cut = std::fs::OpenOptions::new().write(true).open(tmps[0].path()).unwrap();
+        cut.set_len(cut.metadata().unwrap().len() - 8).unwrap();
+        match registry.open("cut") {
+            Err(registry::OpenError::Store(e)) => assert!(!e.is_transient(), "{e}"),
+            other => panic!("a truncated file must not open: {:?}", other.map(|_| ())),
+        }
+        let handle =
+            ChunkServer::with_registry(Arc::clone(&registry)).spawn("127.0.0.1:0").unwrap();
+        let mut sock = std::net::TcpStream::connect(handle.addr()).unwrap();
+        let hello =
+            |id: &str| wire::Request::Hello { version: PROTOCOL_VERSION, doc_id: id.into() };
+        match call(&mut sock, &hello("cut")) {
+            wire::Response::Err(Fault::Io { msg, .. }) => assert!(msg.contains("meta"), "{msg}"),
+            other => panic!("expected a typed I/O fault, got {other:?}"),
+        }
+        match call(&mut sock, &hello("whole")) {
+            wire::Response::Hello(info) => assert!(info.ciphertext_len > 0),
+            other => panic!("the connection must still route, got {other:?}"),
+        }
+        let snap = handle.service_snapshot();
+        let row = snap.registry.docs.iter().find(|r| r.doc_id == "cut").unwrap();
+        assert_eq!(row.opens, 0, "the mismatched tenant must stay closed: {row:?}");
+        handle.shutdown().unwrap();
+    }
+
     #[test]
     fn reinserting_over_an_open_lazy_tenant_closes_it_first() {
         // Re-registering an id whose lazy tenant is open is a close:
@@ -670,7 +749,7 @@ mod tests {
         let doc = xsac_xml::Document::parse(&xml).unwrap();
         let registry = DocRegistry::new(1 << 20);
         let tmp = xsac_crypto::store::TempPath::new("net-reinsert");
-        let file = ServerDoc::prepare_to_store(
+        let file = ServerDoc::prepare_to_store_with_stats(
             &doc,
             &key(),
             IntegrityScheme::Ecb,
@@ -678,7 +757,8 @@ mod tests {
             tmp.path(),
             1024,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         registry.insert_file("doc", file.meta(), tmp.path());
         let served = registry.open("doc").unwrap();
         let mut before = vec![0u8; served.doc().protected.ciphertext_len()];

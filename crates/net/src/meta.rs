@@ -5,42 +5,24 @@
 //! strings), decoded through the same bounds-checked cursor as every
 //! other message: a hostile or truncated meta payload surfaces as a
 //! typed [`WireError`], never a panic. The payload is O(layout) — tag
-//! dictionary, geometry, lengths and the per-chunk digest table; the
-//! encoded document itself never travels, the SOE streams it back out of
-//! the ciphertext. The *integrity* of the material does not rest on this
-//! layer — the digest table is encrypted and position-bound, so a server
-//! lying here can only cause verification failures client-side (the
-//! tamper tests pin this) — but internally *consistent* geometry is
-//! enforced here, so a hostile meta cannot push the session layer into
-//! out-of-range arithmetic before verification gets a chance to fail.
+//! dictionary, integrity scheme, geometry, lengths and the per-chunk
+//! digest table; the encoded document itself never travels, the SOE
+//! streams it back out of the ciphertext. Every document is TCSBR-encoded,
+//! so no encoding selector travels either: protocol version 1 carried one
+//! byte for it after the dictionary, and version 2 dropped it.
+//!
+//! The *integrity* of the material does not rest on this layer — the
+//! digest table is encrypted and position-bound, so a server lying here
+//! can only cause verification failures client-side (the tamper tests
+//! pin this) — but internally *consistent* geometry is enforced here, so
+//! a hostile meta cannot push the session layer into out-of-range
+//! arithmetic before verification gets a chance to fail.
 
 use crate::wire::{Cursor, WireError};
 use xsac_crypto::chunk::{ChunkLayout, DIGEST_RECORD};
 use xsac_crypto::IntegrityScheme;
-use xsac_index::encode::Encoding;
 use xsac_soe::DocMeta;
 use xsac_xml::TagDict;
-
-fn encoding_code(e: Encoding) -> u8 {
-    match e {
-        Encoding::NC => 0,
-        Encoding::TC => 1,
-        Encoding::TCS => 2,
-        Encoding::TCSB => 3,
-        Encoding::TCSBR => 4,
-    }
-}
-
-fn encoding_from_code(code: u8) -> Result<Encoding, WireError> {
-    Ok(match code {
-        0 => Encoding::NC,
-        1 => Encoding::TC,
-        2 => Encoding::TCS,
-        3 => Encoding::TCSB,
-        4 => Encoding::TCSBR,
-        _ => return Err(WireError::Malformed("unknown encoding")),
-    })
-}
 
 /// Serializes document metadata for the wire.
 pub fn encode_meta(meta: &DocMeta) -> Vec<u8> {
@@ -51,8 +33,6 @@ pub fn encode_meta(meta: &DocMeta) -> Vec<u8> {
         out.extend_from_slice(&(name.len() as u32).to_le_bytes());
         out.extend_from_slice(name.as_bytes());
     }
-    // Skip-index encoding selector.
-    out.push(encoding_code(meta.encoding));
     // Scheme + geometry + lengths.
     out.push(crate::wire::scheme_code(meta.scheme));
     out.extend_from_slice(&(meta.layout.chunk_size as u32).to_le_bytes());
@@ -87,7 +67,6 @@ pub fn decode_meta(body: &[u8]) -> Result<DocMeta, WireError> {
             return Err(WireError::Malformed("dictionary entries out of order"));
         }
     }
-    let encoding = encoding_from_code(c.u8()?)?;
     let scheme = crate::wire::scheme_from_code(c.u8()?)?;
     let layout = ChunkLayout { chunk_size: c.u32()? as usize, fragment_size: c.u32()? as usize };
     if layout.chunk_size == 0
@@ -123,7 +102,7 @@ pub fn decode_meta(body: &[u8]) -> Result<DocMeta, WireError> {
         digests.push(rec);
     }
     c.finish("trailing meta bytes")?;
-    Ok(DocMeta { dict, encoding, scheme, layout, digests, plain_len, ciphertext_len })
+    Ok(DocMeta { dict, scheme, layout, digests, plain_len, ciphertext_len })
 }
 
 #[cfg(test)]
@@ -146,7 +125,6 @@ mod tests {
         );
         let meta = prepared.meta();
         let decoded = decode_meta(&encode_meta(&meta)).unwrap();
-        assert_eq!(decoded.encoding, meta.encoding);
         assert_eq!(decoded.scheme, meta.scheme);
         assert_eq!(decoded.layout, meta.layout);
         assert_eq!(decoded.digests, meta.digests);
@@ -235,5 +213,24 @@ mod tests {
         let mut evil = ecb.meta();
         evil.digests.push([0u8; DIGEST_RECORD]);
         assert!(matches!(decode_meta(&encode_meta(&evil)), Err(WireError::Malformed(_))));
+    }
+
+    #[test]
+    fn version_1_meta_payload_is_typed_error() {
+        // Protocol version 1 put an encoding byte (always 4, TCSBR)
+        // between the dictionary and the scheme. Such a payload must be
+        // refused as malformed, never mis-parsed into shifted geometry.
+        let doc = Document::parse("<a><b>hello</b><c>world</c></a>").unwrap();
+        let key = TripleDes::new(*b"meta-roundtrip-key-24-ab");
+        for scheme in IntegrityScheme::ALL {
+            let meta = ServerDoc::prepare(&doc, &key, scheme, ChunkLayout::default()).meta();
+            let mut v1 = encode_meta(&meta);
+            let dict_end = 4 + meta.dict.iter().map(|(_, name)| 4 + name.len()).sum::<usize>();
+            v1.insert(dict_end, 4);
+            assert!(
+                matches!(decode_meta(&v1), Err(WireError::Malformed(_))),
+                "{scheme:?}: version-1 payload decoded"
+            );
+        }
     }
 }

@@ -35,6 +35,7 @@
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::File;
+use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -88,9 +89,10 @@ pub enum OpenError {
     /// The id is not registered — answered on the wire as the typed
     /// [`Fault::UnknownDoc`](crate::Fault::UnknownDoc) frame.
     Unknown,
-    /// The id is registered but its backing store failed to open
-    /// (answered as a typed I/O fault; the registration stays, so a
-    /// later `Hello` retries the open).
+    /// The id is registered but its backing store failed to open, or
+    /// its file's length disagrees with the registered meta (answered
+    /// as a typed I/O fault; the registration stays, so a later `Hello`
+    /// retries the open).
     Store(StoreError),
 }
 
@@ -269,11 +271,11 @@ impl DocRegistry {
     }
 
     /// Registers a lazy file-backed tenant: `meta` (as produced by
-    /// [`ServerDoc::meta`] after `prepare_to_store`) plus the ciphertext
-    /// `path`. Nothing is opened until the first `Hello` routes here;
-    /// the `GetMeta` payload is encoded once now, so every open — and
-    /// every reconnecting client's identity check — sees byte-identical
-    /// metadata.
+    /// [`ServerDoc::meta`] after `prepare_to_store_with_stats`) plus the
+    /// ciphertext `path`. Nothing is opened until the first `Hello`
+    /// routes here; the `GetMeta` payload is encoded once now, so every
+    /// open — and every reconnecting client's identity check — sees
+    /// byte-identical metadata.
     pub fn insert_file(&self, doc_id: impl Into<String>, meta: DocMeta, path: impl Into<PathBuf>) {
         let meta_bytes = Arc::new(crate::meta::encode_meta(&meta));
         let chunk_size = meta.layout.chunk_size;
@@ -311,7 +313,7 @@ impl DocRegistry {
         loop {
             // Fast path under the lock: resident or already-open tenants
             // route immediately; otherwise capture what the open needs.
-            let (path, chunk_size) = {
+            let (path, chunk_size, meta_len) = {
                 let mut inner = self.inner.lock().expect("doc registry");
                 let Some(entry) = inner.get_mut(doc_id) else {
                     self.unknown_docs.fetch_add(1, Ordering::Relaxed);
@@ -321,7 +323,9 @@ impl DocRegistry {
                 match &entry.backing {
                     Backing::Resident(doc) => return Ok(Arc::clone(doc)),
                     Backing::File { open: Some(doc), .. } => return Ok(Arc::clone(doc)),
-                    Backing::File { path, chunk_size, .. } => (path.clone(), *chunk_size),
+                    Backing::File { path, chunk_size, meta, .. } => {
+                        (path.clone(), *chunk_size, meta.ciphertext_len)
+                    }
                 }
             };
             // The slow part — open + stat — with the lock released.
@@ -336,6 +340,16 @@ impl DocRegistry {
                     msg: format!("open {}: {e}", path.display()),
                 })
             })?;
+            // A truncated or replaced file must not be served under the
+            // registered meta: the tenant stays closed, and no retry can
+            // fix it.
+            if len != meta_len {
+                return Err(OpenError::Store(StoreError::Io {
+                    offset: 0,
+                    kind: io::ErrorKind::InvalidData,
+                    msg: format!("{}: {len} bytes, meta announces {meta_len}", path.display()),
+                }));
+            }
             // Re-acquire and install, unless a racing route beat us to
             // it (use theirs) or the entry changed under us (retry).
             let mut inner = self.inner.lock().expect("doc registry");
@@ -347,7 +361,7 @@ impl DocRegistry {
                 Backing::Resident(doc) => return Ok(Arc::clone(doc)),
                 Backing::File { open: Some(doc), .. } => return Ok(Arc::clone(doc)),
                 Backing::File { meta, path: cur_path, chunk_size: cur_cs, open, pool_doc } => {
-                    if *cur_path != path || *cur_cs != chunk_size {
+                    if *cur_path != path || *cur_cs != chunk_size || meta.ciphertext_len != len {
                         // Re-registered while we were opening: our file
                         // handle is stale — start over.
                         continue;

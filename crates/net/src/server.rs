@@ -14,8 +14,8 @@
 //! Over a [`FileStore`](xsac_crypto::FileStore)-backed document the
 //! ciphertext flows **disk → pooled window → socket** without ever
 //! being materialized, so a box serving documents larger than its RAM
-//! is `ServerDoc::prepare_to_store` + [`DocRegistry::insert_file`] +
-//! `ChunkServer::spawn`. The server holds no keys and sees no
+//! is `ServerDoc::prepare_to_store_with_stats` +
+//! [`DocRegistry::insert_file`] + `ChunkServer::spawn`. The server holds no keys and sees no
 //! plaintext queries or views: it is the paper's *untrusted* party,
 //! shipping ciphertext, encrypted digests and the (public) skip-index
 //! material; access control happens entirely client-side.

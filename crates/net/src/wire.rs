@@ -35,7 +35,8 @@ use xsac_crypto::IntegrityScheme;
 use xsac_obs::{Phase, PhaseProfile};
 
 /// Protocol version spoken by this build (negotiated in `Hello`).
-pub const PROTOCOL_VERSION: u16 = 1;
+/// Version 2 dropped the encoding byte from the `GetMeta` payload.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Default maximum frame a client accepts (must cover the `Meta` frame
 /// of the largest document it expects to open).

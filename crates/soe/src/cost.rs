@@ -16,8 +16,8 @@
 //! calibrated so that the relative costs reported in §7 hold (integrity
 //! adds 32–38% under ECB-MHT — Figure 11; access control accounts for
 //! 2–15% of execution time — Figure 9). See `docs/BENCHMARKS.md` for how
-//! host-measured rates (`BENCH_crypto.json`) slot in via
-//! [`CostModel::custom`].
+//! host-measured rates (`BENCH_crypto.json`) slot in: the fields of
+//! [`CostModel`] are public, so a context is one struct literal.
 //!
 //! Only SOE-side work is charged time: the terminal is free (§2 — it is
 //! untrusted, abundant hardware). Terminal hashing under ECB-MHT is still
@@ -72,18 +72,6 @@ impl CostModel {
             hash_bw: 3.6 * MB,
             evaluator_ops: 50.0 * MB,
         }
-    }
-
-    /// A context with explicit throughputs — e.g. host-measured numbers
-    /// (the `BENCH_crypto.json` emitted by `cargo bench -p xsac-bench`)
-    /// in place of Table 1's 2004 hardware, for "what would this policy
-    /// cost on *this* machine" projections.
-    pub fn custom(comm_bw: f64, decrypt_bw: f64, hash_bw: f64, evaluator_ops: f64) -> CostModel {
-        assert!(
-            comm_bw > 0.0 && decrypt_bw > 0.0 && hash_bw > 0.0 && evaluator_ops > 0.0,
-            "throughputs must be positive"
-        );
-        CostModel { comm_bw, decrypt_bw, hash_bw, evaluator_ops }
     }
 
     /// Synthesizes the execution time of measured quantities.
@@ -170,16 +158,10 @@ mod tests {
 
     #[test]
     fn custom_context() {
-        let m = CostModel::custom(1e6, 2e6, 3e6, 4e6);
+        let m = CostModel { comm_bw: 1e6, decrypt_bw: 2e6, hash_bw: 3e6, evaluator_ops: 4e6 };
         assert_eq!(m.decrypt_bw, 2e6);
         let t = m.time(0, 2_000_000, 0, 0);
         assert!((t.decrypt_s - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn custom_rejects_zero_bandwidth() {
-        let _ = CostModel::custom(0.0, 1.0, 1.0, 1.0);
     }
 
     #[test]

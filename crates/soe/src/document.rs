@@ -2,23 +2,24 @@
 //! chunk digests. This is what the (trusted) publisher runs once before
 //! handing the encrypted document to servers and terminals.
 //!
-//! Two preparation paths share one chunk-at-a-time protection core:
+//! Every document goes through one streamed pass: the TCSBR encoder
+//! (`encode_tcsbr_stream`) feeds a [`ChunkProtector`], which encrypts and
+//! digests chunk-at-a-time into a sink, so the encoded plaintext is never
+//! materialized whole. The two entry points differ only in the sink:
 //!
-//! * [`ServerDoc::prepare`] — ciphertext into memory (documents that fit
-//!   in RAM);
-//! * [`ServerDoc::prepare_to_store`] — one pass parse → encode → encrypt
-//!   → disk: the skip-index encoder streams its bytes straight into a
-//!   [`xsac_crypto::chunk::ChunkProtector`] writing to a file, so neither
-//!   the encoded plaintext nor the ciphertext is ever materialized. The
-//!   document is then served through a [`FileStore`] resident window —
-//!   the out-of-core path for documents larger than RAM.
+//! * [`ServerDoc::prepare`] — a `Vec`: in-memory ciphertext (documents
+//!   that fit in RAM);
+//! * [`ServerDoc::prepare_to_store_with_stats`] — a buffered file: the
+//!   ciphertext never exists whole in memory either, and the document is
+//!   then served through a [`FileStore`] resident window — the out-of-core
+//!   path for documents larger than RAM.
 
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 use xsac_crypto::chunk::{ChunkLayout, ChunkProtector, DIGEST_RECORD};
 use xsac_crypto::store::{ChunkStore, FileStore, MemStore};
 use xsac_crypto::{IntegrityScheme, ProtectedDoc, TripleDes};
-use xsac_index::encode::{encode_document, encode_tcsbr_stream, Encoding};
+use xsac_index::encode::encode_tcsbr_stream;
 use xsac_obs::{Phase, PhaseProfile, Tick};
 use xsac_xml::{Document, TagDict};
 
@@ -31,13 +32,12 @@ pub struct ServerDoc<S: ChunkStore = MemStore> {
     /// Tag dictionary (shared with the SOE over the secure channel,
     /// like the decryption keys — Figure 2).
     pub dict: TagDict,
-    /// Which skip-index encoding the ciphertext holds.
-    pub encoding: Encoding,
     /// The encrypted + authenticated form stored on the terminal.
     pub protected: ProtectedDoc<S>,
 }
 
-/// Residency accounting for a one-pass [`ServerDoc::prepare_to_store`].
+/// Residency accounting for one publish pass
+/// ([`ServerDoc::prepare_to_store_with_stats`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PrepareStats {
     /// Total encoded plaintext bytes produced (and encrypted).
@@ -56,6 +56,23 @@ pub struct PrepareStats {
     pub phases: PhaseProfile,
 }
 
+/// The one publish pass: streams the TCSBR encoding of `doc` through a
+/// [`ChunkProtector`] into `sink`, returning the digest table and the
+/// pass's stats (its `Encode` phase is left for the caller to derive).
+fn publish<E>(
+    doc: &Document,
+    key: &TripleDes,
+    scheme: IntegrityScheme,
+    layout: ChunkLayout,
+    sink: impl FnMut(&[u8]) -> Result<(), E>,
+) -> Result<(Vec<[u8; DIGEST_RECORD]>, PrepareStats), E> {
+    let mut protector = ChunkProtector::new(key, scheme, layout, sink);
+    let streamed = encode_tcsbr_stream(doc, |slice| protector.push(slice))?;
+    let peak_buffered = streamed.peak_buffered + protector.peak_buffered();
+    let (digests, _, phases) = protector.finish()?;
+    Ok((digests, PrepareStats { encoded_len: streamed.encoded_len, peak_buffered, phases }))
+}
+
 impl ServerDoc {
     /// Prepares a document for publication with in-memory ciphertext.
     pub fn prepare(
@@ -64,48 +81,25 @@ impl ServerDoc {
         scheme: IntegrityScheme,
         layout: ChunkLayout,
     ) -> ServerDoc {
-        let encoded = encode_document(doc, Encoding::TCSBR);
-        let protected = ProtectedDoc::protect(&encoded.bytes, key, scheme, layout);
-        ServerDoc { dict: doc.dict.clone(), encoding: encoded.encoding, protected }
-    }
-
-    /// Re-homes the ciphertext (bytes as stored, tampering included) into
-    /// a file at `path` behind a resident window of `window_bytes` — the
-    /// differential harness's bridge between backends.
-    pub fn to_file_backed(
-        &self,
-        path: &Path,
-        window_bytes: usize,
-    ) -> io::Result<ServerDoc<FileStore>> {
-        Ok(ServerDoc {
-            dict: self.dict.clone(),
-            encoding: self.encoding,
-            protected: self.protected.to_file_backed(path, window_bytes)?,
+        let mut ciphertext = Vec::new();
+        let (digests, stats) = publish(doc, key, scheme, layout, |chunk: &[u8]| {
+            ciphertext.extend_from_slice(chunk);
+            Ok::<(), std::convert::Infallible>(())
         })
+        .unwrap_or_else(|e| match e {});
+        let store = MemStore::new(ciphertext);
+        let protected =
+            ProtectedDoc { scheme, layout, store, digests, plain_len: stats.encoded_len };
+        ServerDoc { dict: doc.dict.clone(), protected }
     }
 }
 
 impl ServerDoc<FileStore> {
-    /// Prepares a document for publication in one streaming pass: the
-    /// skip-index encoder's bytes feed a [`ChunkProtector`] that encrypts
-    /// and digests chunk-at-a-time straight to `path`. Neither the
+    /// Prepares a document for publication straight to `path`, reporting
+    /// how many bytes the pass held resident at its peak. Neither the
     /// encoded plaintext nor the ciphertext ever exists whole in memory;
     /// the document is then served through a [`FileStore`] window of
     /// `window_bytes`.
-    pub fn prepare_to_store(
-        doc: &Document,
-        key: &TripleDes,
-        scheme: IntegrityScheme,
-        layout: ChunkLayout,
-        path: &Path,
-        window_bytes: usize,
-    ) -> io::Result<ServerDoc<FileStore>> {
-        Self::prepare_to_store_with_stats(doc, key, scheme, layout, path, window_bytes)
-            .map(|(server, _)| server)
-    }
-
-    /// [`prepare_to_store`](Self::prepare_to_store), also reporting how
-    /// many bytes the pipeline held resident at its peak.
     pub fn prepare_to_store_with_stats(
         doc: &Document,
         key: &TripleDes,
@@ -115,23 +109,20 @@ impl ServerDoc<FileStore> {
         window_bytes: usize,
     ) -> io::Result<(ServerDoc<FileStore>, PrepareStats)> {
         let pass = Tick::now();
-        let file = std::fs::File::create(path)?;
-        let mut w = BufWriter::new(file);
-        let mut protector = ChunkProtector::new(key, scheme, layout, |chunk| w.write_all(chunk));
-        let streamed = encode_tcsbr_stream(doc, |slice| protector.push(slice))?;
-        let peak_buffered = streamed.peak_buffered + protector.peak_buffered();
-        let (digests, plain_len, mut phases) = protector.finish_with_phases()?;
+        let mut w = BufWriter::new(std::fs::File::create(path)?);
+        let (digests, mut stats) = publish(doc, key, scheme, layout, |chunk| w.write_all(chunk))?;
         let t = Tick::now();
         w.flush()?;
         w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
-        phases.record(Phase::Io, t);
+        stats.phases.record(Phase::Io, t);
         // What the whole pass spent beyond cipher/digest/io is the
         // tokenize-and-encode work itself.
-        phases.add_nanos(Phase::Encode, pass.elapsed_nanos().saturating_sub(phases.total()));
+        let encode = pass.elapsed_nanos().saturating_sub(stats.phases.total());
+        stats.phases.add_nanos(Phase::Encode, encode);
         let store = FileStore::open(path, layout.chunk_size, window_bytes)?;
-        let protected = ProtectedDoc { scheme, layout, store, digests, plain_len };
-        let server = ServerDoc { dict: doc.dict.clone(), encoding: Encoding::TCSBR, protected };
-        Ok((server, PrepareStats { encoded_len: streamed.encoded_len, peak_buffered, phases }))
+        let protected =
+            ProtectedDoc { scheme, layout, store, digests, plain_len: stats.encoded_len };
+        Ok((ServerDoc { dict: doc.dict.clone(), protected }, stats))
     }
 }
 
@@ -145,9 +136,10 @@ impl ServerDoc<FileStore> {
 ///   per-chunk digest table, lengths) — safe to obtain from the untrusted
 ///   server; every digest is itself encrypted and position-bound, so a
 ///   lying server can only cause verification *failures*;
-/// * **secure-channel material** (the tag dictionary and the encoding
-///   selector) — in the paper these reach the SOE over the same secure
-///   channel as the decryption keys.
+/// * **secure-channel material** (the tag dictionary) — in the paper it
+///   reaches the SOE over the same secure channel as the decryption keys.
+///   The encoding itself is always the TCSBR skip index, so no selector
+///   travels.
 ///
 /// Everything here is O(layout): the digest table is one record per
 /// chunk, and nothing scales with the plaintext. The encoded document
@@ -157,8 +149,6 @@ impl ServerDoc<FileStore> {
 pub struct DocMeta {
     /// Tag dictionary (secure channel).
     pub dict: TagDict,
-    /// Which skip-index encoding the ciphertext holds (secure channel).
-    pub encoding: Encoding,
     /// Integrity scheme in force.
     pub scheme: IntegrityScheme,
     /// Chunk/fragment geometry.
@@ -181,7 +171,6 @@ impl<S: ChunkStore> ServerDoc<S> {
     pub fn meta(&self) -> DocMeta {
         DocMeta {
             dict: self.dict.clone(),
-            encoding: self.encoding,
             scheme: self.protected.scheme,
             layout: self.protected.layout,
             digests: self.protected.digests.clone(),
@@ -197,7 +186,6 @@ impl<S: ChunkStore> ServerDoc<S> {
     pub fn from_meta(meta: DocMeta, store: S) -> ServerDoc<S> {
         ServerDoc {
             dict: meta.dict,
-            encoding: meta.encoding,
             protected: xsac_crypto::ProtectedDoc {
                 scheme: meta.scheme,
                 layout: meta.layout,
@@ -218,7 +206,6 @@ impl<S: ChunkStore + Send + Sync + 'static> ServerDoc<S> {
             self.protected;
         ServerDoc {
             dict: self.dict,
-            encoding: self.encoding,
             protected: xsac_crypto::ProtectedDoc {
                 scheme,
                 layout,
@@ -244,7 +231,6 @@ mod tests {
         let doc = Document::parse("<a><b>hello</b><c>world</c></a>").unwrap();
         let s = ServerDoc::prepare(&doc, &key(), IntegrityScheme::EcbMht, ChunkLayout::default());
         assert!(s.stored_len() >= s.protected.plain_len);
-        assert_eq!(s.encoding, Encoding::TCSBR);
         assert!(s.dict.get("b").is_some());
     }
 
@@ -255,7 +241,6 @@ mod tests {
         let meta = s.meta();
         assert_eq!(meta.ciphertext_len, s.protected.ciphertext_len());
         let rebuilt = ServerDoc::from_meta(meta, s.protected.store.clone());
-        assert_eq!(rebuilt.encoding, s.encoding);
         assert_eq!(rebuilt.protected.digests, s.protected.digests);
         assert_eq!(rebuilt.protected.scheme, s.protected.scheme);
         assert_eq!(rebuilt.protected.layout, s.protected.layout);
@@ -291,7 +276,7 @@ mod tests {
         let doc = Document::parse("<a><b>hello</b><c>world</c></a>").unwrap();
         let mem = ServerDoc::prepare(&doc, &key(), IntegrityScheme::EcbMht, ChunkLayout::default());
         let tmp = TempPath::new("prepare-to-store");
-        let file = ServerDoc::prepare_to_store(
+        let file = ServerDoc::prepare_to_store_with_stats(
             &doc,
             &key(),
             IntegrityScheme::EcbMht,
@@ -299,7 +284,8 @@ mod tests {
             tmp.path(),
             4096,
         )
-        .unwrap();
+        .unwrap()
+        .0;
         assert_eq!(std::fs::read(tmp.path()).unwrap(), mem.protected.ciphertext());
         assert_eq!(file.protected.digests, mem.protected.digests);
         assert_eq!(file.protected.plain_len, mem.protected.plain_len);

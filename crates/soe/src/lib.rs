@@ -11,9 +11,9 @@
 //! evaluation are all real; only wall-clock time is synthesized.
 //!
 //! * [`cost`] — the Table-1 contexts and time synthesis;
-//! * [`document`] — server-side preparation (skip-index encoding +
-//!   encryption + chunk digests), in memory or streamed chunk-at-a-time
-//!   straight to a file ([`ServerDoc::prepare_to_store`] — the
+//! * [`document`] — server-side preparation: one streamed pass of
+//!   skip-index encoding + encryption + chunk digests, into memory or
+//!   straight to a file ([`ServerDoc::prepare_to_store_with_stats`] — the
 //!   out-of-core path for documents larger than RAM);
 //! * [`session`] — the SOE pipeline: stream → decrypt → verify → evaluate
 //!   → deliver, honouring skip directives and pending readbacks; storage

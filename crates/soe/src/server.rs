@@ -169,13 +169,6 @@ impl<S: ChunkStore> DocServer<S> {
         &self.leaves
     }
 
-    /// The compiled policy for a `(role, subject)` pair under the default
-    /// compiler mode ([`CompilerMode::Minimized`]), compiling (and
-    /// caching) on first use.
-    pub fn compiled_policy(&self, role: &str, policy: &Policy) -> Arc<CompiledPolicy> {
-        self.compiled_policy_mode(role, policy, CompilerMode::default())
-    }
-
     /// The compiled policy for a `(role, subject, mode)` triple, compiling
     /// (and caching) on first use. The subject comes from
     /// `policy.subject` — `USER` comparisons are resolved against it at
@@ -350,12 +343,12 @@ mod tests {
     fn policy_cache_compiles_each_role_once() {
         let s = server("<a><b>x</b></a>", IntegrityScheme::Ecb);
         let sp = spec("doctor", &[(Sign::Permit, "//b")], &s);
-        let c1 = s.compiled_policy(&sp.role, &sp.policy);
-        let c2 = s.compiled_policy(&sp.role, &sp.policy);
+        let c1 = s.compiled_policy_mode(&sp.role, &sp.policy, CompilerMode::default());
+        let c2 = s.compiled_policy_mode(&sp.role, &sp.policy, CompilerMode::default());
         assert!(Arc::ptr_eq(&c1, &c2), "same role must share one compiled policy");
         assert_eq!(s.cached_roles(), 1);
         let other = spec("secretary", &[(Sign::Permit, "//a")], &s);
-        let c3 = s.compiled_policy(&other.role, &other.policy);
+        let c3 = s.compiled_policy_mode(&other.role, &other.policy, CompilerMode::default());
         assert!(!Arc::ptr_eq(&c1, &c3));
         assert_eq!(s.cached_roles(), 2);
     }
@@ -419,8 +412,8 @@ mod tests {
         let alice = SessionSpec::new("clerk", Policy::parse("alice", rules, &mut dict).unwrap());
         let mut dict = s.doc().dict.clone();
         let bob = SessionSpec::new("clerk", Policy::parse("bob", rules, &mut dict).unwrap());
-        let ca = s.compiled_policy(&alice.role, &alice.policy);
-        let cb = s.compiled_policy(&bob.role, &bob.policy);
+        let ca = s.compiled_policy_mode(&alice.role, &alice.policy, CompilerMode::default());
+        let cb = s.compiled_policy_mode(&bob.role, &bob.policy, CompilerMode::default());
         assert!(!Arc::ptr_eq(&ca, &cb), "distinct subjects must not share a compilation");
         assert_eq!(s.cached_roles(), 2);
         let dict = s.doc().dict.clone();

@@ -32,30 +32,15 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parser configuration.
-#[derive(Debug, Clone)]
-pub struct ParserConfig {
-    /// Drop text nodes that contain only whitespace (defaults to `true`,
-    /// matching the data-oriented documents of the paper).
-    pub skip_whitespace_text: bool,
-    /// Surface attributes as `@name` child elements (defaults to `true`).
-    pub attributes_as_elements: bool,
-}
-
-impl Default for ParserConfig {
-    fn default() -> Self {
-        ParserConfig { skip_whitespace_text: true, attributes_as_elements: true }
-    }
-}
-
 /// A pull parser over a UTF-8 XML string.
 ///
 /// Tags are interned into the supplied [`TagDict`] as they are encountered.
+/// Whitespace-only text is dropped, matching the data-oriented documents
+/// of the paper.
 pub struct Parser<'a, 'd> {
     input: &'a str,
     pos: usize,
     dict: &'d mut TagDict,
-    config: ParserConfig,
     /// Stack of currently open elements.
     open: Vec<TagId>,
     /// Attribute events queued after an element open.
@@ -64,22 +49,9 @@ pub struct Parser<'a, 'd> {
 }
 
 impl<'a, 'd> Parser<'a, 'd> {
-    /// Creates a parser with the default configuration.
+    /// Creates a parser over `input`.
     pub fn new(input: &'a str, dict: &'d mut TagDict) -> Self {
-        Self::with_config(input, dict, ParserConfig::default())
-    }
-
-    /// Creates a parser with an explicit configuration.
-    pub fn with_config(input: &'a str, dict: &'d mut TagDict, config: ParserConfig) -> Self {
-        Parser {
-            input,
-            pos: 0,
-            dict,
-            config,
-            open: Vec::new(),
-            queued: Vec::new(),
-            finished: false,
-        }
+        Parser { input, pos: 0, dict, open: Vec::new(), queued: Vec::new(), finished: false }
     }
 
     /// Current depth (number of open elements).
@@ -259,12 +231,10 @@ impl<'a, 'd> Parser<'a, 'd> {
                     };
                     let raw = &rest[..endq];
                     self.pos += endq + 1;
-                    if self.config.attributes_as_elements {
-                        let attr_tag = self.dict.intern(&format!("@{aname}"));
-                        attr_events.push(Event::Open(attr_tag));
-                        attr_events.push(Event::Text(unescape(raw)));
-                        attr_events.push(Event::Close(attr_tag));
-                    }
+                    let attr_tag = self.dict.intern(&format!("@{aname}"));
+                    attr_events.push(Event::Open(attr_tag));
+                    attr_events.push(Event::Text(unescape(raw)));
+                    attr_events.push(Event::Close(attr_tag));
                 }
             }
             // Character data up to the next '<'.
@@ -275,20 +245,11 @@ impl<'a, 'd> Parser<'a, 'd> {
                 // Text outside the root (prolog whitespace) is ignored.
                 continue;
             }
-            if self.config.skip_whitespace_text && raw.trim().is_empty() {
+            if raw.trim().is_empty() {
                 continue;
             }
             return Ok(Some(Event::Text(unescape(raw))));
         }
-    }
-
-    /// Collects all remaining events into owned values.
-    pub fn collect_events(mut self) -> Result<Vec<Event<'static>>, ParseError> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.next()? {
-            out.push(ev.into_owned());
-        }
-        Ok(out)
     }
 }
 
@@ -300,9 +261,17 @@ fn is_name_char(c: char) -> bool {
 mod tests {
     use super::*;
 
+    fn collect_events(mut p: Parser<'_, '_>) -> Result<Vec<Event<'static>>, ParseError> {
+        let mut out = Vec::new();
+        while let Some(ev) = p.next()? {
+            out.push(ev.into_owned());
+        }
+        Ok(out)
+    }
+
     fn parse(input: &str) -> (Vec<Event<'static>>, TagDict) {
         let mut dict = TagDict::new();
-        let events = Parser::new(input, &mut dict).collect_events().expect("parse");
+        let events = collect_events(Parser::new(input, &mut dict)).expect("parse");
         (events, dict)
     }
 
@@ -359,15 +328,6 @@ mod tests {
     }
 
     #[test]
-    fn whitespace_text_kept_when_configured() {
-        let mut dict = TagDict::new();
-        let cfg = ParserConfig { skip_whitespace_text: false, ..Default::default() };
-        let events =
-            Parser::with_config("<a> <b>x</b></a>", &mut dict, cfg).collect_events().unwrap();
-        assert_eq!(events.iter().filter(|e| matches!(e, Event::Text(_))).count(), 2);
-    }
-
-    #[test]
     fn entities_resolved() {
         let (events, _) = parse("<a>x &amp; y &lt; z</a>");
         assert!(matches!(&events[1], Event::Text(t) if t == "x & y < z"));
@@ -376,21 +336,21 @@ mod tests {
     #[test]
     fn mismatched_close_is_error() {
         let mut dict = TagDict::new();
-        let err = Parser::new("<a><b></a></b>", &mut dict).collect_events().unwrap_err();
+        let err = collect_events(Parser::new("<a><b></a></b>", &mut dict)).unwrap_err();
         assert!(err.message.contains("mismatched"));
     }
 
     #[test]
     fn unclosed_element_is_error() {
         let mut dict = TagDict::new();
-        let err = Parser::new("<a><b>", &mut dict).collect_events().unwrap_err();
+        let err = collect_events(Parser::new("<a><b>", &mut dict)).unwrap_err();
         assert!(err.message.contains("unclosed"));
     }
 
     #[test]
     fn stray_close_is_error() {
         let mut dict = TagDict::new();
-        let err = Parser::new("</a>", &mut dict).collect_events().unwrap_err();
+        let err = collect_events(Parser::new("</a>", &mut dict)).unwrap_err();
         assert!(err.message.contains("no open element"));
     }
 

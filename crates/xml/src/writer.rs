@@ -9,67 +9,28 @@ use crate::tree::{Document, Node, NodeId};
 pub struct XmlWriter<'d> {
     dict: &'d TagDict,
     out: String,
-    /// Open tags whose `>` has been written.
-    depth: usize,
-    pretty: bool,
-    /// Whether the current element has child content yet (pretty mode).
-    had_children: Vec<bool>,
 }
 
 impl<'d> XmlWriter<'d> {
     /// Compact writer (no insignificant whitespace).
     pub fn new(dict: &'d TagDict) -> Self {
-        XmlWriter { dict, out: String::new(), depth: 0, pretty: false, had_children: Vec::new() }
-    }
-
-    /// Pretty-printing writer (newline + two-space indent per level).
-    pub fn pretty(dict: &'d TagDict) -> Self {
-        XmlWriter { dict, out: String::new(), depth: 0, pretty: true, had_children: Vec::new() }
+        XmlWriter { dict, out: String::new() }
     }
 
     /// Handles one event.
     pub fn event(&mut self, ev: &Event<'_>) {
         match ev {
             Event::Open(tag) => {
-                if self.pretty && self.depth > 0 {
-                    self.newline();
-                }
-                if let Some(h) = self.had_children.last_mut() {
-                    *h = true;
-                }
                 self.out.push('<');
                 self.out.push_str(self.dict.name(*tag));
                 self.out.push('>');
-                self.depth += 1;
-                self.had_children.push(false);
             }
-            Event::Text(text) => {
-                if let Some(h) = self.had_children.last_mut() {
-                    *h = true;
-                }
-                self.out.push_str(&escape(text));
-            }
+            Event::Text(text) => self.out.push_str(&escape(text)),
             Event::Close(tag) => {
-                self.depth -= 1;
-                let had = self.had_children.pop().unwrap_or(false);
-                if self.pretty && had && self.ends_with_closing() {
-                    self.newline();
-                }
                 self.out.push_str("</");
                 self.out.push_str(self.dict.name(*tag));
                 self.out.push('>');
             }
-        }
-    }
-
-    fn ends_with_closing(&self) -> bool {
-        self.out.ends_with('>')
-    }
-
-    fn newline(&mut self) {
-        self.out.push('\n');
-        for _ in 0..self.depth {
-            self.out.push_str("  ");
         }
     }
 
@@ -137,15 +98,6 @@ mod tests {
     fn textual_len_matches_serialization() {
         let doc = Document::parse("<a><b>x &amp; y</b><c></c></a>").unwrap();
         assert_eq!(textual_len(&doc, doc.root()), document_to_string(&doc).len());
-    }
-
-    #[test]
-    fn pretty_output_indents() {
-        let doc = Document::parse("<a><b>x</b></a>").unwrap();
-        let mut w = XmlWriter::pretty(&doc.dict);
-        doc.emit(doc.root(), &mut |e| w.event(e));
-        let s = w.finish();
-        assert!(s.contains("\n  <b>"));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! resident memory.
 //!
 //! The publisher encrypts + digests the hospital document chunk-at-a-time
-//! straight to disk (`prepare_to_store` — the ciphertext is never
-//! materialized in memory), then a `DocServer` serves differently-
+//! straight to disk (`prepare_to_store_with_stats` — the ciphertext is
+//! never materialized in memory), then a `DocServer` serves differently-
 //! privileged sessions through a small resident window. The example
 //! prints the metered peak residency against the document size: the
 //! serving cost is O(window), however large the document grows.
@@ -24,7 +24,7 @@ fn main() {
     // Publish to disk: a 16 KB resident window over the whole document.
     const WINDOW: usize = 16 * 1024;
     let tmp = TempPath::new("example");
-    let prepared = ServerDoc::prepare_to_store(
+    let prepared = ServerDoc::prepare_to_store_with_stats(
         &doc,
         &key,
         IntegrityScheme::EcbMht,
@@ -32,7 +32,8 @@ fn main() {
         tmp.path(),
         WINDOW,
     )
-    .expect("prepare to store");
+    .expect("prepare to store")
+    .0;
     let doc_bytes = prepared.protected.ciphertext_len();
     println!(
         "published {} KB of ciphertext to {} (window: {} KB)\n",

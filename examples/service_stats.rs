@@ -40,7 +40,7 @@ fn main() {
     );
     let archive = hospital_document(&HospitalConfig { folders: 6, ..Default::default() }, 11);
     let tmp = xsac::crypto::store::TempPath::new("service-stats-archive");
-    let file = ServerDoc::prepare_to_store(
+    let file = ServerDoc::prepare_to_store_with_stats(
         &archive,
         &key,
         IntegrityScheme::EcbMht,
@@ -48,7 +48,8 @@ fn main() {
         tmp.path(),
         1 << 16,
     )
-    .expect("prepare archive to file");
+    .expect("prepare archive to file")
+    .0;
     registry.insert_file("archive-2025", file.meta(), tmp.path());
     let server = ChunkServer::with_registry(Arc::clone(&registry))
         .with_config(ServerConfig { admin: true, ..ServerConfig::default() });

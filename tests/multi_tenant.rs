@@ -95,7 +95,7 @@ fn build_tenants(n: usize) -> Tenants {
             oracle.protected.ciphertext_len()
         );
         let tmp = TempPath::new("multi-tenant");
-        let file = ServerDoc::prepare_to_store(
+        let file = ServerDoc::prepare_to_store_with_stats(
             &doc,
             &key(),
             scheme_for(i),
@@ -103,7 +103,8 @@ fn build_tenants(n: usize) -> Tenants {
             tmp.path(),
             1024,
         )
-        .expect("prepare_to_store");
+        .expect("prepare_to_store")
+        .0;
         metas.push(file.meta());
         oracles.push(oracle);
         tmps.push(tmp);

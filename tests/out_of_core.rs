@@ -42,7 +42,7 @@ fn concurrent_file_backed_sessions_stay_within_window_budget() {
     let doc = big_hospital();
     let layout = ChunkLayout::default();
     let tmp = TempPath::new("out-of-core");
-    let prepared = ServerDoc::prepare_to_store(
+    let prepared = ServerDoc::prepare_to_store_with_stats(
         &doc,
         &key(),
         IntegrityScheme::EcbMht,
@@ -50,7 +50,8 @@ fn concurrent_file_backed_sessions_stay_within_window_budget() {
         tmp.path(),
         WINDOW,
     )
-    .expect("prepare to store");
+    .expect("prepare to store")
+    .0;
     let doc_len = prepared.protected.ciphertext_len();
     assert!(
         doc_len >= 8 * WINDOW,
@@ -139,7 +140,6 @@ fn storage_fault_mid_session_aborts_with_typed_error() {
     let mem = ServerDoc::prepare(&doc, &key(), IntegrityScheme::EcbMht, ChunkLayout::default());
     let faulty = ServerDoc {
         dict: mem.dict.clone(),
-        encoding: mem.encoding,
         protected: mem.protected.clone().map_store(FaultStore::new),
     };
     let mut dict = faulty.dict.clone();

@@ -58,8 +58,16 @@ proptest! {
             let window = window_chunks * layout.chunk_size;
             // The production out-of-core path: encrypt + digest straight
             // to disk, chunk-at-a-time.
-            let file = ServerDoc::prepare_to_store(&doc, &key(), scheme, layout, tmp.path(), window)
-                .expect("prepare to store");
+            let file = ServerDoc::prepare_to_store_with_stats(
+                &doc,
+                &key(),
+                scheme,
+                layout,
+                tmp.path(),
+                window,
+            )
+            .expect("prepare to store")
+            .0;
             for view in View::ALL {
                 let mut dict = mem.dict.clone();
                 let policy = view.policy(&mut dict, &frequent, &rare);

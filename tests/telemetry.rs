@@ -182,7 +182,7 @@ fn live_admission_rejections_and_pool_evictions_reach_the_text_exposition() {
     let mut files = Vec::new();
     for id in ["cold-a", "cold-b"] {
         let tmp = TempPath::new("telemetry-pool");
-        let file = ServerDoc::prepare_to_store(
+        let file = ServerDoc::prepare_to_store_with_stats(
             &doc,
             &key(),
             IntegrityScheme::EcbMht,
@@ -190,7 +190,8 @@ fn live_admission_rejections_and_pool_evictions_reach_the_text_exposition() {
             tmp.path(),
             1024,
         )
-        .expect("prepare to store");
+        .expect("prepare to store")
+        .0;
         budget = budget.min(file.meta().ciphertext_len / 2);
         files.push((id, file.meta()));
         tmps.push(tmp);
@@ -325,7 +326,7 @@ fn admin_surface_lists_and_closes_tenants_when_enabled() {
     registry
         .insert("resident", ServerDoc::prepare(&doc, &key(), IntegrityScheme::Ecb, tiny_layout()));
     let tmp = TempPath::new("telemetry-admin");
-    let file = ServerDoc::prepare_to_store(
+    let file = ServerDoc::prepare_to_store_with_stats(
         &doc,
         &key(),
         IntegrityScheme::Ecb,
@@ -333,7 +334,8 @@ fn admin_surface_lists_and_closes_tenants_when_enabled() {
         tmp.path(),
         1024,
     )
-    .expect("prepare to store");
+    .expect("prepare to store")
+    .0;
     registry.insert_file("lazy", file.meta(), tmp.path());
     let handle = ChunkServer::with_registry(Arc::clone(&registry))
         .with_config(ServerConfig { admin: true, ..ServerConfig::default() })
