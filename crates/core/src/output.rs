@@ -216,11 +216,6 @@ impl OutputBuilder {
         }
     }
 
-    /// Current document depth as seen by the builder.
-    pub fn depth(&self) -> usize {
-        self.live.len()
-    }
-
     /// Handles an element open.
     pub fn open_element(&mut self, tag: TagId, disp: Disposition, reg: &PredRegistry) {
         let mut rec = LiveElem { tag, emitted: None, pending_idx: None, last_child: None };

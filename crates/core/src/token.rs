@@ -205,11 +205,6 @@ impl TokenStack {
         debug_assert!(top.is_empty(), "put_top over a non-empty level");
         *top = level;
     }
-
-    /// Depth of the stack (number of levels above the base).
-    pub fn depth(&self) -> usize {
-        self.levels.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -223,13 +218,13 @@ mod tests {
     #[test]
     fn push_pop_tracks_totals() {
         let mut ts = TokenStack::new(TokenLevel { nav: vec![nav(0)], ..Default::default() });
-        assert_eq!(ts.depth(), 0);
+        assert_eq!(ts.levels.len(), 1);
         ts.push(TokenLevel { nav: vec![nav(1), nav(2)], ..Default::default() });
-        assert_eq!(ts.depth(), 1);
+        assert_eq!(ts.levels.len(), 2);
         assert_eq!(ts.peak_tokens, 3);
         let popped = ts.pop();
         assert_eq!(popped.nav.len(), 2);
-        assert_eq!(ts.depth(), 0);
+        assert_eq!(ts.levels.len(), 1);
     }
 
     #[test]

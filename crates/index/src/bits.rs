@@ -33,21 +33,25 @@ impl BitWriter {
         Self::default()
     }
 
-    /// Writes the `width` low bits of `value`, MSB first.
+    /// Writes the `width` low bits of `value`, MSB first, packing as many
+    /// bits per step as fit in the current byte.
     pub fn write(&mut self, value: u64, width: u32) {
         debug_assert!(width <= 64);
         debug_assert!(
             width == 64 || value < (1u64 << width),
             "value {value} overflows {width} bits"
         );
-        for i in (0..width).rev() {
-            let bit = (value >> i) & 1;
+        let mut left = width;
+        while left > 0 {
             if self.used == 0 {
                 self.bytes.push(0);
             }
-            let last = self.bytes.last_mut().expect("pushed");
-            *last |= (bit as u8) << (7 - self.used);
-            self.used = (self.used + 1) % 8;
+            let room = 8 - self.used;
+            let n = room.min(left);
+            left -= n;
+            let chunk = (value >> left) & ((1 << n) - 1);
+            *self.bytes.last_mut().expect("pushed") |= (chunk as u8) << (room - n);
+            self.used = (self.used + n) % 8;
         }
     }
 

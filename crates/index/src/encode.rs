@@ -25,7 +25,16 @@
 //! A node's body size depends on its children's header widths, which
 //! depend on that very body size; the encoder resolves the circularity by
 //! a monotone fixed-point iteration (the paper acknowledges the same
-//! power-of-2 sensitivity when discussing updates).
+//! power-of-2 sensitivity when discussing updates). A child's header
+//! length depends only on its leaf bit and the parent's tag count and
+//! body size, so each step is closed-form: `Σ child bodies + n_leaf ·
+//! hdr(leaf) + n_internal · hdr(internal)`.
+//!
+//! One post-order pass computes those sizes and every `DescTag_e` (a
+//! dictionary-wide bitset per open element, on a stack bounded by the
+//! depth), appending each set, sorted, to one arena. Children borrow
+//! their parent's arena range as context; a tag array is a merge walk
+//! of two sorted lists. TCSB's bitmaps read the same arena.
 //!
 //! ## Other variants
 //!
@@ -91,20 +100,41 @@ impl EncodedDoc {
     pub fn structure_bytes(&self) -> usize {
         self.total_bytes() - self.text_bytes
     }
+
+    /// A compressed variant's output: `bytes`, plus the dictionary.
+    fn compressed(doc: &Document, bytes: Vec<u8>) -> EncodedDoc {
+        EncodedDoc { bytes, text_bytes: text_bytes_of(doc), dict_bytes: doc.dict.serialized_len() }
+    }
 }
 
 /// Per-node layout facts shared by the encoders.
+#[derive(Clone, Copy, Default)]
 struct NodeFacts {
-    /// Sorted descendant tags (with `#text`) — `DescTag_e`.
-    desc: Vec<TagId>,
+    /// Sorted descendant tags (with `#text`) — `DescTag_e` — as the range
+    /// `lo..hi` of the arena.
+    lo: u32,
+    hi: u32,
     /// Body length in bytes (children records, or text bytes).
     body: u64,
+    /// Index of the node's tag in its parent's descendant-tag list.
+    idx: u32,
     /// Whether the node is a leaf (no children at all).
     leaf: bool,
 }
 
-fn is_text(doc: &Document, id: NodeId) -> bool {
-    matches!(doc.node(id), Node::Text(_))
+/// Layout facts of a whole document: one [`NodeFacts`] per node, and every
+/// element's descendant-tag list concatenated into one arena.
+struct Facts {
+    nodes: Vec<NodeFacts>,
+    arena: Vec<TagId>,
+}
+
+impl Facts {
+    /// `DescTag_e` of `id`, sorted (empty for a text node).
+    fn desc(&self, id: NodeId) -> &[TagId] {
+        let f = &self.nodes[id.index()];
+        &self.arena[f.lo as usize..f.hi as usize]
+    }
 }
 
 fn node_tag(doc: &Document, id: NodeId) -> TagId {
@@ -114,25 +144,107 @@ fn node_tag(doc: &Document, id: NodeId) -> TagId {
     }
 }
 
-/// Computes descendant-tag sets for every element (strictly below).
-fn desc_sets(doc: &Document) -> Vec<Vec<TagId>> {
-    let mut out: Vec<Vec<TagId>> = vec![Vec::new(); doc.node_count()];
-    // Post-order: children before parents.
-    let order = doc.preorder();
-    for &(id, _) in order.iter().rev() {
-        if is_text(doc, id) {
+/// The whole dictionary, in id order: the root's context.
+fn all_tags(doc: &Document) -> Vec<TagId> {
+    (0..doc.dict.len() as u32).map(TagId).collect()
+}
+
+fn set_bit(set: &mut [u64], tag: TagId) {
+    set[tag.index() / 64] |= 1 << (tag.index() % 64);
+}
+
+/// Position of `tag` in the sorted list of `set`'s members.
+fn rank(set: &[u64], tag: TagId) -> u32 {
+    let (word, bit) = (tag.index() / 64, tag.index() % 64);
+    let below: u32 = set[..word].iter().map(|w| w.count_ones()).sum();
+    below + (set[word] & ((1 << bit) - 1)).count_ones()
+}
+
+/// Computes every node's layout facts in one post-order pass. Each open
+/// element owns a dictionary-wide bitset on a stack bounded by the depth;
+/// a finished element appends its set, sorted, to the arena, ranks its
+/// children's tags in it, then ORs it and its own tag into its parent's.
+fn compute_facts(doc: &Document) -> Facts {
+    let words = doc.dict.len().div_ceil(64);
+    let mut nodes = vec![NodeFacts::default(); doc.node_count()];
+    let mut arena = Vec::new();
+    let mut sets: Vec<u64> = vec![0; words];
+    // Open elements, with the children still to visit.
+    let mut open = vec![(doc.root(), doc.children(doc.root()).iter())];
+    while let Some((id, rest)) = open.last_mut() {
+        let id = *id;
+        let top = sets.len() - words;
+        if let Some(&c) = rest.next() {
+            match doc.node(c) {
+                Node::Text(t) => {
+                    nodes[c.index()].body = t.len() as u64;
+                    nodes[c.index()].leaf = true;
+                    set_bit(&mut sets[top..], TagId::TEXT);
+                }
+                Node::Element { children, .. } => {
+                    open.push((c, children.iter()));
+                    sets.resize(sets.len() + words, 0);
+                }
+            }
             continue;
         }
-        let mut set: Vec<TagId> = Vec::new();
-        for &c in doc.children(id) {
-            set.push(node_tag(doc, c));
-            set.extend(out[c.index()].iter().copied());
+        open.pop();
+        let children = doc.children(id);
+        let lo = arena.len() as u32; // the last element's checked `hi`
+        for (i, &word) in sets[top..].iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                arena.push(TagId((i * 64) as u32 + bits.trailing_zeros()));
+                bits &= bits - 1;
+            }
         }
-        set.sort_unstable();
-        set.dedup();
-        out[id.index()] = set;
+        let hi = u32::try_from(arena.len()).expect("arena indices fit u32");
+        for &c in children {
+            // A text child's `#text` is tag 0: always rank 0.
+            if let Node::Element { tag, .. } = doc.node(c) {
+                nodes[c.index()].idx = rank(&sets[top..], *tag);
+            }
+        }
+        let body = body_size(children, &nodes, (hi - lo) as usize);
+        let f = &mut nodes[id.index()];
+        (f.lo, f.hi, f.body, f.leaf) = (lo, hi, body, children.is_empty());
+        if !open.is_empty() {
+            let (below, own) = sets.split_at_mut(top);
+            let parent = &mut below[top - words..];
+            for (p, o) in parent.iter_mut().zip(own.iter()) {
+                *p |= o;
+            }
+            set_bit(parent, node_tag(doc, id));
+        }
+        sets.truncate(top);
     }
-    out
+    // The root is read under the whole dictionary, in id order.
+    nodes[doc.root().index()].idx = doc.tag(doc.root()).0;
+    Facts { nodes, arena }
+}
+
+/// Body size of an element with `tags` descendant tags: the least fixed
+/// point of `Σ child bodies + Σ child headers(body)`. Every leaf child's
+/// header has one length and every internal child's another, so each step
+/// is O(1).
+fn body_size(children: &[NodeId], nodes: &[NodeFacts], tags: usize) -> u64 {
+    let (mut bodies, mut leaves) = (0u64, 0u64);
+    for &c in children {
+        bodies += nodes[c.index()].body;
+        leaves += u64::from(nodes[c.index()].leaf);
+    }
+    let internal = children.len() as u64 - leaves;
+    let mut body = 0u64;
+    loop {
+        let next = bodies
+            + leaves * header_len(true, tags, body)
+            + internal * header_len(false, tags, body);
+        if next == body {
+            return body;
+        }
+        assert!(next > body, "body sizes grow monotonically");
+        body = next;
+    }
 }
 
 /// Encodes a document under the chosen variant.
@@ -146,14 +258,16 @@ pub fn encode_document(doc: &Document, encoding: Encoding) -> EncodedDoc {
     }
 }
 
+/// The content of every text node, in arena order.
+fn texts(doc: &Document) -> impl Iterator<Item = &str> {
+    (0..doc.node_count() as u32).filter_map(|i| match doc.node(NodeId(i)) {
+        Node::Text(t) => Some(t.as_str()),
+        Node::Element { .. } => None,
+    })
+}
+
 fn text_bytes_of(doc: &Document) -> usize {
-    doc.preorder()
-        .iter()
-        .filter_map(|&(id, _)| match doc.node(id) {
-            Node::Text(t) => Some(t.len()),
-            _ => None,
-        })
-        .sum()
+    texts(doc).map(str::len).sum()
 }
 
 fn encode_nc(doc: &Document) -> EncodedDoc {
@@ -166,16 +280,7 @@ fn encode_nc(doc: &Document) -> EncodedDoc {
 fn encode_tc(doc: &Document) -> EncodedDoc {
     let tagw = width_for(doc.dict.len().saturating_sub(1) as u64);
     // Text lengths use a global width sized by the longest text.
-    let max_text = doc
-        .preorder()
-        .iter()
-        .filter_map(|&(id, _)| match doc.node(id) {
-            Node::Text(t) => Some(t.len()),
-            _ => None,
-        })
-        .max()
-        .unwrap_or(0);
-    let lenw = width_for(max_text as u64);
+    let lenw = width_for(texts(doc).map(str::len).max().unwrap_or(0) as u64);
     let mut w = BitWriter::new();
     w.write_bytes(&(lenw as u8).to_be_bytes());
     let emit = |w: &mut BitWriter, ev: &xsac_xml::Event<'_>| match ev {
@@ -196,122 +301,65 @@ fn encode_tc(doc: &Document) -> EncodedDoc {
         }
     };
     doc.emit(doc.root(), &mut |e| emit(&mut w, e));
-    EncodedDoc {
-        bytes: w.finish(),
-        text_bytes: text_bytes_of(doc),
-        dict_bytes: doc.dict.serialized_len(),
-    }
+    EncodedDoc::compressed(doc, w.finish())
 }
 
 /// TCS / TCSB: global-width tags and sizes; optional full-width bitmaps.
 fn encode_tcs(doc: &Document, bitmaps: bool) -> EncodedDoc {
     let nt = doc.dict.len();
     let tagw = width_for(nt.saturating_sub(1) as u64);
-    let desc = if bitmaps { Some(desc_sets(doc)) } else { None };
-
+    let facts = bitmaps.then(|| compute_facts(doc));
+    let all = all_tags(doc);
+    let bitmap = if bitmaps { nt as u32 } else { 0 };
+    // Header length (bytes) of a record under a size-field width.
+    let header = |id: NodeId, sizew: u32| {
+        let internal = !doc.children(id).is_empty();
+        u64::from((1 + tagw + sizew + if internal { bitmap } else { 0 }).div_ceil(8))
+    };
+    // Every body size under a size-field width, and the total.
+    let sizes_with = |sizew: u32| {
+        let mut sizes = vec![0u64; doc.node_count()];
+        for &(id, _) in doc.preorder().iter().rev() {
+            sizes[id.index()] = match doc.node(id) {
+                Node::Text(t) => t.len() as u64,
+                Node::Element { children, .. } => {
+                    children.iter().map(|&c| header(c, sizew) + sizes[c.index()]).sum()
+                }
+            };
+        }
+        let total = header(doc.root(), sizew) + sizes[doc.root().index()];
+        (sizes, total)
+    };
     // Global fixed point: the size-field width depends on the total size.
     let mut sizew = 16u32;
-    let (mut sizes, mut total);
-    loop {
-        sizes = vec![0u64; doc.node_count()];
-        let order = doc.preorder();
-        for &(id, _) in order.iter().rev() {
-            match doc.node(id) {
-                Node::Text(t) => sizes[id.index()] = t.len() as u64,
-                Node::Element { children, .. } => {
-                    let mut body = 0u64;
-                    for &c in children {
-                        body +=
-                            record_len_global(doc, c, tagw, sizew, bitmaps, nt) + sizes[c.index()];
-                    }
-                    sizes[id.index()] = body;
-                }
-            }
-        }
-        total = record_len_global(doc, doc.root(), tagw, sizew, bitmaps, nt)
-            + sizes[doc.root().index()];
-        let needed = width_for(total);
+    let sizes = loop {
+        let needed = width_for(sizes_with(sizew).1);
         if needed <= sizew {
-            sizew = needed.max(1);
             // Recompute once with the final width for exactness.
-            let mut sizes2 = vec![0u64; doc.node_count()];
-            for &(id, _) in doc.preorder().iter().rev() {
-                match doc.node(id) {
-                    Node::Text(t) => sizes2[id.index()] = t.len() as u64,
-                    Node::Element { children, .. } => {
-                        let mut body = 0u64;
-                        for &c in children {
-                            body += record_len_global(doc, c, tagw, sizew, bitmaps, nt)
-                                + sizes2[c.index()];
-                        }
-                        sizes2[id.index()] = body;
-                    }
-                }
-            }
-            sizes = sizes2;
-            break;
+            sizew = needed.max(1);
+            break sizes_with(sizew).0;
         }
         sizew = needed;
-    }
+    };
 
+    // No closing tags and global widths: the records are simply the
+    // nodes in document order.
     let mut w = BitWriter::new();
     w.write_bytes(&(sizew as u8).to_be_bytes());
-    #[allow(clippy::too_many_arguments)]
-    fn emit(
-        doc: &Document,
-        id: NodeId,
-        w: &mut BitWriter,
-        sizes: &[u64],
-        desc: &Option<Vec<Vec<TagId>>>,
-        tagw: u32,
-        sizew: u32,
-        nt: usize,
-    ) {
+    for (id, _) in doc.preorder() {
         let leaf = doc.children(id).is_empty();
         w.write_bit(leaf);
         w.write(node_tag(doc, id).0 as u64, tagw);
         w.write(sizes[id.index()], sizew);
-        if !leaf {
-            if let Some(desc) = desc {
-                let set = &desc[id.index()];
-                for t in 0..nt {
-                    w.write_bit(set.binary_search(&TagId(t as u32)).is_ok());
-                }
-            }
+        if let (false, Some(facts)) = (leaf, &facts) {
+            tag_array(&all, facts.desc(id), |v, n| w.write(v, n));
         }
         w.align();
-        match doc.node(id) {
-            Node::Text(t) => w.write_bytes(t.as_bytes()),
-            Node::Element { children, .. } => {
-                for &c in children {
-                    emit(doc, c, w, sizes, desc, tagw, sizew, nt);
-                }
-            }
+        if let Node::Text(t) = doc.node(id) {
+            w.write_bytes(t.as_bytes());
         }
     }
-    emit(doc, doc.root(), &mut w, &sizes, &desc, tagw, sizew, nt);
-    EncodedDoc {
-        bytes: w.finish(),
-        text_bytes: text_bytes_of(doc),
-        dict_bytes: doc.dict.serialized_len(),
-    }
-}
-
-/// Header length (bytes) of a node record in TCS/TCSB.
-fn record_len_global(
-    doc: &Document,
-    id: NodeId,
-    tagw: u32,
-    sizew: u32,
-    bitmaps: bool,
-    nt: usize,
-) -> u64 {
-    let leaf = doc.children(id).is_empty();
-    let mut bits = 1 + tagw + sizew;
-    if !leaf && bitmaps {
-        bits += nt as u32;
-    }
-    u64::from(bits.div_ceil(8))
+    EncodedDoc::compressed(doc, w.finish())
 }
 
 /// TCSBR — the Skip index: the streamed encoder collected into memory.
@@ -322,7 +370,7 @@ fn encode_tcsbr(doc: &Document) -> EncodedDoc {
         Ok::<(), std::convert::Infallible>(())
     })
     .unwrap_or_else(|e| match e {});
-    EncodedDoc { bytes, text_bytes: text_bytes_of(doc), dict_bytes: doc.dict.serialized_len() }
+    EncodedDoc::compressed(doc, bytes)
 }
 
 /// Outcome of a streamed TCSBR encode (see [`encode_tcsbr_stream`]).
@@ -345,113 +393,72 @@ pub fn encode_tcsbr_stream<E>(
     doc: &Document,
     emit: impl FnMut(&[u8]) -> Result<(), E>,
 ) -> Result<StreamedEncode, E> {
-    let facts = compute_tcsbr_facts(doc);
-    let ctx = root_ctx(doc);
-    let root = &facts[doc.root().index()];
-    let root_record = root.body + header_len_with(root, ctx.tags.len(), ctx.body);
+    let facts = compute_facts(doc);
+    // The root is read under the full dictionary, with the root record
+    // length itself as the size bound (stored in the 4-byte header).
+    let (all, bound) = (all_tags(doc), u64::from(u32::MAX));
+    let root = &facts.nodes[doc.root().index()];
+    let root_record = root.body + header_len(root.leaf, all.len(), bound);
     let mut w = BitSink::new(emit);
     w.write_bytes(&(root_record as u32).to_be_bytes())?;
-    emit_tcsbr(doc, doc.root(), &ctx, &facts, &mut w)?;
+    emit_tcsbr(doc, doc.root(), &all, width_for(bound), &facts, &mut w)?;
     let (encoded_len, peak_buffered) = w.finish()?;
     Ok(StreamedEncode { encoded_len, peak_buffered })
 }
 
-/// The encoding context a node is read under: the parent's descendant-tag
-/// list and body size.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Ctx {
-    /// Sorted tag list of the parent (`DescTag_parent`).
-    pub tags: Vec<TagId>,
-    /// Parent body size in bytes.
-    pub body: u64,
-}
-
-/// Context of the document root: the full dictionary, and the root record
-/// length itself as the size bound (stored in the 4-byte header).
-pub fn root_ctx(doc: &Document) -> Ctx {
-    Ctx { tags: (0..doc.dict.len() as u32).map(TagId).collect(), body: u32::MAX as u64 }
-}
-
-fn compute_tcsbr_facts(doc: &Document) -> Vec<NodeFacts> {
-    let desc = desc_sets(doc);
-    let mut facts: Vec<NodeFacts> =
-        desc.into_iter().map(|d| NodeFacts { desc: d, body: 0, leaf: true }).collect();
-    for &(id, _) in doc.preorder().iter().rev() {
-        match doc.node(id) {
-            Node::Text(t) => {
-                facts[id.index()].body = t.len() as u64;
-                facts[id.index()].leaf = true;
-            }
-            Node::Element { children, .. } => {
-                facts[id.index()].leaf = children.is_empty();
-                // Fixed point on this node's body size: child header
-                // widths depend on it.
-                let mut body = 0u64;
-                loop {
-                    let mut next = 0u64;
-                    for &c in children {
-                        next +=
-                            header_len_with(&facts[c.index()], facts[id.index()].desc.len(), body)
-                                + facts[c.index()].body;
-                    }
-                    if next == body {
-                        break;
-                    }
-                    assert!(next > body, "body sizes grow monotonically");
-                    body = next;
-                }
-                facts[id.index()].body = body;
-            }
-        }
-    }
-    facts
-}
-
 /// Header length (bytes) of a record with `parent_tags` context entries
 /// and `parent_body` size bound.
-fn header_len_with(node: &NodeFacts, parent_tags: usize, parent_body: u64) -> u64 {
-    let tagw = width_for(parent_tags.saturating_sub(1) as u64);
-    let sizew = width_for(parent_body);
-    let mut bits = 1 + tagw + sizew;
-    if !node.leaf {
-        bits += parent_tags as u32;
-    }
+fn header_len(leaf: bool, parent_tags: usize, parent_body: u64) -> u64 {
+    let array = if leaf { 0 } else { parent_tags as u32 };
+    let bits = 1 + width_for(parent_tags.saturating_sub(1) as u64) + width_for(parent_body) + array;
     u64::from(bits.div_ceil(8))
 }
 
+/// Hands `write` the tag array of a node whose sorted descendant list is
+/// `desc`, under the sorted context `ctx` — one bit per context tag, set
+/// when that tag occurs below the node — in runs of up to 32 bits. The
+/// descendants of a node are descendants of its parent, so `desc ⊆ ctx`
+/// and one merge walk of the two lists decides every bit.
+fn tag_array(ctx: &[TagId], desc: &[TagId], mut write: impl FnMut(u64, u32)) {
+    let mut next = 0;
+    for run in ctx.chunks(32) {
+        let mut bits = 0u64;
+        for t in run {
+            let hit = desc.get(next) == Some(t);
+            bits = bits << 1 | u64::from(hit);
+            next += usize::from(hit);
+        }
+        write(bits, run.len() as u32);
+    }
+    debug_assert_eq!(next, desc.len(), "descendant tags outside the parent context");
+}
+
+/// Writes the record of `id` under its context: the parent's
+/// descendant-tag list `ctx` (borrowed from the arena) and the size-field
+/// width `sizew` the parent's body size implies.
 fn emit_tcsbr<F, E>(
     doc: &Document,
     id: NodeId,
-    ctx: &Ctx,
-    facts: &[NodeFacts],
+    ctx: &[TagId],
+    sizew: u32,
+    facts: &Facts,
     w: &mut BitSink<F, E>,
 ) -> Result<(), E>
 where
     F: FnMut(&[u8]) -> Result<(), E>,
 {
-    let f = &facts[id.index()];
-    let tagw = width_for(ctx.tags.len().saturating_sub(1) as u64);
-    let sizew = width_for(ctx.body);
-    let tag = node_tag(doc, id);
-    let idx = ctx
-        .tags
-        .binary_search(&tag)
-        .unwrap_or_else(|_| panic!("tag {tag:?} missing from parent context"));
-    w.write_bit(f.leaf);
-    w.write(idx as u64, tagw);
-    w.write(f.body, sizew);
+    let (f, tagw) = (&facts.nodes[id.index()], width_for(ctx.len().saturating_sub(1) as u64));
+    // `[leaf][tag index][size]`, packed in one write.
+    w.write((u64::from(f.leaf) << tagw | u64::from(f.idx)) << sizew | f.body, 1 + tagw + sizew);
     if !f.leaf {
-        for t in &ctx.tags {
-            w.write_bit(f.desc.binary_search(t).is_ok());
-        }
+        tag_array(ctx, facts.desc(id), |v, n| w.write(v, n));
     }
     w.align()?;
     match doc.node(id) {
         Node::Text(t) => w.write_bytes(t.as_bytes())?,
         Node::Element { children, .. } => {
-            let child_ctx = Ctx { tags: f.desc.clone(), body: f.body };
             for &c in children {
-                emit_tcsbr(doc, c, &child_ctx, facts, w)?;
+                emit_tcsbr(doc, c, facts.desc(id), width_for(f.body), facts, w)?;
             }
         }
     }
@@ -515,8 +522,8 @@ mod tests {
     #[test]
     fn desc_sets_strictly_below() {
         let d = Document::parse("<a><b><c>x</c></b></a>").unwrap();
-        let sets = desc_sets(&d);
-        let root_set = &sets[d.root().index()];
+        let facts = compute_facts(&d);
+        let root_set = facts.desc(d.root());
         let b = d.dict.get("b").unwrap();
         let c = d.dict.get("c").unwrap();
         let a = d.dict.get("a").unwrap();

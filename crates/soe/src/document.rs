@@ -49,7 +49,8 @@ pub struct PrepareStats {
     /// Wall time per protect phase: cipher work as
     /// [`xsac_obs::Phase::Decrypt`], digests as
     /// [`xsac_obs::Phase::Hash`], the write sink as
-    /// [`xsac_obs::Phase::Io`] (all from the [`ChunkProtector`]);
+    /// [`xsac_obs::Phase::Io`] (from the [`ChunkProtector`], plus the
+    /// file's creation and final flush);
     /// parse-and-encode as [`xsac_obs::Phase::Encode`], derived as the
     /// pass's wall time minus the protector's share. Telemetry only —
     /// zero when runtime-disabled.
@@ -110,7 +111,9 @@ impl ServerDoc<FileStore> {
     ) -> io::Result<(ServerDoc<FileStore>, PrepareStats)> {
         let pass = Tick::now();
         let mut w = BufWriter::new(std::fs::File::create(path)?);
+        let created = pass.elapsed_nanos();
         let (digests, mut stats) = publish(doc, key, scheme, layout, |chunk| w.write_all(chunk))?;
+        stats.phases.add_nanos(Phase::Io, created);
         let t = Tick::now();
         w.flush()?;
         w.into_inner().map_err(|e| e.into_error())?.sync_all()?;
@@ -290,6 +293,34 @@ mod tests {
         assert_eq!(file.protected.digests, mem.protected.digests);
         assert_eq!(file.protected.plain_len, mem.protected.plain_len);
         assert_eq!(file.stored_len(), mem.stored_len());
+    }
+
+    #[test]
+    fn prepare_over_existing_file_charges_io_not_encode() {
+        // Truncating an existing file is sink work: it lands in `Io`, and
+        // the phases (Encode derived as the remainder) never exceed the
+        // pass's wall time.
+        let doc = Document::parse("<a><b>hello</b><c>world</c></a>").unwrap();
+        let tmp = TempPath::new("prepare-existing");
+        std::fs::write(tmp.path(), vec![0u8; 120 * 1024]).unwrap();
+        let pass = Tick::now();
+        let (s, stats) = ServerDoc::prepare_to_store_with_stats(
+            &doc,
+            &key(),
+            IntegrityScheme::EcbMht,
+            ChunkLayout::default(),
+            tmp.path(),
+            4096,
+        )
+        .unwrap();
+        let wall = pass.elapsed_nanos();
+        let written = std::fs::metadata(tmp.path()).unwrap().len() as usize;
+        assert_eq!(written, s.protected.ciphertext_len(), "the old contents are truncated");
+        if xsac_obs::enabled() {
+            assert!(stats.phases.get(Phase::Io) > 0, "{:?}", stats.phases);
+            assert!(stats.phases.get(Phase::Encode) > 0, "{:?}", stats.phases);
+        }
+        assert!(stats.phases.total() <= wall, "phases {} > wall {wall}", stats.phases.total());
     }
 
     #[test]

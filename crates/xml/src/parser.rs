@@ -54,11 +54,6 @@ impl<'a, 'd> Parser<'a, 'd> {
         Parser { input, pos: 0, dict, open: Vec::new(), queued: Vec::new(), finished: false }
     }
 
-    /// Current depth (number of open elements).
-    pub fn depth(&self) -> usize {
-        self.open.len()
-    }
-
     fn err<T>(&self, message: impl Into<String>) -> Result<T, ParseError> {
         Err(ParseError { offset: self.pos, message: message.into() })
     }
@@ -352,18 +347,5 @@ mod tests {
         let mut dict = TagDict::new();
         let err = collect_events(Parser::new("</a>", &mut dict)).unwrap_err();
         assert!(err.message.contains("no open element"));
-    }
-
-    #[test]
-    fn depth_tracking() {
-        let mut dict = TagDict::new();
-        let mut p = Parser::new("<a><b></b></a>", &mut dict);
-        assert_eq!(p.depth(), 0);
-        p.next().unwrap(); // <a>
-        assert_eq!(p.depth(), 1);
-        p.next().unwrap(); // <b>
-        assert_eq!(p.depth(), 2);
-        p.next().unwrap(); // </b>
-        assert_eq!(p.depth(), 1);
     }
 }
