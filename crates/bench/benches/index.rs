@@ -2,8 +2,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xsac_datagen::Dataset;
-use xsac_index::decode::{CursorDecoder, DecodedNode, SliceSource};
+use xsac_index::decode::{CursorDecoder, SliceSource};
 use xsac_index::encode::{encode_document, Encoding};
+use xsac_xml::Event;
 
 fn bench_encode(c: &mut Criterion) {
     let doc = Dataset::Hospital.generate(0.05, 42);
@@ -27,11 +28,8 @@ fn bench_decode_full(c: &mut Criterion) {
         b.iter(|| {
             let mut d = CursorDecoder::new(SliceSource(&enc.bytes), doc.dict.len()).unwrap();
             let mut n = 0usize;
-            loop {
-                match d.next().unwrap() {
-                    DecodedNode::End => break,
-                    _ => n += 1,
-                }
+            while d.next().unwrap().is_some() {
+                n += 1;
             }
             n
         })
@@ -41,12 +39,8 @@ fn bench_decode_full(c: &mut Criterion) {
         b.iter(|| {
             let mut d = CursorDecoder::new(SliceSource(&enc.bytes), doc.dict.len()).unwrap();
             let mut n = 0usize;
-            loop {
-                let opened = match d.next().unwrap() {
-                    DecodedNode::End => break,
-                    node => matches!(node, DecodedNode::Element { .. }),
-                };
-                if opened && d.depth() == 2 {
+            while let Some(event) = d.next().unwrap() {
+                if matches!(event, Event::Open(_)) && d.depth() == 2 {
                     d.skip_current();
                     n += 1;
                 }

@@ -35,7 +35,7 @@ use crate::rule::{Policy, Sign};
 use crate::stats::EvalStats;
 use crate::token::{ArmedCmp, Bindings, NavToken, PredToken, RuleRef, TokenLevel, TokenStack};
 use std::sync::Arc;
-use xsac_xml::{Event, TagId, TagSet};
+use xsac_xml::{Event, TagId};
 use xsac_xpath::ir::OWNER_QUERY;
 use xsac_xpath::{Automaton, InstrSeq, Value};
 
@@ -54,12 +54,13 @@ pub enum Directive {
 }
 
 /// Skip-index metadata attached to an open event by index-aware drivers.
+/// A driver that passes it can skip the opened subtree and read it back
+/// later, so [`Evaluator::open`] may answer [`Directive::SkipPending`].
 #[derive(Clone, Debug, Default)]
 pub struct SkipInfo<'a> {
-    /// `DescTag_e`: tags occurring strictly below the opened element.
-    pub desc_tags: Option<&'a TagSet>,
-    /// Driver handle for the encrypted subtree (enables `SkipPending`).
-    pub handle: Option<SubtreeRef>,
+    /// `DescTag_e`: the sorted tags occurring strictly below the opened
+    /// element (enables the §4.2 token filter).
+    pub desc_tags: Option<&'a [TagId]>,
 }
 
 /// Evaluator configuration.
@@ -364,7 +365,8 @@ impl Evaluator {
     }
 
     /// Processes an open event. `skip` carries skip-index metadata when the
-    /// driver has it.
+    /// driver has it; without it the answer is never
+    /// [`Directive::SkipPending`].
     pub fn open(&mut self, tag: TagId, skip: Option<&SkipInfo<'_>>) -> Directive {
         assert!(!self.raw_active, "feed raw subtree events through raw_event");
         self.flush_pending_open();
@@ -467,14 +469,14 @@ impl Evaluator {
             let before = new_level.nav.len();
             new_level.nav.retain(|t| {
                 let st = ir.instr(t.instr);
-                st.is_final() || desc.contains_all(ir.labels(st.remaining))
+                st.is_final() || all_below(ir.labels(st.remaining), desc)
             });
             stats.tokens_filtered += before - new_level.nav.len();
 
             let before = new_level.pred.len();
             new_level.pred.retain(|t| {
                 let st = ir.instr(t.instr);
-                st.is_final() || desc.contains_all(ir.labels(st.remaining))
+                st.is_final() || all_below(ir.labels(st.remaining), desc)
             });
             stats.tokens_filtered += before - new_level.pred.len();
         }
@@ -544,7 +546,7 @@ impl Evaluator {
                 Directive::SkipDeny
             }
             Disposition::Pend(_) => {
-                if skip.and_then(|s| s.handle).is_some() {
+                if skip.is_some() {
                     stats.skips_pending += 1;
                     Directive::SkipPending
                 } else {
@@ -793,6 +795,21 @@ impl Evaluator {
 // Free-function internals: `open()` split-borrows the evaluator (shared
 // automata stay immutably borrowed while session state mutates), so the
 // helpers it calls take the fields they touch explicitly.
+
+/// `RemainingLabels ⊆ DescTag_e` (§4.2) on two sorted tag lists: the
+/// labels come sorted from the automaton, the descendant list from the
+/// skip index. Each label is searched past the previous one's match.
+#[inline]
+fn all_below(labels: &[TagId], mut desc: &[TagId]) -> bool {
+    debug_assert!(labels.is_sorted(), "remaining labels must be sorted");
+    labels.iter().all(|label| match desc.binary_search(label) {
+        Ok(i) => {
+            desc = &desc[i + 1..];
+            true
+        }
+        Err(_) => false,
+    })
+}
 
 #[allow(clippy::too_many_arguments)]
 fn advance_nav(
@@ -1223,18 +1240,74 @@ mod tests {
         let zz = dict.get("zz").unwrap();
         let mut eval = Evaluator::new(&policy, None, EvalConfig::default());
         // DescTag of <a> does not contain zz: the //zz token dies at once.
-        let mut desc = TagSet::new();
-        for n in ["b", "c"] {
-            desc.insert(dict.get(n).unwrap());
-        }
-        assert!(!desc.contains(zz));
-        let d = eval
-            .open(dict.get("a").unwrap(), Some(&SkipInfo { desc_tags: Some(&desc), handle: None }));
+        let mut desc = vec![dict.get("b").unwrap(), dict.get("c").unwrap()];
+        desc.sort();
+        assert!(!desc.contains(&zz));
+        let d = eval.open(dict.get("a").unwrap(), Some(&SkipInfo { desc_tags: Some(&desc) }));
         assert_eq!(d, Directive::SkipDeny, "no rule can match below: skip");
         eval.skip_close(None);
         let res = eval.finish();
         assert!(res.stats.tokens_filtered > 0);
         assert_eq!(reassemble_to_string(&dict, &res.log), "");
+    }
+
+    /// The sorted-list subset test agrees with per-label membership,
+    /// labels at either end of the descendant list and just outside it
+    /// included.
+    #[test]
+    fn all_below_matches_membership() {
+        let desc = [2, 5, 9].map(TagId);
+        for labels in [
+            &[][..],
+            &[2],
+            &[9],
+            &[2, 9],
+            &[2, 5, 9],
+            &[1],
+            &[10],
+            &[1, 2],
+            &[9, 10],
+            &[3],
+            &[2, 3, 9],
+        ] {
+            let labels: Vec<TagId> = labels.iter().copied().map(TagId).collect();
+            let member = labels.iter().all(|l| desc.contains(l));
+            assert_eq!(all_below(&labels, &desc), member, "{labels:?} ⊆ {desc:?}");
+            assert!(all_below(&labels, &[]) == labels.is_empty());
+        }
+    }
+
+    /// A token whose remaining labels sit at either end of the descendant
+    /// list survives the §4.2 filter; one whose labels lie just outside
+    /// the list (or between its entries) is filtered.
+    #[test]
+    fn token_filter_at_the_ends_of_the_descendant_list() {
+        let mut dict = xsac_xml::TagDict::new();
+        let t: Vec<TagId> = (0..8).map(|i| dict.intern(&format!("t{i}"))).collect();
+        let policy = Policy::parse("u", &[(Sign::Permit, "//t2/t5")], &mut dict).unwrap();
+        let ends = [t[2], t[3], t[4], t[5]];
+        let cases: [(&[TagId], bool); 7] = [
+            (&ends, true),
+            (&[t[2], t[5]], true),
+            (&[t[1], t[2], t[5], t[6]], true),
+            (&[t[3], t[4], t[5]], false),
+            (&[t[2], t[3], t[4]], false),
+            (&[t[1], t[3], t[4], t[6]], false),
+            (&[t[6], t[7]], false),
+        ];
+        for (desc, survives) in cases {
+            let mut eval = Evaluator::new(&policy, None, EvalConfig::default());
+            let d = eval.open(t[0], Some(&SkipInfo { desc_tags: Some(desc) }));
+            let expect = if survives { Directive::Continue } else { Directive::SkipDeny };
+            assert_eq!(d, expect, "{desc:?}");
+            if survives {
+                eval.close();
+            } else {
+                eval.skip_close(None);
+            }
+            let filtered = eval.finish().stats.tokens_filtered;
+            assert_eq!(filtered, usize::from(!survives), "{desc:?}");
+        }
     }
 
     #[test]
@@ -1253,10 +1326,9 @@ mod tests {
         let b = dict.get("b").unwrap();
         let k = dict.get("k").unwrap();
         let x = dict.get("x").unwrap();
-        let desc_b: TagSet = [k].into_iter().collect();
+        let desc_b = [k];
         assert_eq!(eval.open(a, None), Directive::Continue);
-        let d = eval
-            .open(b, Some(&SkipInfo { desc_tags: Some(&desc_b), handle: Some(SubtreeRef(99)) }));
+        let d = eval.open(b, Some(&SkipInfo { desc_tags: Some(&desc_b) }));
         assert_eq!(d, Directive::SkipPending);
         eval.skip_close(Some(SubtreeRef(99)));
         // x=1 satisfies the predicate → readback request for b's subtree.

@@ -8,7 +8,7 @@ use xsac_core::evaluator::{EvalConfig, Evaluator};
 use xsac_core::oracle::{oracle_query_string, oracle_view_string, Oracle};
 use xsac_core::output::reassemble_to_string;
 use xsac_core::{Policy, Sign};
-use xsac_xml::{Document, Node, NodeId, TagSet};
+use xsac_xml::{Document, Node, NodeId, TagId};
 use xsac_xpath::{parse_path, Automaton};
 
 // ---------------------------------------------------------------------
@@ -120,23 +120,25 @@ fn run_with_skips(doc: &Document, rules: &[(bool, String)], query: Option<&str>)
     let q = query.map(|q| Automaton::parse(q, &mut dict).unwrap());
     let mut eval = Evaluator::new(&policy, q.as_ref(), EvalConfig::default());
 
-    // Pre-compute, for every node, its DescTag set and its events.
-    let mut desc: std::collections::HashMap<NodeId, TagSet> = Default::default();
+    // Pre-compute, for every node, its DescTag list (sorted, as the skip
+    // index stores it) and its events.
+    let mut desc: std::collections::HashMap<NodeId, Vec<TagId>> = Default::default();
     fn fill(
         doc: &Document,
         id: NodeId,
-        desc: &mut std::collections::HashMap<NodeId, TagSet>,
-    ) -> TagSet {
-        let mut set = TagSet::new();
+        desc: &mut std::collections::HashMap<NodeId, Vec<TagId>>,
+    ) -> Vec<TagId> {
+        let mut list = Vec::new();
         for &c in doc.children(id) {
             if let Node::Element { tag, .. } = doc.node(c) {
-                set.insert(*tag);
-                let sub = fill(doc, c, desc);
-                set.union_with(&sub);
+                list.push(*tag);
+                list.extend(fill(doc, c, desc));
             }
         }
-        desc.insert(id, set.clone());
-        set
+        list.sort();
+        list.dedup();
+        desc.insert(id, list.clone());
+        list
     }
     fill(doc, doc.root(), &mut desc);
 
@@ -170,7 +172,7 @@ fn run_with_skips(doc: &Document, rules: &[(bool, String)], query: Option<&str>)
                 Node::Element { tag, children } => {
                     let handle = SubtreeRef(handles.len() as u64);
                     handles.push(id);
-                    let info = SkipInfo { desc_tags: desc.get(&id), handle: Some(handle) };
+                    let info = SkipInfo { desc_tags: desc.get(&id).map(Vec::as_slice) };
                     let d = eval.open(*tag, Some(&info));
                     serve(&mut eval, &handles);
                     match d {

@@ -287,8 +287,8 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     /// Reused buffer for the Merkle proof of the fragment being fetched:
     /// only the siblings `verified` cannot already vouch for.
     proof: Vec<Digest>,
-    /// Terminal-side chunk staging buffer: used only over stores without
-    /// a borrowed-slice fast path, to build a cold chunk's Merkle tree.
+    /// Terminal-side chunk staging buffer: holds a cold chunk's
+    /// ciphertext while its Merkle tree is built.
     chunk_scratch: Vec<u8>,
     /// Which chunk's ciphertext `chunk_scratch` currently holds, when
     /// valid — lets a cold ECB-MHT fetch serve its fragment from the
@@ -480,10 +480,9 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     }
 
     /// Replaces the working buffer with the ciphertext range `lo..hi`
-    /// read from the store, reusing its allocation. Resident stores are
-    /// copied from directly (the zero-copy fast path of PR 1); out-of-
-    /// core stores go through a bounded `read_at`. The caller
-    /// (`read_into`) discards the buffer on any failure.
+    /// read from the store (one bounded `read_at`, whatever the backend),
+    /// reusing its allocation. The caller (`read_into`) discards the
+    /// buffer on any failure.
     /// Unmetered: every caller is a `fetch_unit` arm whose chained span
     /// clock is already in its Fetch lap (one clock read per phase
     /// transition for the whole unit — per-operation brackets here would
@@ -491,12 +490,8 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     fn stage(&mut self, lo: usize, hi: usize) -> Result<(), ReadError> {
         self.cache.clear();
         self.cache_start = lo;
-        if let Some(all) = self.doc.store.as_slice() {
-            self.cache.extend_from_slice(&all[lo..hi]);
-        } else {
-            self.cache.resize(hi - lo, 0);
-            self.doc.store.read_at(lo, &mut self.cache)?;
-        }
+        self.cache.resize(hi - lo, 0);
+        self.doc.store.read_at(lo, &mut self.cache)?;
         self.note_residency();
         Ok(())
     }
@@ -709,8 +704,8 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 let mut lap = SpanClock::start(Phase::Fetch);
                 // Stage the fragment ciphertext into the working buffer.
                 // When the scratch buffer holds this chunk (the cold
-                // out-of-core leaf computation just read it), the
-                // fragment is a subrange of it — no second store read.
+                // tree build just read it), the fragment is a subrange of
+                // it — no second store read.
                 if self.scratch_chunk == Some(ci) {
                     self.cache.clear();
                     self.cache_start = f_lo;
@@ -756,9 +751,9 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     }
 
     /// The chunk's Merkle tree out of `cache`, building it on first
-    /// touch. Over a borrowed-slice store the chunk bytes come for free;
-    /// out-of-core stores stage the chunk through the reader's scratch
-    /// buffer (a fallible, bounded read) only while cold.
+    /// touch: a cold chunk is staged through the reader's scratch buffer
+    /// (a fallible, bounded read), which then also serves the fragment
+    /// that asked for it.
     fn chunk_tree<'c>(
         &mut self,
         cache: &'c LeafCache,
@@ -771,22 +766,10 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
         if let Some(tree) = cache.get(ci) {
             return Ok(tree);
         }
-        if let Some(all) = self.doc.store.as_slice() {
-            let cost = &mut self.cost;
-            let phases = &mut self.phases;
-            let t = Tick::now();
-            // The charge closure runs only when this call built the tree
-            // (first toucher), so a racing session that lost the
-            // compute records nothing.
-            return Ok(cache.get_or_compute(ci, &all[chunk_range], fragment_size, |n| {
-                cost.terminal_bytes_hashed += n;
-                phases.record(Phase::Hash, t);
-            }));
-        }
-        // Cold chunk over an out-of-core store: stage its ciphertext in
-        // the scratch buffer to build the tree. Two racing sessions may
-        // both stage, but only the one whose init closure runs is charged
-        // (first toucher pays), exactly as on the in-memory path.
+        // Two racing sessions may both stage the chunk, but the charge
+        // closure runs only when this call built the tree: the first
+        // toucher pays, and a session that lost the compute records
+        // nothing.
         let t = Tick::now();
         self.scratch_chunk = None;
         self.chunk_scratch.clear();

@@ -8,9 +8,8 @@
 //! [`SoeReader`](crate::SoeReader) pulls every ciphertext byte through.
 //! Three backends:
 //!
-//! * [`MemStore`] — the whole ciphertext in one `Vec<u8>` (the historical
-//!   behaviour; documents that fit in RAM). Exposes a borrowed slice fast
-//!   path so the in-memory pipeline keeps its zero-copy reads.
+//! * [`MemStore`] — the whole ciphertext in one `Vec<u8>` (documents
+//!   that fit in RAM).
 //! * [`FileStore`] — out-of-core: the ciphertext lives in a file and only
 //!   a small, metered **resident window** of recently-read chunks is held
 //!   in memory. N concurrent sessions over one shared `FileStore` stay
@@ -190,14 +189,6 @@ pub trait ChunkStore: Sync {
     /// success.
     fn read_at(&self, offset: usize, buf: &mut [u8]) -> Result<(), StoreError>;
 
-    /// Zero-copy fast path: the whole ciphertext as a slice, when the
-    /// backend is resident anyway. Out-of-core backends return `None`
-    /// and callers fall back to bounded [`read_at`](ChunkStore::read_at)
-    /// staging.
-    fn as_slice(&self) -> Option<&[u8]> {
-        None
-    }
-
     /// The store's residency meter, when the backend bounds (and
     /// meters) its resident bytes. Readers over a metered store report
     /// their own staging buffers here too, so the figure covers the
@@ -210,9 +201,8 @@ pub trait ChunkStore: Sync {
 /// A type-erased, shareable [`ChunkStore`]: the store type of
 /// heterogeneous collections (a registry serving in-memory and
 /// file-backed documents side by side). Boxing is transparent — every
-/// trait method, including the [`as_slice`](ChunkStore::as_slice) and
-/// [`meter`](ChunkStore::meter) fast paths, delegates to the erased
-/// backend.
+/// trait method, [`meter`](ChunkStore::meter) included, delegates to the
+/// erased backend.
 pub type DynChunkStore = Box<dyn ChunkStore + Send + Sync>;
 
 impl ChunkStore for DynChunkStore {
@@ -222,10 +212,6 @@ impl ChunkStore for DynChunkStore {
 
     fn read_at(&self, offset: usize, buf: &mut [u8]) -> Result<(), StoreError> {
         (**self).read_at(offset, buf)
-    }
-
-    fn as_slice(&self) -> Option<&[u8]> {
-        (**self).as_slice()
     }
 
     fn meter(&self) -> Option<&ResidencyMeter> {
@@ -266,10 +252,6 @@ impl ChunkStore for MemStore {
         check_bounds(offset, buf.len(), self.bytes.len())?;
         buf.copy_from_slice(&self.bytes[offset..offset + buf.len()]);
         Ok(())
-    }
-
-    fn as_slice(&self) -> Option<&[u8]> {
-        Some(&self.bytes)
     }
 }
 
@@ -902,9 +884,6 @@ impl<S: ChunkStore> ChunkStore for FaultStore<S> {
         Ok(())
     }
 
-    // No `as_slice` fast path: corruption must apply to every read, so
-    // callers are forced through `read_at`.
-
     fn meter(&self) -> Option<&ResidencyMeter> {
         self.inner.meter()
     }
@@ -956,7 +935,7 @@ mod tests {
         assert_eq!(buf, &data(100)[30..70]);
         assert!(matches!(s.read_at(90, &mut buf), Err(StoreError::OutOfBounds { .. })));
         assert!(matches!(s.read_at(usize::MAX, &mut buf), Err(StoreError::OutOfBounds { .. })));
-        assert_eq!(s.as_slice().unwrap().len(), 100);
+        assert_eq!(s.len(), 100);
         assert!(!s.is_empty());
     }
 
@@ -966,7 +945,6 @@ mod tests {
         let bytes = data(5000);
         let s = FileStore::create(tmp.path(), &bytes, 512, 1024).unwrap();
         assert_eq!(s.len(), 5000);
-        assert!(s.as_slice().is_none(), "out-of-core store must not expose a slice");
         // Reads of every alignment, including chunk-spanning and the
         // partial tail chunk.
         for (off, len) in [(0usize, 5000usize), (500, 600), (4990, 10), (511, 2), (0, 0)] {
@@ -1042,7 +1020,6 @@ mod tests {
         s.read_at(496, &mut buf).unwrap();
         assert_eq!(buf[4], data(1000)[500] ^ 0x01);
         assert_eq!(s.reads_seen(), 5);
-        assert!(s.as_slice().is_none(), "corruption must not be bypassable");
     }
 
     #[test]
@@ -1195,7 +1172,6 @@ mod tests {
         let boxed: DynChunkStore = Box::new(MemStore::new(data(100)));
         assert_eq!(boxed.len(), 100);
         assert!(!boxed.is_empty());
-        assert_eq!(boxed.as_slice().unwrap(), &data(100)[..]);
         assert!(boxed.meter().is_none());
         let mut buf = [0u8; 10];
         boxed.read_at(5, &mut buf).unwrap();

@@ -53,8 +53,8 @@ fn every_fault_mode_is_a_typed_error_for_every_scheme() {
 #[test]
 fn corruption_in_any_stored_chunk_is_detected_by_tamper_resistant_schemes() {
     // A flipped byte on the medium (FaultStore corruption — applied on
-    // every read, invisible to any slice fast path) is caught by every
-    // tamper-resistant scheme, in whichever chunk it lands.
+    // every read) is caught by every tamper-resistant scheme, in
+    // whichever chunk it lands.
     for scheme in [IntegrityScheme::CbcSha, IntegrityScheme::CbcShac, IntegrityScheme::EcbMht] {
         let (p, _) = doc(scheme, 4096);
         let k = key();

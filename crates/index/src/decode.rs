@@ -7,22 +7,31 @@
 //! stack and used to decode in turn TagArray_e, SubtreeSize_e and the
 //! encoded tag of e."
 //!
-//! One record parser serves two callers:
+//! One record parser serves two callers, and both speak the parser's
+//! [`Event`]s:
 //!
 //! * [`CursorDecoder`] walks the document through a [`ByteSource`],
 //!   fetching only the records it visits. Skipping an open subtree is a
-//!   position seek to its body end.
+//!   position seek to its body end. An element's `DescTag_e` is the
+//!   sorted tag list its children are read under — the same list the
+//!   `SkipStack` keeps — exposed by [`CursorDecoder::last_desc`].
 //! * [`decode_range`] re-decodes a saved [`DecoderContext`] in one pass
 //!   over bytes already in hand — pending-subtree readback (§5), or the
 //!   whole document under [`DecoderContext::root`]. Its text events
 //!   borrow the input, and it appends into a caller-owned buffer, so a
 //!   readback allocates per *element record* (its descendant-tag
 //!   context), never per text byte.
+//!
+//! Malformed bytes surface as a [`DecodeError`]; a cursor reports it
+//! through its source's own error type (`ByteSource::Error:
+//! From<DecodeError>`), so a fetch failure and a decode failure reach the
+//! caller as one error type.
 
 use crate::bits::{width_for, BitReader};
+use std::borrow::Cow;
 use std::fmt;
 use std::sync::Arc;
-use xsac_xml::{Event, TagId, TagSet};
+use xsac_xml::{Event, TagId};
 
 /// Decode error.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,30 +49,6 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
-
-/// One decoded node event.
-///
-/// Borrows the decoder's text buffer, so pulling events never allocates
-/// per text node. An element's descendant-tag set (the decoded TagArray)
-/// is exposed through [`CursorDecoder::last_desc`] — kept in a buffer the
-/// decoder reuses for every record, so the steady-state element loop
-/// performs a single allocation per record (the shared child-context tag
-/// list) instead of four.
-#[derive(Debug, Clone, PartialEq)]
-pub enum DecodedNode<'a> {
-    /// An element opens; its descendant tags are in
-    /// [`CursorDecoder::last_desc`] until the next call.
-    Element {
-        /// The element tag.
-        tag: TagId,
-    },
-    /// A text node.
-    Text(&'a str),
-    /// An element closes (synthesized — the encoding has no closing tags).
-    Close(TagId),
-    /// End of document.
-    End,
-}
 
 /// Snapshot sufficient to re-decode a byte range later (pending-subtree
 /// readback): the record's starting offset, its end, and the decoding
@@ -225,8 +210,9 @@ pub fn decode_range<'d>(
 /// a metering source observes exactly the decoder's touch pattern: the
 /// records it reads, never the subtrees it skips.
 pub trait ByteSource {
-    /// Fetch failure type.
-    type Error;
+    /// Failure type of the cursor as a whole: a fetch failure of the
+    /// source, or a [`DecodeError`] in the bytes it delivered.
+    type Error: From<DecodeError>;
 
     /// Total document length in bytes.
     fn len(&self) -> usize;
@@ -262,42 +248,6 @@ impl ByteSource for SliceSource<'_> {
     }
 }
 
-/// Error of a [`CursorDecoder`]: either the source failed to deliver
-/// bytes (a storage fault, an integrity violation) or the delivered bytes
-/// failed to decode.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CursorError<E> {
-    /// The byte source failed.
-    Source(E),
-    /// The fetched bytes are not a valid record stream.
-    Decode(DecodeError),
-}
-
-impl<E> From<DecodeError> for CursorError<E> {
-    fn from(e: DecodeError) -> Self {
-        CursorError::Decode(e)
-    }
-}
-
-impl From<CursorError<DecodeError>> for DecodeError {
-    fn from(e: CursorError<DecodeError>) -> Self {
-        match e {
-            CursorError::Source(e) | CursorError::Decode(e) => e,
-        }
-    }
-}
-
-impl<E: fmt::Display> fmt::Display for CursorError<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            CursorError::Source(e) => write!(f, "source error: {e}"),
-            CursorError::Decode(e) => e.fmt(f),
-        }
-    }
-}
-
-impl<E: fmt::Display + fmt::Debug> std::error::Error for CursorError<E> {}
-
 /// Streaming TCSBR decoder over a [`ByteSource`]. It fetches each record's
 /// header and body on demand, so the bytes resident at any moment are one
 /// record header plus (for text) one text body, and the source sees
@@ -305,8 +255,12 @@ impl<E: fmt::Display + fmt::Debug> std::error::Error for CursorError<E> {}
 /// authorized path, bodies of delivered text, and nothing of skipped
 /// subtrees.
 ///
-/// Returned [`DecodedNode`]s borrow the decoder's internal fetch buffer,
-/// so each node must be consumed before the next call. A context saved
+/// [`CursorDecoder::next`] yields the parser's [`Event`]s, closes
+/// synthesized (the encoding has no closing tags). Text events borrow the
+/// decoder's fetch buffer, so each event must be consumed before the next
+/// call. After an [`Event::Open`], [`CursorDecoder::last_desc`] holds the
+/// element's `DescTag_e`. Every failure — of the source or of the bytes
+/// it delivered — comes back as the source's error type. A context saved
 /// with [`CursorDecoder::last_element_context`] or
 /// [`CursorDecoder::rest_context`] is read back with
 /// [`CursorDecoder::read_range`] and [`decode_range`].
@@ -317,8 +271,8 @@ pub struct CursorDecoder<R: ByteSource> {
     root: DecoderContext,
     stack: Vec<Level>,
     last_element: Option<DecoderContext>,
-    last_desc: TagSet,
-    desc_buf: Vec<TagId>,
+    /// Scratch for the tag array being parsed: the next child context.
+    desc: Vec<TagId>,
     done: bool,
     /// Scratch for the current record header.
     hdr: Vec<u8>,
@@ -334,12 +288,12 @@ pub struct CursorDecoder<R: ByteSource> {
 impl<R: ByteSource> CursorDecoder<R> {
     /// Creates a cursor over a source; `dict_len` is the tag dictionary
     /// size. Fetches the 4-byte root-record header immediately.
-    pub fn new(mut src: R, dict_len: usize) -> Result<CursorDecoder<R>, CursorError<R::Error>> {
+    pub fn new(mut src: R, dict_len: usize) -> Result<CursorDecoder<R>, R::Error> {
         if src.len() < 4 {
             return Err(DecodeError { offset: 0, message: "missing header".into() }.into());
         }
         let mut hdr = Vec::with_capacity(4);
-        src.fetch(0, 4, &mut hdr).map_err(CursorError::Source)?;
+        src.fetch(0, 4, &mut hdr)?;
         let root = DecoderContext::root(&hdr, dict_len)?;
         Ok(CursorDecoder {
             src,
@@ -347,8 +301,7 @@ impl<R: ByteSource> CursorDecoder<R> {
             root,
             stack: Vec::new(),
             last_element: None,
-            last_desc: TagSet::new(),
-            desc_buf: Vec::new(),
+            desc: Vec::new(),
             done: false,
             hdr,
             text: Vec::new(),
@@ -362,11 +315,12 @@ impl<R: ByteSource> CursorDecoder<R> {
         self.src
     }
 
-    /// Descendant-tag set of the element most recently returned by
-    /// [`CursorDecoder::next`] — empty for leaves. Valid until the next
-    /// `next` call.
-    pub fn last_desc(&self) -> &TagSet {
-        &self.last_desc
+    /// `DescTag_e` of the element the last [`CursorDecoder::next`] opened:
+    /// the sorted list of tags occurring below it — also the context its
+    /// children are read under — and empty for a leaf. Meaningful right
+    /// after `next` returned an [`Event::Open`].
+    pub fn last_desc(&self) -> &[TagId] {
+        self.stack.last().map_or(&[], |top| &top.tags)
     }
 
     /// Current absolute byte position.
@@ -379,7 +333,7 @@ impl<R: ByteSource> CursorDecoder<R> {
         self.stack.len()
     }
 
-    /// The context of the element record most recently returned by
+    /// The context of the element record most recently opened by
     /// [`CursorDecoder::next`] — save it before skipping to allow
     /// readback.
     pub fn last_element_context(&self) -> Option<DecoderContext> {
@@ -398,13 +352,13 @@ impl<R: ByteSource> CursorDecoder<R> {
         })
     }
 
-    /// Next node in document order. Fetches the record's header (and, for
-    /// text, its body) from the source; the returned node borrows the
-    /// decoder's fetch buffers.
-    #[allow(clippy::should_implement_trait)] // fallible pull-style next()
-    pub fn next(&mut self) -> Result<DecodedNode<'_>, CursorError<R::Error>> {
+    /// Next event in document order, `None` at the end. Fetches the
+    /// record's header (and, for text, its body) from the source; a text
+    /// event borrows the decoder's fetch buffer.
+    #[allow(clippy::should_implement_trait)] // fallible, lending pull-style next()
+    pub fn next(&mut self) -> Result<Option<Event<'_>>, R::Error> {
         if self.done {
-            return Ok(DecodedNode::End);
+            return Ok(None);
         }
         // Close any element whose body is exhausted.
         if let Some(top) = self.stack.last() {
@@ -414,12 +368,12 @@ impl<R: ByteSource> CursorDecoder<R> {
                 if self.stack.is_empty() {
                     self.done = true;
                 }
-                return Ok(DecodedNode::Close(level.tag));
+                return Ok(Some(Event::Close(level.tag)));
             }
         }
         if self.stack.is_empty() && self.pos > self.root.start {
             self.done = true;
-            return Ok(DecodedNode::End);
+            return Ok(None);
         }
 
         let (tags, bound, level_end) = match self.stack.last() {
@@ -434,25 +388,17 @@ impl<R: ByteSource> CursorDecoder<R> {
         let prefix_bits =
             1 + width_for(tags.len().saturating_sub(1) as u64) as usize + width_for(bound) as usize;
         self.hdr.clear();
-        self.src
-            .fetch(record_start, prefix_bits.div_ceil(8), &mut self.hdr)
-            .map_err(CursorError::Source)?;
+        self.src.fetch(record_start, prefix_bits.div_ceil(8), &mut self.hdr)?;
         if BitReader::at(&self.hdr, 0).read_bit() == Some(false) {
             let have = self.hdr.len();
             let hdr_len = (prefix_bits + tags.len()).div_ceil(8);
             if hdr_len > have {
-                self.src
-                    .fetch(record_start + have, hdr_len - have, &mut self.hdr)
-                    .map_err(CursorError::Source)?;
+                self.src.fetch(record_start + have, hdr_len - have, &mut self.hdr)?;
             }
         }
-        self.last_desc.clear();
-        self.desc_buf.clear();
-        let (last_desc, desc_buf) = (&mut self.last_desc, &mut self.desc_buf);
-        let h = parse_header(&self.hdr, record_start, &tags, bound, level_end, |t| {
-            last_desc.insert(t);
-            desc_buf.push(t);
-        })?;
+        self.desc.clear();
+        let desc = &mut self.desc;
+        let h = parse_header(&self.hdr, record_start, &tags, bound, level_end, |t| desc.push(t))?;
         self.bytes_read += h.body_start - record_start;
         if h.tag == TagId::TEXT {
             if self.stack.is_empty() {
@@ -464,14 +410,14 @@ impl<R: ByteSource> CursorDecoder<R> {
             }
             let size = h.body_end - h.body_start;
             self.text.clear();
-            self.src.fetch(h.body_start, size, &mut self.text).map_err(CursorError::Source)?;
+            self.src.fetch(h.body_start, size, &mut self.text)?;
             let text = std::str::from_utf8(&self.text).map_err(|_| DecodeError {
                 offset: h.body_start,
                 message: "invalid UTF-8 text".into(),
             })?;
             self.pos = h.body_end;
             self.bytes_read += size;
-            return Ok(DecodedNode::Text(text));
+            return Ok(Some(Event::Text(Cow::Borrowed(text))));
         }
         // Element record. The child-context tag list is the only
         // per-record allocation (it outlives this record via saved
@@ -480,29 +426,21 @@ impl<R: ByteSource> CursorDecoder<R> {
             Some(DecoderContext { start: record_start, end: h.body_end, tags, body_bound: bound });
         self.stack.push(Level {
             tag: h.tag,
-            tags: self.desc_buf.as_slice().into(),
+            tags: self.desc.as_slice().into(),
             body_bound: (h.body_end - h.body_start) as u64,
             end: h.body_end,
         });
         self.pos = h.body_start;
-        Ok(DecodedNode::Element { tag: h.tag })
+        Ok(Some(Event::Open(h.tag)))
     }
 
-    /// Skips the element opened by the last [`DecodedNode::Element`]: a
-    /// pure position seek — the source is never asked for the skipped
-    /// bytes, which is the whole point of the index.
+    /// Skips what is left of the innermost open element — its whole
+    /// subtree right after its [`Event::Open`], or the rest of its
+    /// children after some were decoded — and pops it without emitting
+    /// its close. A pure position seek: the source is never asked for the
+    /// skipped bytes, which is the whole point of the index.
     pub fn skip_current(&mut self) {
         let level = self.stack.pop().expect("skip_current without open element");
-        self.pos = level.end;
-        if self.stack.is_empty() {
-            self.done = true;
-        }
-    }
-
-    /// Skips the remaining content of the current element (after some of
-    /// its children were decoded) and pops it without emitting its close.
-    pub fn skip_rest(&mut self) {
-        let level = self.stack.pop().expect("skip_rest without open element");
         self.pos = level.end;
         if self.stack.is_empty() {
             self.done = true;
@@ -514,14 +452,12 @@ impl<R: ByteSource> CursorDecoder<R> {
     /// using `ctx.start` as the base. The borrow ends before the next
     /// navigation call, so one internal buffer serves every readback of a
     /// session.
-    pub fn read_range(&mut self, ctx: &DecoderContext) -> Result<&[u8], CursorError<R::Error>> {
+    pub fn read_range(&mut self, ctx: &DecoderContext) -> Result<&[u8], R::Error> {
         if ctx.end < ctx.start {
             return Err(DecodeError { offset: ctx.start, message: "inverted range".into() }.into());
         }
         self.range.clear();
-        self.src
-            .fetch(ctx.start, ctx.end - ctx.start, &mut self.range)
-            .map_err(CursorError::Source)?;
+        self.src.fetch(ctx.start, ctx.end - ctx.start, &mut self.range)?;
         Ok(&self.range)
     }
 }
@@ -548,14 +484,10 @@ mod tests {
     fn cursor_events(bytes: &[u8], dict_len: usize) -> Vec<Event<'static>> {
         let mut d = cursor(bytes, dict_len);
         let mut out = Vec::new();
-        loop {
-            match d.next().unwrap() {
-                DecodedNode::Element { tag, .. } => out.push(Event::Open(tag)),
-                DecodedNode::Text(t) => out.push(Event::Text(t.to_owned().into())),
-                DecodedNode::Close(t) => out.push(Event::Close(t)),
-                DecodedNode::End => return out,
-            }
+        while let Some(ev) = d.next().unwrap() {
+            out.push(ev.into_owned());
         }
+        out
     }
 
     fn roundtrip(xml: &str) {
@@ -593,18 +525,12 @@ mod tests {
         let b = doc.dict.get("b").unwrap();
         let c = doc.dict.get("c").unwrap();
         // a
-        assert!(matches!(d.next().unwrap(), DecodedNode::Element { .. }));
+        assert!(matches!(d.next().unwrap(), Some(Event::Open(_))));
         // b → skip it
-        match d.next().unwrap() {
-            DecodedNode::Element { tag, .. } => assert_eq!(tag, b),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(d.next().unwrap(), Some(Event::Open(b)));
         d.skip_current();
         // next must be c
-        match d.next().unwrap() {
-            DecodedNode::Element { tag, .. } => assert_eq!(tag, c),
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(d.next().unwrap(), Some(Event::Open(c)));
     }
 
     #[test]
@@ -616,7 +542,7 @@ mod tests {
         let enc = encode_document(&doc, Encoding::TCSBR);
         let full = {
             let mut d = cursor(&enc.bytes, doc.dict.len());
-            while !matches!(d.next().unwrap(), DecodedNode::End) {}
+            while d.next().unwrap().is_some() {}
             d.bytes_read
         };
         let skipped = {
@@ -624,7 +550,7 @@ mod tests {
             d.next().unwrap(); // a
             d.next().unwrap(); // b
             d.skip_current();
-            while !matches!(d.next().unwrap(), DecodedNode::End) {}
+            while d.next().unwrap().is_some() {}
             d.bytes_read
         };
         assert_eq!(full, enc.bytes.len(), "a full scan reads every byte");
@@ -670,8 +596,8 @@ mod tests {
         d.next().unwrap(); // "1"
         d.next().unwrap(); // /b
         let ctx = d.rest_context().unwrap();
-        d.skip_rest();
-        assert!(matches!(d.next().unwrap(), DecodedNode::End));
+        d.skip_current();
+        assert_eq!(d.next().unwrap(), None);
         let mut events = Vec::new();
         decode_range(&enc.bytes, 0, &ctx, &mut events).unwrap();
         let c = doc.dict.get("c").unwrap();
@@ -691,29 +617,28 @@ mod tests {
 
     #[test]
     fn desc_tags_exposed_on_open() {
-        let doc = Document::parse("<a><b><c>x</c></b></a>").unwrap();
+        let doc = Document::parse("<a><b><c>x</c></b><e></e></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
+        let tag = |name| doc.dict.get(name).unwrap();
+        let sorted = |mut tags: Vec<TagId>| {
+            tags.sort();
+            tags
+        };
         let mut d = cursor(&enc.bytes, doc.dict.len());
-        match d.next().unwrap() {
-            DecodedNode::Element { .. } => {
-                let desc = d.last_desc();
-                assert!(desc.contains(doc.dict.get("b").unwrap()));
-                assert!(desc.contains(doc.dict.get("c").unwrap()));
-                assert!(desc.contains(TagId::TEXT));
-                assert!(!desc.contains(doc.dict.get("a").unwrap()));
-            }
-            other => panic!("{other:?}"),
+        assert_eq!(d.next().unwrap(), Some(Event::Open(tag("a"))));
+        assert_eq!(d.last_desc(), sorted(vec![tag("b"), tag("c"), tag("e"), TagId::TEXT]));
+        // Each element exposes its own list: the context its children
+        // are read under.
+        assert_eq!(d.next().unwrap(), Some(Event::Open(tag("b"))));
+        assert_eq!(d.last_desc(), sorted(vec![tag("c"), TagId::TEXT]));
+        assert_eq!(d.next().unwrap(), Some(Event::Open(tag("c"))));
+        assert_eq!(d.last_desc(), [TagId::TEXT]);
+        for _ in 0..3 {
+            d.next().unwrap(); // "x", /c, /b
         }
-        // The buffer is reused: after the next element it holds that
-        // element's descendants.
-        match d.next().unwrap() {
-            DecodedNode::Element { .. } => {
-                let desc = d.last_desc();
-                assert!(desc.contains(doc.dict.get("c").unwrap()));
-                assert!(!desc.contains(doc.dict.get("b").unwrap()));
-            }
-            other => panic!("{other:?}"),
-        }
+        // A leaf has no tag array: its list is empty.
+        assert_eq!(d.next().unwrap(), Some(Event::Open(tag("e"))));
+        assert!(d.last_desc().is_empty());
     }
 
     /// Every proper prefix of an encoding fails to decode, through the
@@ -730,8 +655,8 @@ mod tests {
             };
             let result = loop {
                 match d.next() {
-                    Ok(DecodedNode::End) => break Ok(()),
-                    Ok(_) => {}
+                    Ok(None) => break Ok(()),
+                    Ok(Some(_)) => {}
                     Err(e) => break Err(e),
                 }
             };
@@ -804,7 +729,7 @@ mod tests {
             let mut d =
                 CursorDecoder::new(CountingSource { data: &enc.bytes, fetched: 0 }, doc.dict.len())
                     .unwrap();
-            while !matches!(d.next().unwrap(), DecodedNode::End) {}
+            while d.next().unwrap().is_some() {}
             d.into_source().fetched
         };
         let skipped = {
@@ -814,7 +739,7 @@ mod tests {
             d.next().unwrap(); // a
             d.next().unwrap(); // b
             d.skip_current();
-            while !matches!(d.next().unwrap(), DecodedNode::End) {}
+            while d.next().unwrap().is_some() {}
             d.into_source().fetched
         };
         assert!(skipped + 40 <= full, "skip must not fetch the subtree: {skipped} vs {full}");
@@ -863,8 +788,8 @@ mod tests {
         let mut result = Ok(());
         loop {
             match d.next() {
-                Ok(DecodedNode::End) => break,
-                Ok(_) => {}
+                Ok(None) => break,
+                Ok(Some(_)) => {}
                 Err(e) => {
                     result = Err(e);
                     break;

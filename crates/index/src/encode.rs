@@ -389,6 +389,7 @@ pub struct StreamedEncode {
 /// byte buffer is O(1). This is the one TCSBR writer — [`encode_document`]
 /// collects it into memory, and publishing feeds it straight to the
 /// encryptor; the consumer's error type `E` propagates out unchanged.
+/// Panics if the encoding reaches 4 GiB (the format's 32-bit root fields).
 pub fn encode_tcsbr_stream<E>(
     doc: &Document,
     emit: impl FnMut(&[u8]) -> Result<(), E>,
@@ -398,12 +399,29 @@ pub fn encode_tcsbr_stream<E>(
     // length itself as the size bound (stored in the 4-byte header).
     let (all, bound) = (all_tags(doc), u64::from(u32::MAX));
     let root = &facts.nodes[doc.root().index()];
-    let root_record = root.body + header_len(root.leaf, all.len(), bound);
+    root_u32(root.body);
+    let root_record = root_u32(root.body + header_len(root.leaf, all.len(), bound));
     let mut w = BitSink::new(emit);
-    w.write_bytes(&(root_record as u32).to_be_bytes())?;
+    w.write_bytes(&root_record.to_be_bytes())?;
     emit_tcsbr(doc, doc.root(), &all, width_for(bound), &facts, &mut w)?;
     let (encoded_len, peak_buffered) = w.finish()?;
     Ok(StreamedEncode { encoded_len, peak_buffered })
+}
+
+/// Checks a root field the format stores in 32 bits — the header's root
+/// record length, and the root's own size field, written `width_for(bound)`
+/// = 32 bits wide — and refuses a document whose encoding reaches 4 GiB
+/// instead of writing a truncated header no decoder can follow.
+///
+/// The refusal is a panic, not an error: a typed error would change the
+/// signature of `ServerDoc::prepare`, which is infallible and which the
+/// end-to-end benchmark (`perfbench/`) calls.
+fn root_u32(field: u64) -> u32 {
+    assert!(
+        field <= u64::from(u32::MAX),
+        "TCSBR root field of {field} bytes exceeds the 32-bit format limit (encoding ≥ 4 GiB)"
+    );
+    field as u32
 }
 
 /// Header length (bytes) of a record with `parent_tags` context entries
@@ -590,6 +608,17 @@ mod tests {
         });
         assert_eq!(res.unwrap_err(), "downstream refused");
         assert_eq!(n, 1, "must stop at the first consumer failure");
+    }
+
+    #[test]
+    fn root_field_holds_u32_max() {
+        assert_eq!(root_u32(u64::from(u32::MAX)), u32::MAX);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 32-bit format limit")]
+    fn root_field_past_u32_max_is_refused() {
+        root_u32(u64::from(u32::MAX) + 1);
     }
 
     #[test]

@@ -37,8 +37,7 @@ pub mod encode;
 pub mod overhead;
 
 pub use decode::{
-    decode_range, ByteSource, CursorDecoder, CursorError, DecodeError, DecodedNode, DecoderContext,
-    SliceSource,
+    decode_range, ByteSource, CursorDecoder, DecodeError, DecoderContext, SliceSource,
 };
 pub use encode::{encode_document, encode_tcsbr_stream, EncodedDoc, Encoding, StreamedEncode};
 pub use overhead::{overhead_row, OverheadReport};

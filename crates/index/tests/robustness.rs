@@ -11,7 +11,7 @@
 //! corrupted after the context was taken.
 
 use proptest::prelude::*;
-use xsac_index::decode::{decode_range, CursorDecoder, DecodedNode, DecoderContext, SliceSource};
+use xsac_index::decode::{decode_range, CursorDecoder, DecoderContext, SliceSource};
 use xsac_index::encode::{encode_document, Encoding};
 use xsac_index::DecodeError;
 use xsac_xml::Document;
@@ -22,8 +22,8 @@ fn drive_cursor(bytes: &[u8], dict_len: usize) -> Result<usize, DecodeError> {
     // Defensive cap: a malformed stream must not loop forever either.
     for _ in 0..100_000 {
         match d.next()? {
-            DecodedNode::End => return Ok(n),
-            _ => n += 1,
+            None => return Ok(n),
+            Some(_) => n += 1,
         }
     }
     panic!("decoder did not terminate");

@@ -5,9 +5,10 @@
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
-use xsac_index::decode::{decode_range, CursorDecoder, DecodedNode, DecoderContext, SliceSource};
+use std::collections::BTreeSet;
+use xsac_index::decode::{decode_range, CursorDecoder, DecoderContext, SliceSource};
 use xsac_index::encode::{encode_document, Encoding};
-use xsac_xml::{Document, Event};
+use xsac_xml::{Document, Event, Node, NodeId, TagId};
 
 /// The whole document through the range decoder, under its root context.
 fn decode_all(bytes: &[u8], dict_len: usize) -> Vec<Event<'_>> {
@@ -62,13 +63,8 @@ fn check_roundtrip(xml: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(&events, &doc.events(), "roundtrip of {}", xml);
     let mut d = cursor(&enc.bytes, doc.dict.len());
     let mut walked: Vec<Event<'static>> = Vec::new();
-    loop {
-        match d.next().unwrap() {
-            DecodedNode::Element { tag, .. } => walked.push(Event::Open(tag)),
-            DecodedNode::Text(t) => walked.push(Event::Text(t.to_owned().into())),
-            DecodedNode::Close(t) => walked.push(Event::Close(t)),
-            DecodedNode::End => break,
-        }
+    while let Some(ev) = d.next().unwrap() {
+        walked.push(ev.into_owned());
     }
     prop_assert_eq!(walked, events, "cursor roundtrip of {}", xml);
     Ok(())
@@ -94,6 +90,13 @@ proptest! {
     fn readback_everywhere(xml in arb_xml(), which in 0usize..6) {
         check_readback(&xml, which)?;
     }
+
+    /// Every element the cursor opens exposes its `DescTag_e` as the
+    /// sorted descendant-tag list of the tree.
+    #[test]
+    fn last_desc_is_the_descendant_tag_set(xml in arb_xml()) {
+        check_last_desc(&xml)?;
+    }
 }
 
 proptest! {
@@ -113,6 +116,52 @@ proptest! {
     fn readback_everywhere_wide(xml in arb_wide_xml(), which in 0usize..200) {
         check_readback(&xml, which)?;
     }
+
+    #[test]
+    fn last_desc_is_the_descendant_tag_set_wide(xml in arb_wide_xml()) {
+        check_last_desc(&xml)?;
+    }
+}
+
+/// The sorted set of tags (text included) strictly below `id`.
+fn descendant_tags(doc: &Document, id: NodeId) -> Vec<TagId> {
+    fn collect(doc: &Document, id: NodeId, out: &mut BTreeSet<TagId>) {
+        for &c in doc.children(id) {
+            out.insert(match doc.node(c) {
+                Node::Element { tag, .. } => *tag,
+                Node::Text(_) => TagId::TEXT,
+            });
+            collect(doc, c, out);
+        }
+    }
+    let mut tags = BTreeSet::new();
+    collect(doc, id, &mut tags);
+    tags.into_iter().collect()
+}
+
+fn check_last_desc(xml: &str) -> Result<(), TestCaseError> {
+    let doc = Document::parse(xml).unwrap();
+    let enc = encode_document(&doc, Encoding::TCSBR);
+    let mut elements = doc
+        .preorder()
+        .into_iter()
+        .map(|(id, _)| id)
+        .filter(|&id| matches!(doc.node(id), Node::Element { .. }));
+    let mut d = cursor(&enc.bytes, doc.dict.len());
+    while let Some(ev) = d.next().unwrap() {
+        if matches!(ev, Event::Open(_)) {
+            let id = elements.next().expect("one element per open");
+            prop_assert_eq!(
+                d.last_desc(),
+                &descendant_tags(&doc, id)[..],
+                "element {:?} of {}",
+                id,
+                xml
+            );
+        }
+    }
+    prop_assert!(elements.next().is_none());
+    Ok(())
 }
 
 fn check_skip(xml: &str, which: usize) -> Result<(), TestCaseError> {
@@ -125,24 +174,17 @@ fn check_skip(xml: &str, which: usize) -> Result<(), TestCaseError> {
     let mut got: Vec<Event<'static>> = Vec::new();
     let mut seen = 0usize;
     let mut skipped_any = false;
-    loop {
-        match d.next().unwrap() {
-            DecodedNode::End => break,
-            DecodedNode::Element { tag, .. } => {
-                if d.depth() == 2 {
-                    if seen == which {
-                        seen += 1;
-                        skipped_any = true;
-                        d.skip_current();
-                        continue;
-                    }
-                    seen += 1;
-                }
-                got.push(Event::Open(tag));
+    while let Some(ev) = d.next().unwrap() {
+        let ev = ev.into_owned();
+        if matches!(ev, Event::Open(_)) && d.depth() == 2 {
+            seen += 1;
+            if seen - 1 == which {
+                skipped_any = true;
+                d.skip_current();
+                continue;
             }
-            DecodedNode::Text(t) => got.push(Event::Text(t.to_owned().into())),
-            DecodedNode::Close(t) => got.push(Event::Close(t)),
         }
+        got.push(ev);
     }
     if !skipped_any {
         // Fewer than `which` children: plain roundtrip.
@@ -191,16 +233,12 @@ fn check_readback(xml: &str, which: usize) -> Result<(), TestCaseError> {
     let mut d = cursor(&enc.bytes, doc.dict.len());
     let mut count = 0usize;
     let mut saved = None;
-    loop {
-        match d.next().unwrap() {
-            DecodedNode::End => break,
-            DecodedNode::Element { .. } => {
-                if count == which {
-                    saved = d.last_element_context();
-                }
-                count += 1;
+    while let Some(ev) = d.next().unwrap() {
+        if matches!(ev, Event::Open(_)) {
+            if count == which {
+                saved = d.last_element_context();
             }
-            _ => {}
+            count += 1;
         }
     }
     if let Some(ctx) = saved {

@@ -14,9 +14,9 @@ use std::collections::HashMap;
 use xsac_core::oracle::Oracle;
 use xsac_core::Policy;
 use xsac_crypto::chunk::DIGEST_RECORD;
-use xsac_index::decode::{CursorDecoder, DecodedNode, SliceSource};
+use xsac_index::decode::{CursorDecoder, SliceSource};
 use xsac_index::encode::{encode_document, Encoding};
-use xsac_xml::{Document, Node, NodeId};
+use xsac_xml::{Document, Event, Node, NodeId};
 
 /// The LWB estimate for a policy over a document.
 pub struct LwbReport {
@@ -70,13 +70,13 @@ fn lwb_bytes(doc: &Document, policy: &Policy) -> usize {
     loop {
         let before = decoder.position();
         let is_text = match decoder.next().expect("fresh encoding decodes") {
-            DecodedNode::End => break,
-            DecodedNode::Close(_) => {
+            None => break,
+            Some(Event::Close(_)) => {
                 granted_stack.pop();
                 continue;
             }
-            DecodedNode::Element { .. } => false,
-            DecodedNode::Text(_) => true,
+            Some(Event::Open(_)) => false,
+            Some(Event::Text(_)) => true,
         };
         let consumed = decoder.position() - before;
         let id = order[idx];

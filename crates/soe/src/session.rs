@@ -27,10 +27,9 @@ use xsac_core::stats::EvalStats;
 use xsac_crypto::protocol::AccessCost;
 use xsac_crypto::store::ChunkStore;
 use xsac_crypto::{LeafCache, ReadError, SoeReader, StoreError, TripleDes};
-use xsac_index::decode::{
-    decode_range, ByteSource, CursorDecoder, CursorError, DecodedNode, DecoderContext,
-};
+use xsac_index::decode::{decode_range, ByteSource, CursorDecoder, DecoderContext};
 use xsac_obs::{Phase, PhaseProfile, SpanClock};
+use xsac_xml::Event;
 use xsac_xpath::Automaton;
 
 /// How the SOE consumes the document.
@@ -124,15 +123,6 @@ impl From<xsac_index::DecodeError> for SessionError {
     }
 }
 
-impl From<CursorError<ReadError>> for SessionError {
-    fn from(e: CursorError<ReadError>) -> Self {
-        match e {
-            CursorError::Source(e) => e.into(),
-            CursorError::Decode(e) => SessionError::Decode(e),
-        }
-    }
-}
-
 /// Outcome of a session.
 pub struct SessionResult {
     /// Delivery log of the authorized view / query result.
@@ -215,27 +205,15 @@ struct SoeSource<'a, S: ChunkStore> {
 }
 
 impl<S: ChunkStore> ByteSource for SoeSource<'_, S> {
-    type Error = ReadError;
+    type Error = SessionError;
 
     fn len(&self) -> usize {
         self.len
     }
 
-    fn fetch(&mut self, offset: usize, len: usize, out: &mut Vec<u8>) -> Result<(), ReadError> {
-        self.reader.read_into(offset, len, out)
+    fn fetch(&mut self, offset: usize, len: usize, out: &mut Vec<u8>) -> Result<(), SessionError> {
+        Ok(self.reader.read_into(offset, len, out)?)
     }
-}
-
-/// First phase of each loop step: what the decoder produced, minus the
-/// borrowed payloads (text is fed to the evaluator while the decoder's
-/// buffer is live; everything else is `Copy`). Splitting the step this
-/// way ends the lending borrow of [`CursorDecoder::next`] before the
-/// directive handling needs the decoder back.
-enum Step {
-    End,
-    Close,
-    Text,
-    Element(xsac_xml::TagId),
 }
 
 /// Runs one SOE session over a compiled policy and, under ECB-MHT, an
@@ -282,27 +260,17 @@ pub fn run_session_shared<S: ChunkStore>(
     let mut clock = SpanClock::start(Phase::Decode);
 
     loop {
-        // Phase 1: advance the decoder; consume borrowed payloads (text)
-        // immediately so the lending borrow can end.
+        // Advance the decoder. A text event borrows the decoder's buffer
+        // and is consumed before the decoder is needed again.
         clock.switch(&mut spans, Phase::Decode);
-        let step = match decoder.next()? {
-            DecodedNode::End => Step::End,
-            DecodedNode::Close(_) => Step::Close,
-            DecodedNode::Text(t) => {
-                clock.switch(&mut spans, Phase::Evaluate);
-                eval.text(t);
-                Step::Text
-            }
-            DecodedNode::Element { tag, .. } => Step::Element(tag),
-        };
-        // Phase 2: directive handling, free to navigate the decoder.
+        let Some(event) = decoder.next()? else { break };
         clock.switch(&mut spans, Phase::Evaluate);
-        match step {
-            Step::End => break,
-            Step::Text => {
+        match event {
+            Event::Text(t) => {
+                eval.text(&t);
                 serve_readbacks(&mut eval, &mut decoder, &mut handles, &mut clock, &mut spans)?;
             }
-            Step::Close => {
+            Event::Close(_) => {
                 let directive = eval.close();
                 serve_readbacks(&mut eval, &mut decoder, &mut handles, &mut clock, &mut spans)?;
                 if directive == Directive::SkipDeny || directive == Directive::SkipPending {
@@ -312,7 +280,7 @@ pub fn run_session_shared<S: ChunkStore>(
                     // actually keeps the handle.
                     if let Some(ctx) = decoder.rest_context() {
                         if ctx.start < ctx.end {
-                            decoder.skip_rest();
+                            decoder.skip_current();
                             if directive == Directive::SkipPending {
                                 let handle = handles.insert(ctx);
                                 if !eval.skip_close(Some(SubtreeRef(handle))) {
@@ -333,13 +301,8 @@ pub fn run_session_shared<S: ChunkStore>(
                     }
                 }
             }
-            Step::Element(tag) => {
-                let ctx = decoder.last_element_context();
-                let handle_id = handles.next;
-                let info = SkipInfo {
-                    desc_tags: if use_desc_filter { Some(decoder.last_desc()) } else { None },
-                    handle: ctx.as_ref().map(|_| SubtreeRef(handle_id)),
-                };
+            Event::Open(tag) => {
+                let info = SkipInfo { desc_tags: use_desc_filter.then(|| decoder.last_desc()) };
                 let directive = eval.open(tag, Some(&info));
                 serve_readbacks(&mut eval, &mut decoder, &mut handles, &mut clock, &mut spans)?;
                 match directive {
@@ -356,7 +319,7 @@ pub fn run_session_shared<S: ChunkStore>(
                         )?;
                     }
                     Directive::SkipPending => {
-                        let ctx = ctx.expect("element context");
+                        let ctx = decoder.last_element_context().expect("element context");
                         let handle = handles.insert(ctx);
                         decoder.skip_current();
                         if !eval.skip_close(Some(SubtreeRef(handle))) {
@@ -385,30 +348,10 @@ pub fn run_session_shared<S: ChunkStore>(
                         // profiles. Evaluate stays rule-engine-only.
                         clock.switch(&mut spans, Phase::Decode);
                         let depth = decoder.depth();
-                        loop {
-                            let raw = match decoder.next()? {
-                                DecodedNode::End => Step::End,
-                                DecodedNode::Element { tag, .. } => Step::Element(tag),
-                                DecodedNode::Text(t) => {
-                                    eval.raw_event(&xsac_xml::Event::Text(t.into()));
-                                    Step::Text
-                                }
-                                DecodedNode::Close(t) => {
-                                    eval.raw_event(&xsac_xml::Event::Close(t));
-                                    Step::Close
-                                }
-                            };
-                            match raw {
-                                Step::End => break,
-                                Step::Text => {}
-                                Step::Element(tag) => {
-                                    eval.raw_event(&xsac_xml::Event::Open(tag));
-                                }
-                                Step::Close => {
-                                    if decoder.depth() < depth {
-                                        break;
-                                    }
-                                }
+                        while let Some(event) = decoder.next()? {
+                            eval.raw_event(&event);
+                            if matches!(event, Event::Close(_)) && decoder.depth() < depth {
+                                break;
                             }
                         }
                         clock.switch(&mut spans, Phase::Evaluate);

@@ -38,23 +38,6 @@ impl<'a> Event<'a> {
     }
 }
 
-/// A sink consuming a stream of events.
-///
-/// Implemented by the access-control evaluator, the serializer and the
-/// statistics collector; lets every producer (parser, decoder, tree walker)
-/// drive every consumer.
-pub trait EventSink {
-    /// Handles one event. The default pipeline never feeds events after an
-    /// error is signalled by the caller.
-    fn event(&mut self, ev: &Event<'_>);
-}
-
-impl<F: FnMut(&Event<'_>)> EventSink for F {
-    fn event(&mut self, ev: &Event<'_>) {
-        self(ev)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -74,16 +57,5 @@ mod tests {
         let t = Event::Text(Cow::Borrowed("abc"));
         let owned = t.clone().into_owned();
         assert_eq!(owned, t);
-    }
-
-    #[test]
-    fn closures_are_sinks() {
-        let mut n = 0usize;
-        {
-            let mut sink = |_: &Event<'_>| n += 1;
-            sink.event(&Event::Open(TagId(1)));
-            sink.event(&Event::Close(TagId(1)));
-        }
-        assert_eq!(n, 2);
     }
 }

@@ -19,7 +19,6 @@ pub mod escape;
 pub mod event;
 pub mod parser;
 pub mod stats;
-pub mod tagset;
 pub mod tree;
 pub mod writer;
 
@@ -27,5 +26,4 @@ pub use dict::{TagDict, TagId, TEXT_TAG_NAME};
 pub use event::Event;
 pub use parser::{ParseError, Parser};
 pub use stats::DocStats;
-pub use tagset::TagSet;
 pub use tree::{Document, Node, NodeId};
