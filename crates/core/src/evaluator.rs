@@ -723,7 +723,11 @@ impl Evaluator {
     }
 
     /// Supplies the decoded events of a read-back subtree (or remainder).
-    pub fn readback_events(&mut self, entry: usize, events: &[Event<'_>]) {
+    pub fn readback_events<'e>(
+        &mut self,
+        entry: usize,
+        events: impl IntoIterator<Item = Event<'e>>,
+    ) {
         self.output.deliver_readback(entry, events);
     }
 
@@ -1340,7 +1344,7 @@ mod tests {
         assert_eq!(reqs[0].subtree, SubtreeRef(99));
         eval.readback_events(
             reqs[0].entry,
-            &[
+            [
                 Event::Open(b),
                 Event::Open(k),
                 Event::Text("v".into()),

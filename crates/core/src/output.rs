@@ -328,8 +328,13 @@ impl OutputBuilder {
     }
 
     /// Delivers the events of a read-back subtree (the driver decrypted,
-    /// verified and decoded the byte range of `req`).
-    pub fn deliver_readback(&mut self, entry: usize, events: &[Event<'_>]) {
+    /// verified and decoded the byte range of `req`). Owned text moves
+    /// into the log as it is.
+    pub fn deliver_readback<'e>(
+        &mut self,
+        entry: usize,
+        events: impl IntoIterator<Item = Event<'e>>,
+    ) {
         debug_assert!(matches!(
             self.entries[entry].payload,
             Payload::Subtree(..) | Payload::Forest(..)
@@ -365,7 +370,7 @@ impl OutputBuilder {
                 Event::Open(tag) => {
                     let was_first = first;
                     let anchor = place(self, &mut first, &stack, &last_at_level);
-                    let seq = self.emit(anchor, LogNode::Element { tag: *tag, granted: true });
+                    let seq = self.emit(anchor, LogNode::Element { tag, granted: true });
                     if was_first {
                         done_seq = Some(seq);
                     }
@@ -376,7 +381,7 @@ impl OutputBuilder {
                 Event::Text(t) => {
                     let was_first = first;
                     let anchor = place(self, &mut first, &stack, &last_at_level);
-                    let seq = self.emit(anchor, LogNode::Text(t.to_string()));
+                    let seq = self.emit(anchor, LogNode::Text(t.into_owned()));
                     if was_first {
                         done_seq = Some(seq);
                     }
@@ -952,7 +957,7 @@ mod tests {
         // Driver "reads back" <s><u>deep</u></s>.
         out.deliver_readback(
             reqs[0].entry,
-            &[
+            [
                 Event::Open(t[1]),
                 Event::Open(t[2]),
                 Event::Text("deep".into()),

@@ -156,7 +156,7 @@ fn run_with_skips(doc: &Document, rules: &[(bool, String)], query: Option<&str>)
                 let node = handles[r.subtree.0 as usize];
                 let mut evs = Vec::new();
                 doc.emit(node, &mut |e| evs.push(e.clone().into_owned()));
-                eval.readback_events(r.entry, &evs);
+                eval.readback_events(r.entry, evs);
             }
         };
         match item {

@@ -257,6 +257,10 @@ impl LeafCache {
 /// residency: over an out-of-core store, a session keeps O(chunk) bytes
 /// in memory, never O(document), and reports its buffers to the store's
 /// [`ResidencyMeter`](crate::store::ResidencyMeter) when it has one.
+///
+/// [`SoeReader::read`] is the one read method: it assembles each request
+/// in a reader-owned output buffer and lends it, so a decoder pulling
+/// records through the reader copies nothing of its own.
 pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     doc: &'a ProtectedDoc<S>,
     key: &'a TripleDes,
@@ -322,14 +326,11 @@ pub struct SoeReader<'a, S: ChunkStore = MemStore> {
     /// crossed the channel at least once, so re-transfers are metered
     /// ([`AccessCost::bytes_refetched`]). Lazily sized on first fetch.
     fetched_blocks: Vec<u64>,
-    /// Still-resident plaintext set aside for the current request: when a
-    /// request starts before the working buffer but overlaps it, the
-    /// overlap is moved here before the fetch loop overwrites the buffer,
-    /// and served in place — the channel (and the refetch audit) only
-    /// see the bytes that actually move. Valid for one `read_into` call.
-    held: Vec<u8>,
-    /// Plaintext offset of `held` (`usize::MAX` when `held` is empty).
-    held_start: usize,
+    /// The plaintext of the last read, which [`SoeReader::read`] lends.
+    /// Decoded and consumed inside the SOE like the working buffer, but
+    /// not reported to the residency meter: it holds one request, which
+    /// the request's caller would otherwise hold itself.
+    out: Vec<u8>,
     /// Accumulated costs.
     pub cost: AccessCost,
     /// Wall time per pipeline phase: staging charged to
@@ -363,8 +364,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
             verified: VerifiedNodes::default(),
             leaves: None,
             fetched_blocks: Vec::new(),
-            held: Vec::new(),
-            held_start: usize::MAX,
+            out: Vec::new(),
             cost: AccessCost::default(),
             phases: PhaseProfile::new(),
         }
@@ -385,104 +385,78 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     }
 
     /// Reads `len` plaintext bytes at `offset`, verifying integrity per
-    /// the document's scheme.
-    pub fn read(&mut self, offset: usize, len: usize) -> Result<Vec<u8>, ReadError> {
-        // Clip the pre-allocation: `len` is unvalidated until `read_into`
-        // bounds-checks it (an absurd request must error, not abort).
-        let mut out = Vec::with_capacity(len.min(self.doc.store.len()));
-        self.read_into(offset, len, &mut out)?;
-        Ok(out)
-    }
-
-    /// Like [`read`](Self::read), but appends the plaintext to a
-    /// caller-provided buffer — the zero-copy path: one scratch `Vec`
-    /// can serve a whole session. On error, nothing is appended: the
-    /// buffer is rolled back to its length at entry.
-    pub fn read_into(
-        &mut self,
-        offset: usize,
-        len: usize,
-        out: &mut Vec<u8>,
-    ) -> Result<(), ReadError> {
+    /// the document's scheme, and lends them. One reader-owned output
+    /// buffer serves every read, so the borrow ends before the next call.
+    /// A failed read lends nothing: no partial plaintext is ever served.
+    pub fn read(&mut self, offset: usize, len: usize) -> Result<&[u8], ReadError> {
         self.cost.reads += 1;
         // A request beyond the store is a storage-level fault (a
         // malformed or malicious index), reported — never a panic. Same
         // contract (and error payload) as every backend's `read_at`.
         crate::store::check_bounds(offset, len, self.doc.store.len())?;
         let end = offset + len;
+        self.out.clear();
+        self.out.resize(len, 0);
         // A request starting before the working buffer but overlapping it
         // would overwrite the buffer while fetching its own head and then
-        // re-transfer bytes that were resident at entry. Set the overlap
-        // aside and serve it in place instead.
-        self.held.clear();
-        self.held_start = usize::MAX;
+        // re-transfer bytes that were resident at entry. Serve the overlap
+        // into its place in the output first; the fetch loop skips it, so
+        // the channel (and the refetch audit) only see the bytes that
+        // actually move.
         let cached = self.cache_start..self.cache_start + self.cache.len();
-        if !self.cache.is_empty() && offset < cached.start && end > cached.start {
+        let held = if !self.cache.is_empty() && offset < cached.start && end > cached.start {
             let take = end.min(cached.end) - cached.start;
             self.decipher(0, take);
-            self.held.extend_from_slice(&self.cache[..take]);
-            self.held_start = cached.start;
-            self.note_residency();
-        }
-        let rollback = out.len();
+            self.out[cached.start - offset..][..take].copy_from_slice(&self.cache[..take]);
+            cached.start..cached.start + take
+        } else {
+            end..end
+        };
         let mut pos = offset;
         while pos < end {
             let cached = self.cache_start..self.cache_start + self.cache.len();
-            if !self.cache.is_empty() && cached.contains(&pos) {
+            let take = if pos == held.start {
+                held.len()
+            } else if !self.cache.is_empty() && cached.contains(&pos) {
                 let take = (end - pos).min(cached.end - pos);
                 let lo = pos - self.cache_start;
                 self.decipher(lo, lo + take);
-                out.extend_from_slice(&self.cache[lo..lo + take]);
-                if matches!(self.doc.scheme, IntegrityScheme::CbcShac | IntegrityScheme::EcbMht) {
-                    // These schemes verify *ciphertext*, so decryption is
-                    // charged per byte served. ECB-MHT deciphers exactly
-                    // the served blocks (`decipher`); CBC chaining has the
-                    // whole CBC-SHAC chunk deciphered at fetch time.
-                    self.cost.bytes_decrypted += take as u64;
+                self.out[pos - offset..][..take].copy_from_slice(&self.cache[lo..lo + take]);
+                take
+            } else {
+                // Clamp the fetch extent so an ECB unit (whose extent
+                // tracks the request end) never re-covers the held range.
+                // CBC and MHT units are chunk/fragment extents, which
+                // cannot overlap the (unit-aligned) held range from below.
+                let req_end = if pos < held.start { held.start } else { end };
+                if let Err(e) = self.fetch_unit(pos, req_end) {
+                    // A failed unit — storage fault or integrity violation
+                    // — must never be consumable: discard the working
+                    // buffer (its contents are unverified ciphertext or
+                    // garbage). Centralized here so every error path of
+                    // `fetch_unit`, present and future, is covered
+                    // structurally.
+                    self.drop_cache();
+                    return Err(e);
                 }
-                pos += take;
                 continue;
+            };
+            if matches!(self.doc.scheme, IntegrityScheme::CbcShac | IntegrityScheme::EcbMht) {
+                // These schemes verify *ciphertext*, so decryption is
+                // charged per byte served. ECB-MHT deciphers exactly the
+                // served blocks (`decipher`); CBC chaining has the whole
+                // CBC-SHAC chunk deciphered at fetch time.
+                self.cost.bytes_decrypted += take as u64;
             }
-            if !self.held.is_empty() && pos >= self.held_start {
-                let held_end = self.held_start + self.held.len();
-                if pos < held_end {
-                    // Still-resident plaintext: no transfer, no refetch.
-                    let take = (end - pos).min(held_end - pos);
-                    let lo = pos - self.held_start;
-                    out.extend_from_slice(&self.held[lo..lo + take]);
-                    if matches!(self.doc.scheme, IntegrityScheme::CbcShac | IntegrityScheme::EcbMht)
-                    {
-                        self.cost.bytes_decrypted += take as u64;
-                    }
-                    pos += take;
-                    continue;
-                }
-            }
-            // Clamp the fetch extent so an ECB unit (whose extent tracks
-            // the request end) never re-covers the held range. CBC and
-            // MHT units are chunk/fragment extents, which cannot overlap
-            // the (unit-aligned) held range from below.
-            let req_end = if pos < self.held_start { end.min(self.held_start) } else { end };
-            if let Err(e) = self.fetch_unit(pos, req_end) {
-                // A failed unit — storage fault or integrity violation —
-                // must never be consumable: discard the working buffer
-                // (its contents are unverified ciphertext or garbage)
-                // and roll the output back to its length at entry, so no
-                // partial plaintext is ever delivered. Centralized here
-                // so every error path of `fetch_unit`, present and
-                // future, is covered structurally.
-                self.drop_cache();
-                out.truncate(rollback);
-                return Err(e);
-            }
+            pos += take;
         }
-        Ok(())
+        Ok(&self.out)
     }
 
     /// Replaces the working buffer with the ciphertext range `lo..hi`
     /// read from the store (one bounded `read_at`, whatever the backend),
-    /// reusing its allocation. The caller (`read_into`) discards the
-    /// buffer on any failure.
+    /// reusing its allocation. The caller (`read`) discards the buffer on
+    /// any failure.
     /// Unmetered: every caller is a `fetch_unit` arm whose chained span
     /// clock is already in its Fetch lap (one clock read per phase
     /// transition for the whole unit — per-operation brackets here would
@@ -566,7 +540,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     /// reader buffer = total resident bytes).
     fn note_residency(&mut self) {
         if let Some(m) = self.doc.store.meter() {
-            let now = self.cache.capacity() + self.chunk_scratch.capacity() + self.held.capacity();
+            let now = self.cache.capacity() + self.chunk_scratch.capacity();
             match now.cmp(&self.registered_resident) {
                 std::cmp::Ordering::Greater => m.add((now - self.registered_resident) as u64),
                 std::cmp::Ordering::Less => m.sub((self.registered_resident - now) as u64),
@@ -603,7 +577,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
     /// working buffer. Costs are charged only after the fallible store
     /// reads succeed, so a session that retries past a transient fault
     /// meters exactly like a fault-free one; on any error the caller
-    /// (`read_into`) discards the working buffer.
+    /// (`read`) discards the working buffer.
     fn fetch_unit(&mut self, pos: usize, req_end: usize) -> Result<(), ReadError> {
         let layout = self.doc.layout;
         let ci = layout.chunk_of(pos);
@@ -677,7 +651,7 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 // Unit: one fragment + the part of its Merkle proof the
                 // SOE cannot vouch for yet; the fragment's ciphertext is
                 // verified against the chunk's authenticated nodes.
-                // Nothing is deciphered here: `read_into` deciphers each
+                // Nothing is deciphered here: `read` deciphers each
                 // block the first time it serves it.
                 let (f_lo, f_hi) = self.fragment_extent(pos);
                 // Terminal: the chunk's whole tree, built at most once
@@ -909,12 +883,9 @@ mod tests {
             let n_warm = faulty.store.reads_seen();
             faulty.store.fail_read(n_warm, InjectedFault::Io);
             // Spanning request: the first unit comes from the warm working
-            // buffer, the next store read fails — the output must roll
-            // back entirely.
-            let mut out = b"prefix".to_vec();
-            let err = r.read_into(0, 4100, &mut out).unwrap_err();
+            // buffer, the next store read fails — the read lends nothing.
+            let err = r.read(0, 4100).unwrap_err();
             assert!(matches!(err, ReadError::Store(StoreError::Io { .. })), "{scheme:?}: {err:?}");
-            assert_eq!(out, b"prefix", "{scheme:?}: partial plaintext delivered");
             // The reader recovers once the (transient) fault passes.
             assert_eq!(r.read(0, 4100).unwrap(), &data[0..4100], "{scheme:?}");
         }
@@ -1450,7 +1421,7 @@ mod tests {
         r.read(0, 2 * 2048).unwrap(); // working buffer: chunk 1
         let before = r.cost;
         let got = r.read(2040, 16).unwrap(); // 8 bytes before chunk 1, 8 inside
-        assert_eq!(got, data[2040..2056], "straddling read must be exact");
+        assert_eq!(got, &data[2040..2056], "straddling read must be exact");
         assert_eq!(r.cost.bytes_refetched - before.bytes_refetched, 8);
         assert_eq!(r.cost.bytes_to_soe - before.bytes_to_soe, 8);
     }

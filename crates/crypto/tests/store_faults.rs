@@ -112,8 +112,8 @@ fn every_single_byte_tamper_detected_through_file_backend() {
 #[test]
 fn no_partial_plaintext_after_failed_read() {
     // A request spanning a good unit and a bad one must deliver nothing:
-    // read_into rolls the output back, read returns Err, and the working
-    // buffer never serves bytes from the failed unit afterwards.
+    // read returns Err and lends no bytes, and the working buffer never
+    // serves bytes from the failed unit afterwards.
     for scheme in IntegrityScheme::ALL {
         let (p, data) = doc(scheme, 4096);
         let f = faulted(&p);
@@ -122,10 +122,8 @@ fn no_partial_plaintext_after_failed_read() {
         r.read(0, 8).unwrap(); // warm the working buffer with unit 0
         let fail_at = f.store.reads_seen();
         f.store.fail_read(fail_at, InjectedFault::Io);
-        let mut out = b"sentinel".to_vec();
-        let err = r.read_into(0, 2048, &mut out).unwrap_err();
+        let err = r.read(0, 2048).unwrap_err();
         assert!(matches!(err, ReadError::Store(StoreError::Io { .. })), "{scheme:?}: {err:?}");
-        assert_eq!(out, b"sentinel", "{scheme:?}: partial plaintext leaked into the output");
         // The next clean read delivers the full, correct range.
         assert_eq!(r.read(0, 2048).unwrap(), &data[0..2048], "{scheme:?}");
     }
@@ -137,11 +135,9 @@ fn no_partial_plaintext_after_failed_read() {
         let f = faulted(&p);
         f.store.corrupt(600, 0x08); // chunk 1 (chunks are 512 B)
         let k = key();
-        let mut out = Vec::new();
         let mut r = SoeReader::new(&f, &k);
-        let err = r.read_into(0, 1024, &mut out).unwrap_err();
+        let err = r.read(0, 1024).unwrap_err();
         assert!(matches!(err, ReadError::Integrity(_)), "{scheme:?}: {err:?}");
-        assert!(out.is_empty(), "{scheme:?}: partial plaintext delivered before the bad chunk");
     }
 }
 

@@ -7,20 +7,22 @@
 //! stack and used to decode in turn TagArray_e, SubtreeSize_e and the
 //! encoded tag of e."
 //!
-//! One record parser serves two callers, and both speak the parser's
-//! [`Event`]s:
+//! One decoder, [`CursorDecoder`], does all decoding and speaks the
+//! parser's [`Event`]s. It walks the records through a [`ByteSource`],
+//! which lends the bytes of each record it visits. Skipping an open
+//! subtree is a position seek to its body end. An element's `DescTag_e`
+//! is the sorted tag list its children are read under — the same list
+//! the `SkipStack` keeps — exposed by [`CursorDecoder::last_desc`].
 //!
-//! * [`CursorDecoder`] walks the document through a [`ByteSource`],
-//!   fetching only the records it visits. Skipping an open subtree is a
-//!   position seek to its body end. An element's `DescTag_e` is the
-//!   sorted tag list its children are read under — the same list the
-//!   `SkipStack` keeps — exposed by [`CursorDecoder::last_desc`].
-//! * [`decode_range`] re-decodes a saved [`DecoderContext`] in one pass
-//!   over bytes already in hand — pending-subtree readback (§5), or the
-//!   whole document under [`DecoderContext::root`]. Its text events
-//!   borrow the input, and it appends into a caller-owned buffer, so a
-//!   readback allocates per *element record* (its descendant-tag
-//!   context), never per text byte.
+//! The same loop serves two kinds of context:
+//!
+//! * [`CursorDecoder::new`] reads the 4-byte header and walks the
+//!   document's single root record;
+//! * [`CursorDecoder::resume`] walks a saved [`DecoderContext`] — one
+//!   subtree, or the forest of records left in an element — as a
+//!   pending-subtree readback (§5) does. [`CursorDecoder::read_range`]
+//!   fetches such a range in one pull and resumes a cursor over the lent
+//!   bytes.
 //!
 //! Malformed bytes surface as a [`DecodeError`]; a cursor reports it
 //! through its source's own error type (`ByteSource::Error:
@@ -84,13 +86,14 @@ impl DecoderContext {
     }
 }
 
-/// One open element on the `SkipStack`: its tag, the context its children
-/// are read under, and where its body ends.
+/// One open element on the `SkipStack`: its tag, where its record starts
+/// and its body ends, and the context its children are read under.
 struct Level {
     tag: TagId,
+    start: usize,
+    end: usize,
     tags: Arc<[TagId]>,
     body_bound: u64,
-    end: usize,
 }
 
 /// A parsed record header.
@@ -138,73 +141,11 @@ fn parse_header(
     Ok(Header { tag, body_start, body_end })
 }
 
-/// Decodes the saved range `ctx` into events (pending readback, or the
-/// whole document under [`DecoderContext::root`]). The range may hold one
-/// subtree or a forest of records. `data` holds the document bytes
-/// `base..base + data.len()` — a readback fetches exactly its saved range
-/// and decodes it in place with `base = ctx.start`. All offsets in `ctx`
-/// and in the returned errors stay absolute.
-///
-/// `out` is cleared and filled; its text events borrow `data`, so one
-/// buffer serves every readback of a session without copying text.
-pub fn decode_range<'d>(
-    data: &'d [u8],
-    base: usize,
-    ctx: &DecoderContext,
-    out: &mut Vec<Event<'d>>,
-) -> Result<(), DecodeError> {
-    out.clear();
-    if ctx.start < base || ctx.end < ctx.start || ctx.end - base > data.len() {
-        return Err(DecodeError {
-            offset: ctx.start,
-            message: "range outside provided data".into(),
-        });
-    }
-    let mut stack: Vec<Level> = Vec::new();
-    let mut desc: Vec<TagId> = Vec::new();
-    let mut pos = ctx.start;
-    loop {
-        // Close exhausted levels. Every record ends within its parent
-        // (checked by `parse_header`), so `pos` never passes an end.
-        while let Some(top) = stack.last() {
-            if pos != top.end {
-                break;
-            }
-            out.push(Event::Close(top.tag));
-            stack.pop();
-        }
-        let (tags, bound, level_end) = match stack.last() {
-            Some(top) => (&top.tags, top.body_bound, top.end),
-            None if pos < ctx.end => (&ctx.tags, ctx.body_bound, ctx.end),
-            None => return Ok(()),
-        };
-        desc.clear();
-        let h = parse_header(&data[pos - base..], pos, tags, bound, level_end, |t| desc.push(t))?;
-        if h.tag == TagId::TEXT {
-            let bytes = &data[h.body_start - base..h.body_end - base];
-            let text = std::str::from_utf8(bytes).map_err(|_| DecodeError {
-                offset: h.body_start,
-                message: "invalid UTF-8 text".into(),
-            })?;
-            out.push(Event::Text(text.into()));
-            pos = h.body_end;
-        } else {
-            out.push(Event::Open(h.tag));
-            stack.push(Level {
-                tag: h.tag,
-                tags: desc.as_slice().into(),
-                body_bound: (h.body_end - h.body_start) as u64,
-                end: h.body_end,
-            });
-            pos = h.body_start;
-        }
-    }
-}
-
 /// A fallible, random-access byte provider the [`CursorDecoder`] pulls
 /// encoded ranges through — the seam between the index layer and
 /// whatever fetches, verifies and decrypts those bytes (in the SOE, a
-/// metered `SoeReader` over a `ChunkStore`; in tests, a plain slice).
+/// metered `SoeReader` over a `ChunkStore`; in tests and readbacks, a
+/// plain slice).
 ///
 /// Every byte the decoder consumes goes through [`ByteSource::fetch`], so
 /// a metering source observes exactly the decoder's touch pattern: the
@@ -222,13 +163,13 @@ pub trait ByteSource {
         self.len() == 0
     }
 
-    /// Appends the bytes `offset..offset + len` to `out`. On error
-    /// nothing may remain appended (the caller's buffer is rolled back to
-    /// its length at entry, as `SoeReader::read_into` guarantees).
-    fn fetch(&mut self, offset: usize, len: usize, out: &mut Vec<u8>) -> Result<(), Self::Error>;
+    /// Lends the bytes `offset..offset + len`. The borrow ends before the
+    /// next call, so a source may serve every fetch from one buffer of
+    /// its own; a failed fetch lends nothing.
+    fn fetch(&mut self, offset: usize, len: usize) -> Result<&[u8], Self::Error>;
 }
 
-/// [`ByteSource`] over an in-memory slice (tests, oracles).
+/// [`ByteSource`] over an in-memory slice (tests, oracles, readbacks).
 pub struct SliceSource<'a>(pub &'a [u8]);
 
 impl ByteSource for SliceSource<'_> {
@@ -238,76 +179,67 @@ impl ByteSource for SliceSource<'_> {
         self.0.len()
     }
 
-    fn fetch(&mut self, offset: usize, len: usize, out: &mut Vec<u8>) -> Result<(), DecodeError> {
-        let end = offset
+    fn fetch(&mut self, offset: usize, len: usize) -> Result<&[u8], DecodeError> {
+        offset
             .checked_add(len)
-            .filter(|&e| e <= self.0.len())
-            .ok_or_else(|| DecodeError { offset, message: "fetch past end of input".into() })?;
-        out.extend_from_slice(&self.0[offset..end]);
-        Ok(())
+            .and_then(|end| self.0.get(offset..end))
+            .ok_or_else(|| DecodeError { offset, message: "fetch past end of input".into() })
     }
 }
 
 /// Streaming TCSBR decoder over a [`ByteSource`]. It fetches each record's
-/// header and body on demand, so the bytes resident at any moment are one
-/// record header plus (for text) one text body, and the source sees
-/// precisely the skip-index access pattern: headers of the records on the
-/// authorized path, bodies of delivered text, and nothing of skipped
-/// subtrees.
+/// header and body on demand, so the bytes it holds at any moment are at
+/// most one record header, and the source sees precisely the skip-index
+/// access pattern: headers of the records on the authorized path, bodies
+/// of delivered text, and nothing of skipped subtrees.
 ///
 /// [`CursorDecoder::next`] yields the parser's [`Event`]s, closes
 /// synthesized (the encoding has no closing tags). Text events borrow the
-/// decoder's fetch buffer, so each event must be consumed before the next
+/// bytes the source lent, so each event must be consumed before the next
 /// call. After an [`Event::Open`], [`CursorDecoder::last_desc`] holds the
 /// element's `DescTag_e`. Every failure — of the source or of the bytes
 /// it delivered — comes back as the source's error type. A context saved
 /// with [`CursorDecoder::last_element_context`] or
 /// [`CursorDecoder::rest_context`] is read back with
-/// [`CursorDecoder::read_range`] and [`decode_range`].
+/// [`CursorDecoder::read_range`].
 pub struct CursorDecoder<R: ByteSource> {
     src: R,
     pos: usize,
-    /// The root record's context (from the 4-byte header).
-    root: DecoderContext,
+    /// The context the cursor walks: the root record's (from the 4-byte
+    /// header) or a saved one.
+    base: DecoderContext,
+    /// The base is the document root: exactly one record, never text.
+    root: bool,
     stack: Vec<Level>,
-    last_element: Option<DecoderContext>,
     /// Scratch for the tag array being parsed: the next child context.
     desc: Vec<TagId>,
-    done: bool,
-    /// Scratch for the current record header.
+    /// A record header whose tag array arrived in a second fetch.
     hdr: Vec<u8>,
-    /// Scratch for the current text body.
-    text: Vec<u8>,
-    /// Scratch for readback ranges (see [`CursorDecoder::read_range`]).
-    range: Vec<u8>,
-    /// Total bytes fetched by `next` (skipped bytes are *not* counted —
-    /// that is the point of the index).
-    pub bytes_read: usize,
 }
 
 impl<R: ByteSource> CursorDecoder<R> {
-    /// Creates a cursor over a source; `dict_len` is the tag dictionary
-    /// size. Fetches the 4-byte root-record header immediately.
+    /// Creates a cursor over a whole document; `dict_len` is the tag
+    /// dictionary size. Fetches the 4-byte root-record header immediately.
+    /// The cursor yields exactly one root record, which must be an
+    /// element.
     pub fn new(mut src: R, dict_len: usize) -> Result<CursorDecoder<R>, R::Error> {
-        if src.len() < 4 {
-            return Err(DecodeError { offset: 0, message: "missing header".into() }.into());
-        }
-        let mut hdr = Vec::with_capacity(4);
-        src.fetch(0, 4, &mut hdr)?;
-        let root = DecoderContext::root(&hdr, dict_len)?;
-        Ok(CursorDecoder {
+        let base = DecoderContext::root(src.fetch(0, 4)?, dict_len)?;
+        Ok(CursorDecoder { root: true, ..CursorDecoder::resume(src, base) })
+    }
+
+    /// Creates a cursor over a saved context: the records from
+    /// `ctx.start` to `ctx.end` — one subtree, or the children left in an
+    /// element, text included — read under `ctx`'s tags and bound.
+    pub fn resume(src: R, ctx: DecoderContext) -> CursorDecoder<R> {
+        CursorDecoder {
             src,
-            pos: root.start,
-            root,
+            pos: ctx.start,
+            base: ctx,
+            root: false,
             stack: Vec::new(),
-            last_element: None,
             desc: Vec::new(),
-            done: false,
-            hdr,
-            text: Vec::new(),
-            range: Vec::new(),
-            bytes_read: 4,
-        })
+            hdr: Vec::new(),
+        }
     }
 
     /// Consumes the cursor, returning the source.
@@ -333,11 +265,15 @@ impl<R: ByteSource> CursorDecoder<R> {
         self.stack.len()
     }
 
-    /// The context of the element record most recently opened by
-    /// [`CursorDecoder::next`] — save it before skipping to allow
-    /// readback.
+    /// The context of the innermost open element's whole record — right
+    /// after an [`Event::Open`], the element just opened. Save it before
+    /// skipping to allow readback.
     pub fn last_element_context(&self) -> Option<DecoderContext> {
-        self.last_element.clone()
+        let (top, below) = self.stack.split_last()?;
+        let (tags, body_bound) = below
+            .last()
+            .map_or((&self.base.tags, self.base.body_bound), |p| (&p.tags, p.body_bound));
+        Some(DecoderContext { start: top.start, end: top.end, tags: tags.clone(), body_bound })
     }
 
     /// Context covering the *remaining* content of the current element
@@ -354,81 +290,72 @@ impl<R: ByteSource> CursorDecoder<R> {
 
     /// Next event in document order, `None` at the end. Fetches the
     /// record's header (and, for text, its body) from the source; a text
-    /// event borrows the decoder's fetch buffer.
+    /// event borrows the bytes the source lent.
     #[allow(clippy::should_implement_trait)] // fallible, lending pull-style next()
     pub fn next(&mut self) -> Result<Option<Event<'_>>, R::Error> {
-        if self.done {
-            return Ok(None);
-        }
-        // Close any element whose body is exhausted.
-        if let Some(top) = self.stack.last() {
-            debug_assert!(self.pos <= top.end, "decoder overran a subtree");
-            if self.pos == top.end {
-                let level = self.stack.pop().expect("non-empty");
-                if self.stack.is_empty() {
-                    self.done = true;
-                }
-                return Ok(Some(Event::Close(level.tag)));
-            }
-        }
-        if self.stack.is_empty() && self.pos > self.root.start {
-            self.done = true;
-            return Ok(None);
-        }
-
         let (tags, bound, level_end) = match self.stack.last() {
-            Some(top) => (top.tags.clone(), top.body_bound, top.end),
-            None => (self.root.tags.clone(), self.root.body_bound, self.root.end),
+            Some(top) => {
+                debug_assert!(self.pos <= top.end, "decoder overran a subtree");
+                if self.pos == top.end {
+                    let tag = top.tag;
+                    self.stack.pop();
+                    return Ok(Some(Event::Close(tag)));
+                }
+                (&top.tags, top.body_bound, top.end)
+            }
+            None => {
+                let more =
+                    if self.root { self.pos == self.base.start } else { self.pos < self.base.end };
+                if !more {
+                    return Ok(None);
+                }
+                (&self.base.tags, self.base.body_bound, self.base.end)
+            }
         };
-        let record_start = self.pos;
+        let start = self.pos;
         // The widths of the fixed prefix (leaf bit, tag index, size) are
         // known from the parent context before reading a single byte —
         // fetch exactly that many, then the tag array whose presence the
         // leaf bit (the record's first bit) reveals.
         let prefix_bits =
             1 + width_for(tags.len().saturating_sub(1) as u64) as usize + width_for(bound) as usize;
-        self.hdr.clear();
-        self.src.fetch(record_start, prefix_bits.div_ceil(8), &mut self.hdr)?;
-        if BitReader::at(&self.hdr, 0).read_bit() == Some(false) {
-            let have = self.hdr.len();
-            let hdr_len = (prefix_bits + tags.len()).div_ceil(8);
-            if hdr_len > have {
-                self.src.fetch(record_start + have, hdr_len - have, &mut self.hdr)?;
-            }
+        let prefix_len = prefix_bits.div_ceil(8);
+        let hdr_len = (prefix_bits + tags.len()).div_ceil(8);
+        let mut header = self.src.fetch(start, prefix_len)?;
+        if hdr_len > prefix_len && BitReader::at(header, 0).read_bit() == Some(false) {
+            self.hdr.clear();
+            self.hdr.extend_from_slice(header);
+            self.hdr.extend_from_slice(self.src.fetch(start + prefix_len, hdr_len - prefix_len)?);
+            header = &self.hdr;
         }
         self.desc.clear();
         let desc = &mut self.desc;
-        let h = parse_header(&self.hdr, record_start, &tags, bound, level_end, |t| desc.push(t))?;
-        self.bytes_read += h.body_start - record_start;
+        let h = parse_header(header, start, tags, bound, level_end, |t| desc.push(t))?;
         if h.tag == TagId::TEXT {
-            if self.stack.is_empty() {
+            if self.root && self.stack.is_empty() {
                 return Err(DecodeError {
-                    offset: record_start,
+                    offset: start,
                     message: "text node at document root".into(),
                 }
                 .into());
             }
-            let size = h.body_end - h.body_start;
-            self.text.clear();
-            self.src.fetch(h.body_start, size, &mut self.text)?;
-            let text = std::str::from_utf8(&self.text).map_err(|_| DecodeError {
+            let bytes = self.src.fetch(h.body_start, h.body_end - h.body_start)?;
+            let text = std::str::from_utf8(bytes).map_err(|_| DecodeError {
                 offset: h.body_start,
                 message: "invalid UTF-8 text".into(),
             })?;
             self.pos = h.body_end;
-            self.bytes_read += size;
             return Ok(Some(Event::Text(Cow::Borrowed(text))));
         }
         // Element record. The child-context tag list is the only
         // per-record allocation (it outlives this record via saved
         // `DecoderContext`s).
-        self.last_element =
-            Some(DecoderContext { start: record_start, end: h.body_end, tags, body_bound: bound });
         self.stack.push(Level {
             tag: h.tag,
+            start,
+            end: h.body_end,
             tags: self.desc.as_slice().into(),
             body_bound: (h.body_end - h.body_start) as u64,
-            end: h.body_end,
         });
         self.pos = h.body_start;
         Ok(Some(Event::Open(h.tag)))
@@ -442,29 +369,32 @@ impl<R: ByteSource> CursorDecoder<R> {
     pub fn skip_current(&mut self) {
         let level = self.stack.pop().expect("skip_current without open element");
         self.pos = level.end;
-        if self.stack.is_empty() {
-            self.done = true;
-        }
     }
 
     /// Fetches the byte range of a saved context in one pull (pending
-    /// readback) and returns it; decode it in place with [`decode_range`]
-    /// using `ctx.start` as the base. The borrow ends before the next
-    /// navigation call, so one internal buffer serves every readback of a
-    /// session.
-    pub fn read_range(&mut self, ctx: &DecoderContext) -> Result<&[u8], R::Error> {
-        if ctx.end < ctx.start {
-            return Err(DecodeError { offset: ctx.start, message: "inverted range".into() }.into());
-        }
-        self.range.clear();
-        self.src.fetch(ctx.start, ctx.end - ctx.start, &mut self.range)?;
-        Ok(&self.range)
+    /// readback) and resumes a cursor over those lent bytes alone: the
+    /// readback pulls nothing more from this cursor's source. The
+    /// returned cursor counts positions and error offsets from
+    /// `ctx.start`; it borrows this one, so it ends before the next
+    /// navigation call.
+    pub fn read_range(
+        &mut self,
+        ctx: &DecoderContext,
+    ) -> Result<CursorDecoder<SliceSource<'_>>, R::Error> {
+        let len = ctx
+            .end
+            .checked_sub(ctx.start)
+            .ok_or_else(|| DecodeError { offset: ctx.start, message: "inverted range".into() })?;
+        let bytes = self.src.fetch(ctx.start, len)?;
+        let rebased = DecoderContext { start: 0, end: len, ..ctx.clone() };
+        Ok(CursorDecoder::resume(SliceSource(bytes), rebased))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::BitWriter;
     use crate::encode::{encode_document, Encoding};
     use xsac_xml::Document;
 
@@ -472,29 +402,27 @@ mod tests {
         CursorDecoder::new(SliceSource(bytes), dict_len).unwrap()
     }
 
-    /// The whole document through the range decoder, under its root
-    /// context.
-    fn decode_all(bytes: &[u8], dict_len: usize) -> Result<Vec<Event<'_>>, DecodeError> {
+    /// Every remaining event of a cursor, as owned events.
+    fn drain<R: ByteSource>(d: &mut CursorDecoder<R>) -> Result<Vec<Event<'static>>, R::Error> {
         let mut out = Vec::new();
-        decode_range(bytes, 0, &DecoderContext::root(bytes, dict_len)?, &mut out)?;
+        while let Some(ev) = d.next()? {
+            out.push(ev.into_owned());
+        }
         Ok(out)
     }
 
-    /// The whole document through the cursor, as owned events.
-    fn cursor_events(bytes: &[u8], dict_len: usize) -> Vec<Event<'static>> {
-        let mut d = cursor(bytes, dict_len);
-        let mut out = Vec::new();
-        while let Some(ev) = d.next().unwrap() {
-            out.push(ev.into_owned());
-        }
-        out
+    /// The records of `ctx` through a cursor resumed over the whole
+    /// encoding.
+    fn resumed(bytes: &[u8], ctx: &DecoderContext) -> Result<Vec<Event<'static>>, DecodeError> {
+        drain(&mut CursorDecoder::resume(SliceSource(bytes), ctx.clone()))
     }
 
     fn roundtrip(xml: &str) {
         let doc = Document::parse(xml).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        assert_eq!(decode_all(&enc.bytes, doc.dict.len()).unwrap(), doc.events(), "{xml}");
-        assert_eq!(cursor_events(&enc.bytes, doc.dict.len()), doc.events(), "{xml}");
+        let root = DecoderContext::root(&enc.bytes, doc.dict.len()).unwrap();
+        assert_eq!(drain(&mut cursor(&enc.bytes, doc.dict.len())).unwrap(), doc.events(), "{xml}");
+        assert_eq!(resumed(&enc.bytes, &root).unwrap(), doc.events(), "{xml}");
     }
 
     #[test]
@@ -533,26 +461,49 @@ mod tests {
         assert_eq!(d.next().unwrap(), Some(Event::Open(c)));
     }
 
+    /// A `ByteSource` that counts fetched bytes and calls — stands in for
+    /// the metered SOE reader to pin the cursor's touch pattern.
+    struct CountingSource<'a> {
+        src: SliceSource<'a>,
+        fetched: usize,
+        calls: usize,
+    }
+
+    impl<'a> CountingSource<'a> {
+        fn new(data: &'a [u8]) -> Self {
+            CountingSource { src: SliceSource(data), fetched: 0, calls: 0 }
+        }
+    }
+
+    impl ByteSource for CountingSource<'_> {
+        type Error = DecodeError;
+        fn len(&self) -> usize {
+            self.src.len()
+        }
+        fn fetch(&mut self, offset: usize, len: usize) -> Result<&[u8], DecodeError> {
+            let bytes = self.src.fetch(offset, len)?;
+            self.fetched += len;
+            self.calls += 1;
+            Ok(bytes)
+        }
+    }
+
+    const SKIPPABLE: &str = "<a><b><x>0123456789012345678901234567890123456789</x></b><c>c</c></a>";
+
     #[test]
     fn skipped_bytes_not_counted() {
-        let doc = Document::parse(
-            "<a><b><x>0123456789012345678901234567890123456789</x></b><c>c</c></a>",
-        )
-        .unwrap();
+        let doc = Document::parse(SKIPPABLE).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let full = {
-            let mut d = cursor(&enc.bytes, doc.dict.len());
-            while d.next().unwrap().is_some() {}
-            d.bytes_read
-        };
-        let skipped = {
-            let mut d = cursor(&enc.bytes, doc.dict.len());
-            d.next().unwrap(); // a
-            d.next().unwrap(); // b
-            d.skip_current();
-            while d.next().unwrap().is_some() {}
-            d.bytes_read
-        };
+        let counting = || CountingSource::new(&enc.bytes);
+        let mut d = CursorDecoder::new(counting(), doc.dict.len()).unwrap();
+        drain(&mut d).unwrap();
+        let full = d.into_source().fetched;
+        let mut d = CursorDecoder::new(counting(), doc.dict.len()).unwrap();
+        d.next().unwrap(); // a
+        d.next().unwrap(); // b
+        d.skip_current();
+        drain(&mut d).unwrap();
+        let skipped = d.into_source().fetched;
         assert_eq!(full, enc.bytes.len(), "a full scan reads every byte");
         assert!(skipped + 40 <= full, "skipping must save the text bytes: {skipped} vs {full}");
     }
@@ -566,13 +517,11 @@ mod tests {
         d.next().unwrap(); // b
         let ctx = d.last_element_context().unwrap();
         d.skip_current();
-        let mut events = Vec::new();
-        decode_range(&enc.bytes, 0, &ctx, &mut events).unwrap();
         let b = doc.dict.get("b").unwrap();
         let x = doc.dict.get("x").unwrap();
         let y = doc.dict.get("y").unwrap();
         assert_eq!(
-            events,
+            resumed(&enc.bytes, &ctx).unwrap(),
             vec![
                 Event::Open(b),
                 Event::Open(x),
@@ -598,12 +547,10 @@ mod tests {
         let ctx = d.rest_context().unwrap();
         d.skip_current();
         assert_eq!(d.next().unwrap(), None);
-        let mut events = Vec::new();
-        decode_range(&enc.bytes, 0, &ctx, &mut events).unwrap();
         let c = doc.dict.get("c").unwrap();
         let dd = doc.dict.get("d").unwrap();
         assert_eq!(
-            events,
+            resumed(&enc.bytes, &ctx).unwrap(),
             vec![
                 Event::Open(c),
                 Event::Text("2".into()),
@@ -613,6 +560,43 @@ mod tests {
                 Event::Close(dd),
             ]
         );
+    }
+
+    /// The root context holds one element record; a saved forest may
+    /// start with text.
+    #[test]
+    fn text_is_refused_at_the_root_and_decoded_at_the_top_of_a_forest() {
+        // A hand-built encoding whose root record is a text leaf.
+        let dict_len = 3;
+        let mut w = BitWriter::new();
+        w.write_bit(true); // leaf
+        w.write(TagId::TEXT.0 as u64, width_for(dict_len as u64 - 1));
+        w.write(2, width_for(u32::MAX as u64));
+        w.align();
+        w.write_bytes(b"hi");
+        let record = w.finish();
+        let mut bytes = (record.len() as u32).to_be_bytes().to_vec();
+        bytes.extend_from_slice(&record);
+        let err = cursor(&bytes, dict_len).next().unwrap_err();
+        assert_eq!(err, DecodeError { offset: 4, message: "text node at document root".into() });
+        let root = DecoderContext::root(&bytes, dict_len).unwrap();
+        assert_eq!(resumed(&bytes, &root).unwrap(), [Event::Text("hi".into())]);
+
+        // The children left in an element, text first.
+        let doc = Document::parse("<a><b>x</b>t1<c></c>t2</a>").unwrap();
+        let enc = encode_document(&doc, Encoding::TCSBR);
+        let mut d = cursor(&enc.bytes, doc.dict.len());
+        for _ in 0..4 {
+            d.next().unwrap(); // a, b, "x", /b
+        }
+        let rest = d.rest_context().unwrap();
+        let (a, c) = (doc.dict.get("a").unwrap(), doc.dict.get("c").unwrap());
+        let tail =
+            [Event::Text("t1".into()), Event::Open(c), Event::Close(c), Event::Text("t2".into())];
+        assert_eq!(resumed(&enc.bytes, &rest).unwrap(), tail);
+        let mut whole = tail.to_vec();
+        whole.push(Event::Close(a));
+        assert_eq!(drain(&mut d).unwrap(), whole, "the walk goes on past the saved context");
     }
 
     #[test]
@@ -641,26 +625,21 @@ mod tests {
         assert!(d.last_desc().is_empty());
     }
 
-    /// Every proper prefix of an encoding fails to decode, through the
-    /// cursor and through the range decoder alike.
+    /// Every proper prefix of an encoding fails to decode, from the root
+    /// and resumed over the root context alike.
     #[test]
     fn truncated_input_errors() {
         let doc = Document::parse("<a><b>hello world</b></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
         for cut in 0..enc.bytes.len() {
             let truncated = &enc.bytes[..cut];
-            assert!(decode_all(truncated, doc.dict.len()).is_err(), "range decoder, cut {cut}");
+            if let Ok(root) = DecoderContext::root(truncated, doc.dict.len()) {
+                assert!(resumed(truncated, &root).is_err(), "resumed, cut {cut}");
+            }
             let Ok(mut d) = CursorDecoder::new(SliceSource(truncated), doc.dict.len()) else {
                 continue;
             };
-            let result = loop {
-                match d.next() {
-                    Ok(None) => break Ok(()),
-                    Ok(Some(_)) => {}
-                    Err(e) => break Err(e),
-                }
-            };
-            assert!(result.is_err(), "cursor, cut {cut}: truncation must be detected");
+            assert!(drain(&mut d).is_err(), "cursor, cut {cut}: truncation must be detected");
         }
     }
 
@@ -670,34 +649,10 @@ mod tests {
         assert!(DecoderContext::root(&[1, 2], 5).is_err());
     }
 
-    /// A `ByteSource` that counts fetched bytes — stands in for the
-    /// metered SOE reader to pin the cursor's touch pattern.
-    struct CountingSource<'a> {
-        data: &'a [u8],
-        fetched: usize,
-    }
-
-    impl ByteSource for CountingSource<'_> {
-        type Error = DecodeError;
-        fn len(&self) -> usize {
-            self.data.len()
-        }
-        fn fetch(
-            &mut self,
-            offset: usize,
-            len: usize,
-            out: &mut Vec<u8>,
-        ) -> Result<(), DecodeError> {
-            SliceSource(self.data).fetch(offset, len, out)?;
-            self.fetched += len;
-            Ok(())
-        }
-    }
-
-    /// The two decoders that ship agree event for event: the cursor's
-    /// walk against the slice decoder [`decode_range`] over the whole
-    /// encoding (root context), on hand-written shapes and on every
-    /// generated dataset.
+    /// The readback path agrees with the walk event for event: the whole
+    /// encoding, fetched in one pull and decoded by the cursor
+    /// [`CursorDecoder::read_range`] resumes over the lent slice, on
+    /// hand-written shapes and on every generated dataset.
     #[test]
     fn cursor_matches_slice_decoder_event_for_event() {
         let mut docs: Vec<Document> = [
@@ -712,71 +667,62 @@ mod tests {
         docs.extend(xsac_datagen::Dataset::ALL.iter().map(|ds| ds.generate(0.005, 7)));
         for doc in &docs {
             let enc = encode_document(doc, Encoding::TCSBR);
-            let expect = decode_all(&enc.bytes, doc.dict.len()).unwrap();
+            let root = DecoderContext::root(&enc.bytes, doc.dict.len()).unwrap();
+            let mut d = cursor(&enc.bytes, doc.dict.len());
+            let expect = drain(&mut d.read_range(&root).unwrap()).unwrap();
             assert!(expect.len() > 1);
-            assert_eq!(cursor_events(&enc.bytes, doc.dict.len()), expect);
+            assert_eq!(drain(&mut d).unwrap(), expect);
         }
     }
 
     #[test]
     fn cursor_skip_fetches_nothing_from_skipped_subtree() {
-        let doc = Document::parse(
-            "<a><b><x>0123456789012345678901234567890123456789</x></b><c>c</c></a>",
-        )
-        .unwrap();
+        let doc = Document::parse(SKIPPABLE).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let full = {
-            let mut d =
-                CursorDecoder::new(CountingSource { data: &enc.bytes, fetched: 0 }, doc.dict.len())
-                    .unwrap();
-            while d.next().unwrap().is_some() {}
-            d.into_source().fetched
-        };
-        let skipped = {
-            let mut d =
-                CursorDecoder::new(CountingSource { data: &enc.bytes, fetched: 0 }, doc.dict.len())
-                    .unwrap();
-            d.next().unwrap(); // a
-            d.next().unwrap(); // b
-            d.skip_current();
-            while d.next().unwrap().is_some() {}
-            d.into_source().fetched
-        };
-        assert!(skipped + 40 <= full, "skip must not fetch the subtree: {skipped} vs {full}");
+        let mut d = CursorDecoder::new(CountingSource::new(&enc.bytes), doc.dict.len()).unwrap();
+        d.next().unwrap(); // a
+        d.next().unwrap(); // b
+        let body = d.position();
+        d.skip_current();
+        let skipped_body = d.position() - body;
+        drain(&mut d).unwrap();
+        assert_eq!(
+            d.into_source().fetched,
+            enc.bytes.len() - skipped_body,
+            "a skip fetches all but the skipped body, byte for byte"
+        );
     }
 
     #[test]
     fn cursor_readback_decodes_from_fetched_range_only() {
         let doc = Document::parse("<a><b><x>11</x><y>22</y></b><c>cc</c></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let mut d = cursor(&enc.bytes, doc.dict.len());
+        let mut d = CursorDecoder::new(CountingSource::new(&enc.bytes), doc.dict.len()).unwrap();
         d.next().unwrap(); // a
         d.next().unwrap(); // b
         let ctx = d.last_element_context().unwrap();
         d.skip_current();
-        // The readback decodes over a buffer holding only the saved range.
-        let data = d.read_range(&ctx).unwrap();
-        assert_eq!(data.len(), ctx.end - ctx.start);
-        let mut events = Vec::new();
-        decode_range(data, ctx.start, &ctx, &mut events).unwrap();
-        let mut whole = Vec::new();
-        decode_range(&enc.bytes, 0, &ctx, &mut whole).unwrap();
-        assert_eq!(events, whole);
+        let before = (d.src.calls, d.src.fetched);
+        // The readback is one pull of exactly the saved range, decoded
+        // from that slice alone.
+        let events = drain(&mut d.read_range(&ctx).unwrap()).unwrap();
+        assert_eq!((d.src.calls, d.src.fetched), (before.0 + 1, before.1 + ctx.end - ctx.start));
+        assert_eq!(events, resumed(&enc.bytes, &ctx).unwrap());
     }
 
     #[test]
-    fn decode_range_rejects_range_outside_data() {
+    fn resume_rejects_range_outside_data() {
         let doc = Document::parse("<a><b>hello</b></a>").unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
         let mut d = cursor(&enc.bytes, doc.dict.len());
         d.next().unwrap(); // a
         d.next().unwrap(); // b
         let ctx = d.last_element_context().unwrap();
-        let mut out = Vec::new();
-        // Buffer starts after the range, or is too short: typed error.
-        let short = &enc.bytes[ctx.start..ctx.end - 1];
-        assert!(decode_range(short, ctx.start, &ctx, &mut out).is_err());
-        assert!(decode_range(&enc.bytes[..], ctx.start + 1, &ctx, &mut out).is_err());
+        // The source ends inside the range, or the range is inverted:
+        // typed errors.
+        assert!(resumed(&enc.bytes[..ctx.end - 1], &ctx).is_err());
+        let inverted = DecoderContext { start: ctx.end, end: ctx.start, ..ctx };
+        assert!(d.read_range(&inverted).is_err());
     }
 
     #[test]
@@ -785,17 +731,6 @@ mod tests {
         let enc = encode_document(&doc, Encoding::TCSBR);
         let truncated = &enc.bytes[..enc.bytes.len() - 4];
         let mut d = cursor(truncated, doc.dict.len());
-        let mut result = Ok(());
-        loop {
-            match d.next() {
-                Ok(None) => break,
-                Ok(Some(_)) => {}
-                Err(e) => {
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        assert!(result.is_err(), "truncation must be detected");
+        assert!(drain(&mut d).is_err(), "truncation must be detected");
     }
 }

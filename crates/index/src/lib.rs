@@ -25,10 +25,10 @@
 //! Modules:
 //! * [`bits`] — bit-level readers/writers;
 //! * [`encode`] — document → encoded bytes for every variant;
-//! * [`decode`] — one record parser behind two decoders: the streaming
-//!   [`CursorDecoder`] with the paper's `SkipStack`, able to skip subtrees
-//!   by their byte extents, and [`decode_range`], which re-decodes a saved
-//!   range (pending-subtree readback, or the whole document);
+//! * [`decode`] — one decoder, the streaming [`CursorDecoder`] with the
+//!   paper's `SkipStack`: it pulls lent bytes from a [`ByteSource`], skips
+//!   subtrees by their byte extents, and resumes over a saved range
+//!   (pending-subtree readback);
 //! * [`overhead`] — the structure/text ratios of Figure 8.
 
 pub mod bits;
@@ -36,8 +36,6 @@ pub mod decode;
 pub mod encode;
 pub mod overhead;
 
-pub use decode::{
-    decode_range, ByteSource, CursorDecoder, DecodeError, DecoderContext, SliceSource,
-};
+pub use decode::{ByteSource, CursorDecoder, DecodeError, DecoderContext, SliceSource};
 pub use encode::{encode_document, encode_tcsbr_stream, EncodedDoc, Encoding, StreamedEncode};
 pub use overhead::{overhead_row, OverheadReport};

@@ -1,23 +1,24 @@
-//! Robustness: the decoders that ship must never panic on hostile bytes —
-//! they either produce nodes or return a `DecodeError`. (The integrity
-//! layer rejects tampering before decoding in the real pipeline; the
-//! decoders still must not be the weak link, e.g. under scheme `ECB`
-//! which detects nothing.)
+//! Robustness: the decoder must never panic on hostile bytes — it either
+//! produces events or returns a `DecodeError`. (The integrity layer
+//! rejects tampering before decoding in the real pipeline; the decoder
+//! still must not be the weak link, e.g. under scheme `ECB` which detects
+//! nothing.)
 //!
-//! Every property feeds the same input to both: the cursor walk over the
-//! whole document, and the range decoder (pending-subtree readback) over
-//! the document's root context and over an element context saved while
-//! walking the *valid* encoding — a readback of a range whose bytes were
-//! corrupted after the context was taken.
+//! Every property feeds the same input to the cursor three ways: the walk
+//! of the whole document from its header, and cursors resumed (as a
+//! pending-subtree readback is) over the document's root context and over
+//! an element context saved while walking the *valid* encoding — a
+//! readback of a range whose bytes were corrupted after the context was
+//! taken.
 
 use proptest::prelude::*;
-use xsac_index::decode::{decode_range, CursorDecoder, DecoderContext, SliceSource};
+use xsac_index::decode::{CursorDecoder, DecoderContext, SliceSource};
 use xsac_index::encode::{encode_document, Encoding};
 use xsac_index::DecodeError;
 use xsac_xml::Document;
 
-fn drive_cursor(bytes: &[u8], dict_len: usize) -> Result<usize, DecodeError> {
-    let mut d = CursorDecoder::new(SliceSource(bytes), dict_len)?;
+/// Counts the events of a cursor to its end or its first error.
+fn drive_cursor(mut d: CursorDecoder<SliceSource<'_>>) -> Result<usize, DecodeError> {
     let mut n = 0usize;
     // Defensive cap: a malformed stream must not loop forever either.
     for _ in 0..100_000 {
@@ -29,21 +30,18 @@ fn drive_cursor(bytes: &[u8], dict_len: usize) -> Result<usize, DecodeError> {
     panic!("decoder did not terminate");
 }
 
-fn drive_range(bytes: &[u8], ctx: &DecoderContext) -> Result<usize, DecodeError> {
-    let mut out = Vec::new();
-    decode_range(bytes, 0, ctx, &mut out)?;
-    Ok(out.len())
-}
-
-/// Drives both decoders over `bytes`; `saved` is an element context taken
-/// from the valid encoding the bytes were derived from, if any.
+/// Drives the cursor over `bytes` from the header and resumed over the
+/// root context; `saved` is an element context taken from the valid
+/// encoding the bytes were derived from, if any.
 fn drive(bytes: &[u8], dict_len: usize, saved: Option<&DecoderContext>) {
-    let _ = drive_cursor(bytes, dict_len);
+    if let Ok(d) = CursorDecoder::new(SliceSource(bytes), dict_len) {
+        let _ = drive_cursor(d);
+    }
     if let Ok(root) = DecoderContext::root(bytes, dict_len) {
-        let _ = drive_range(bytes, &root);
+        let _ = drive_cursor(CursorDecoder::resume(SliceSource(bytes), root));
     }
     if let Some(ctx) = saved {
-        let _ = drive_range(bytes, ctx);
+        let _ = drive_cursor(CursorDecoder::resume(SliceSource(bytes), ctx.clone()));
     }
 }
 

@@ -6,15 +6,26 @@
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::collections::BTreeSet;
-use xsac_index::decode::{decode_range, CursorDecoder, DecoderContext, SliceSource};
+use xsac_index::decode::{ByteSource, CursorDecoder, DecoderContext, SliceSource};
 use xsac_index::encode::{encode_document, Encoding};
 use xsac_xml::{Document, Event, Node, NodeId, TagId};
 
-/// The whole document through the range decoder, under its root context.
-fn decode_all(bytes: &[u8], dict_len: usize) -> Vec<Event<'_>> {
+/// Every remaining event of a cursor, as owned events.
+fn drain<R: ByteSource>(d: &mut CursorDecoder<R>) -> Vec<Event<'static>>
+where
+    R::Error: std::fmt::Debug,
+{
     let mut out = Vec::new();
-    decode_range(bytes, 0, &DecoderContext::root(bytes, dict_len).unwrap(), &mut out).unwrap();
+    while let Some(ev) = d.next().unwrap() {
+        out.push(ev.into_owned());
+    }
     out
+}
+
+/// The whole document through a cursor resumed over its root context.
+fn decode_all(bytes: &[u8], dict_len: usize) -> Vec<Event<'static>> {
+    let root = DecoderContext::root(bytes, dict_len).unwrap();
+    drain(&mut CursorDecoder::resume(SliceSource(bytes), root))
 }
 
 fn cursor(bytes: &[u8], dict_len: usize) -> CursorDecoder<SliceSource<'_>> {
@@ -61,11 +72,7 @@ fn check_roundtrip(xml: &str) -> Result<(), TestCaseError> {
     let enc = encode_document(&doc, Encoding::TCSBR);
     let events = decode_all(&enc.bytes, doc.dict.len());
     prop_assert_eq!(&events, &doc.events(), "roundtrip of {}", xml);
-    let mut d = cursor(&enc.bytes, doc.dict.len());
-    let mut walked: Vec<Event<'static>> = Vec::new();
-    while let Some(ev) = d.next().unwrap() {
-        walked.push(ev.into_owned());
-    }
+    let walked = drain(&mut cursor(&enc.bytes, doc.dict.len()));
     prop_assert_eq!(walked, events, "cursor roundtrip of {}", xml);
     Ok(())
 }
@@ -85,7 +92,8 @@ proptest! {
         check_skip(&xml, which)?;
     }
 
-    /// Readback of any saved element context reproduces the subtree.
+    /// Readback of any saved element context reproduces the subtree, and
+    /// of every rest context the records left in its element.
     #[test]
     fn readback_everywhere(xml in arb_xml(), which in 0usize..6) {
         check_readback(&xml, which)?;
@@ -227,36 +235,53 @@ fn check_skip(xml: &str, which: usize) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// Walks the whole document, saving the context of its `which`-th
+/// element and, after every close inside the root, the rest context of
+/// the element left open (a forest that may start with text). Each saved
+/// context, read back through [`CursorDecoder::read_range`], must
+/// reproduce exactly its slice of the walk.
 fn check_readback(xml: &str, which: usize) -> Result<(), TestCaseError> {
     let doc = Document::parse(xml).unwrap();
     let enc = encode_document(&doc, Encoding::TCSBR);
     let mut d = cursor(&enc.bytes, doc.dict.len());
-    let mut count = 0usize;
-    let mut saved = None;
+    // Each event of the walk with the depth after it.
+    let mut walk: Vec<(Event<'static>, usize)> = Vec::new();
+    // (context, index of its first event, true for a whole subtree)
+    let mut saved: Vec<(DecoderContext, usize, bool)> = Vec::new();
+    let mut opens = 0usize;
     while let Some(ev) = d.next().unwrap() {
-        if matches!(ev, Event::Open(_)) {
-            if count == which {
-                saved = d.last_element_context();
+        let ev = ev.into_owned();
+        match ev {
+            Event::Open(_) => {
+                if opens == which {
+                    saved.push((d.last_element_context().unwrap(), walk.len(), true));
+                }
+                opens += 1;
             }
-            count += 1;
+            Event::Close(_) => {
+                if let Some(rest) = d.rest_context() {
+                    saved.push((rest, walk.len() + 1, false));
+                }
+            }
+            Event::Text(_) => {}
         }
+        walk.push((ev, d.depth()));
     }
-    if let Some(ctx) = saved {
-        let mut events = Vec::new();
-        decode_range(&enc.bytes, 0, &ctx, &mut events).unwrap();
-        prop_assert!(matches!(events.first(), Some(Event::Open(_))));
-        prop_assert!(matches!(events.last(), Some(Event::Close(_))));
-        // Balanced and self-contained.
-        let mut depth = 0i64;
-        for ev in &events {
-            match ev {
-                Event::Open(_) => depth += 1,
-                Event::Close(_) => depth -= 1,
-                _ => {}
-            }
-            prop_assert!(depth >= 0);
-        }
-        prop_assert_eq!(depth, 0);
+    for (ctx, first, subtree) in saved {
+        let expected: Vec<Event<'static>> = if subtree {
+            // The open, then everything up to the close that returns to
+            // the depth the open started from.
+            let base = walk[first].1 - 1;
+            let len = walk[first..].iter().position(|(_, depth)| *depth == base).unwrap() + 1;
+            walk[first..first + len].iter().map(|(ev, _)| ev.clone()).collect()
+        } else {
+            // Everything up to the enclosing element's close.
+            let level = walk[first - 1].1;
+            let tail = walk[first..].iter().take_while(|(_, depth)| *depth >= level);
+            tail.map(|(ev, _)| ev.clone()).collect()
+        };
+        let got = drain(&mut d.read_range(&ctx).unwrap());
+        prop_assert_eq!(got, expected, "context {:?} of {}", ctx, xml);
     }
     Ok(())
 }

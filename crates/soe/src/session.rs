@@ -27,7 +27,7 @@ use xsac_core::stats::EvalStats;
 use xsac_crypto::protocol::AccessCost;
 use xsac_crypto::store::ChunkStore;
 use xsac_crypto::{LeafCache, ReadError, SoeReader, StoreError, TripleDes};
-use xsac_index::decode::{decode_range, ByteSource, CursorDecoder, DecoderContext};
+use xsac_index::decode::{ByteSource, CursorDecoder, DecoderContext};
 use xsac_obs::{Phase, PhaseProfile, SpanClock};
 use xsac_xml::Event;
 use xsac_xpath::Automaton;
@@ -195,9 +195,10 @@ impl HandleTable {
 
 /// [`ByteSource`] adapter: every byte the decoder pulls is transferred,
 /// verified and deciphered through the [`SoeReader`] — the real Figure-2
-/// pipeline. Nothing stays resident beyond the reader's chunk window and
-/// the decoder's per-record buffers, so a session's footprint is bounded
-/// by the window budget plus one record, independent of document size.
+/// pipeline. The reader lends each record's plaintext from its own
+/// buffer. Nothing stays resident beyond the reader's chunk window and
+/// that buffer, so a session's footprint is bounded by the window budget
+/// plus one record, independent of document size.
 struct SoeSource<'a, S: ChunkStore> {
     reader: SoeReader<'a, S>,
     /// Encoded plaintext length (`ProtectedDoc::plain_len`).
@@ -211,8 +212,8 @@ impl<S: ChunkStore> ByteSource for SoeSource<'_, S> {
         self.len
     }
 
-    fn fetch(&mut self, offset: usize, len: usize, out: &mut Vec<u8>) -> Result<(), SessionError> {
-        Ok(self.reader.read_into(offset, len, out)?)
+    fn fetch(&mut self, offset: usize, len: usize) -> Result<&[u8], SessionError> {
+        Ok(self.reader.read(offset, len)?)
     }
 }
 
@@ -417,8 +418,9 @@ pub fn run_session_shared<S: ChunkStore>(
 /// decodes the saved byte ranges ("pending elements or subtrees are read
 /// back from the terminal", §5 — never re-analyzed, just delivered).
 /// Each readback fetches exactly its saved range through the decoder's
-/// source (metered and verified like any other access) and decodes it in
-/// place — the document never needs a resident plaintext image. Served
+/// source (metered and verified like any other access) and decodes it
+/// with a cursor resumed over the lent bytes — the document never needs
+/// a resident plaintext image. Served
 /// contexts are dropped from the handle table, as are the contexts of
 /// subtrees whose condition resolved false — the table stays O(pending).
 fn serve_readbacks<S: ChunkStore>(
@@ -441,14 +443,17 @@ fn serve_readbacks<S: ChunkStore>(
             // Readback transfer + re-decode is decode-span work (its
             // reader costs are subtracted like any other fetch).
             clock.switch(spans, Phase::Decode);
-            let data = decoder.read_range(&ctx)?;
-            // The events borrow the decoder's range buffer, so the vector
-            // is per-readback local; its length is O(delivered events),
-            // and only actually-delivered subtrees pay it.
-            let mut events: Vec<xsac_xml::Event<'_>> = Vec::new();
-            decode_range(data, ctx.start, &ctx, &mut events)?;
+            let mut range = decoder.read_range(&ctx)?;
+            // The whole range decodes before any of it is delivered. Its
+            // texts are owned here and moved into the log; the vector's
+            // length is O(delivered events), and only actually-delivered
+            // subtrees pay it.
+            let mut events = Vec::new();
+            while let Some(event) = range.next()? {
+                events.push(event.into_owned());
+            }
             clock.switch(spans, Phase::Evaluate);
-            eval.readback_events(req.entry, &events);
+            eval.readback_events(req.entry, events);
             handles.remove(req.subtree.0);
         }
     }

@@ -11,7 +11,7 @@ use xsac::core::output::reassemble_to_string;
 use xsac::core::{Policy, Sign};
 use xsac::crypto::chunk::ChunkLayout;
 use xsac::crypto::{IntegrityScheme, TripleDes};
-use xsac::index::decode::{decode_range, DecoderContext};
+use xsac::index::decode::{CursorDecoder, SliceSource};
 use xsac::index::encode::{encode_document, Encoding};
 use xsac::soe::{
     run_session_shared, CompiledPolicy, SessionConfig, SessionError, Strategy as SoeStrategy,
@@ -93,9 +93,11 @@ proptest! {
     fn skip_index_roundtrip(xml in arb_doc()) {
         let doc = Document::parse(&xml).unwrap();
         let enc = encode_document(&doc, Encoding::TCSBR);
-        let root = DecoderContext::root(&enc.bytes, doc.dict.len()).unwrap();
+        let mut d = CursorDecoder::new(SliceSource(&enc.bytes), doc.dict.len()).unwrap();
         let mut events = Vec::new();
-        decode_range(&enc.bytes, 0, &root, &mut events).unwrap();
+        while let Some(ev) = d.next().unwrap() {
+            events.push(ev.into_owned());
+        }
         prop_assert_eq!(events, doc.events());
     }
 
