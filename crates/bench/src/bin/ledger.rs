@@ -199,7 +199,7 @@ fn main() {
     assert!(doc_bytes >= 8 * WINDOW_BYTES, "document must dwarf the window");
     assert!(peak * 4 <= doc_bytes, "peak residency {peak} not ≪ document {doc_bytes}");
     assert!(mht_mem.resident_bytes_peak().is_none(), "mem backend does not meter");
-    // The wire/protect contracts: `GetMeta` is O(layout), and one-pass
+    // The wire/protect contracts: the `Hello` meta is O(layout), and one-pass
     // protection buffers O(chunk) — neither scales with the document.
     assert!(meta_wire_bytes * 4 <= doc_bytes, "meta {meta_wire_bytes} B not ≪ document");
     assert!(protect_peak <= layout.chunk_size + 2048, "protect peak {protect_peak} not O(chunk)");
@@ -282,7 +282,7 @@ fn main() {
     body.push_str("  ]\n}\n");
     println!(
         "\ndocument {doc_bytes} B, window {WINDOW_BYTES} B, ECB-MHT resident peak {peak} B; \
-         GetMeta {meta_wire_bytes} B; protect peak {protect_peak} B"
+         Hello meta {meta_wire_bytes} B; protect peak {protect_peak} B"
     );
     let path = output_dir().join("BENCH_ledger.json");
     match std::fs::write(&path, body) {

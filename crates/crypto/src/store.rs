@@ -521,6 +521,11 @@ impl ChunkWindow {
         self.chunk_size
     }
 
+    /// The document's ciphertext length in bytes.
+    pub fn doc_len(&self) -> usize {
+        self.doc_len
+    }
+
     /// Number of chunks the document spans.
     pub fn chunk_count(&self) -> usize {
         self.doc_len.div_ceil(self.chunk_size)
@@ -693,7 +698,6 @@ impl ChunkWindow {
 /// file itself sits behind its own mutex, taken only for the cold
 /// seek/read pair.
 pub struct FileStore {
-    len: usize,
     file: Mutex<File>,
     window: ChunkWindow,
 }
@@ -706,7 +710,6 @@ impl FileStore {
         let file = File::open(path)?;
         let len = file.metadata()?.len() as usize;
         Ok(FileStore {
-            len,
             file: Mutex::new(file),
             window: ChunkWindow::new(len, chunk_size, window_bytes),
         })
@@ -718,7 +721,7 @@ impl FileStore {
     /// (a registry routing `Hello` frames) and only then commit the
     /// store. The window's document length is taken as the file length.
     pub fn from_open_file(file: File, window: ChunkWindow) -> FileStore {
-        FileStore { len: window.doc_len, file: Mutex::new(file), window }
+        FileStore { file: Mutex::new(file), window }
     }
 
     /// Writes `bytes` to `path` and opens it as a store — the
@@ -780,7 +783,7 @@ impl FileStore {
 
 impl ChunkStore for FileStore {
     fn len(&self) -> usize {
-        self.len
+        self.window.doc_len()
     }
 
     fn read_at(&self, offset: usize, buf: &mut [u8]) -> Result<(), StoreError> {

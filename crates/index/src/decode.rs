@@ -204,6 +204,9 @@ impl ByteSource for SliceSource<'_> {
 /// [`CursorDecoder::read_range`].
 pub struct CursorDecoder<R: ByteSource> {
     src: R,
+    /// Absolute offset of the source's first byte: 0 over a whole
+    /// document, the range start over a readback's lent bytes.
+    origin: usize,
     pos: usize,
     /// The context the cursor walks: the root record's (from the 4-byte
     /// header) or a saved one.
@@ -233,6 +236,7 @@ impl<R: ByteSource> CursorDecoder<R> {
     pub fn resume(src: R, ctx: DecoderContext) -> CursorDecoder<R> {
         CursorDecoder {
             src,
+            origin: 0,
             pos: ctx.start,
             base: ctx,
             root: false,
@@ -319,13 +323,19 @@ impl<R: ByteSource> CursorDecoder<R> {
         // leaf bit (the record's first bit) reveals.
         let prefix_bits =
             1 + width_for(tags.len().saturating_sub(1) as u64) as usize + width_for(bound) as usize;
-        let prefix_len = prefix_bits.div_ceil(8);
-        let hdr_len = (prefix_bits + tags.len()).div_ceil(8);
-        let mut header = self.src.fetch(start, prefix_len)?;
+        // A well-formed header lies inside its level, so clamping the
+        // fetches to `level_end` changes nothing on valid input, and a
+        // header that would cross it fails in `parse_header` below at an
+        // absolute offset instead of in the source.
+        let avail = level_end.saturating_sub(start);
+        let prefix_len = prefix_bits.div_ceil(8).min(avail);
+        let hdr_len = (prefix_bits + tags.len()).div_ceil(8).min(avail);
+        let mut header = self.src.fetch(start - self.origin, prefix_len)?;
         if hdr_len > prefix_len && BitReader::at(header, 0).read_bit() == Some(false) {
             self.hdr.clear();
             self.hdr.extend_from_slice(header);
-            self.hdr.extend_from_slice(self.src.fetch(start + prefix_len, hdr_len - prefix_len)?);
+            let rest = start + prefix_len - self.origin;
+            self.hdr.extend_from_slice(self.src.fetch(rest, hdr_len - prefix_len)?);
             header = &self.hdr;
         }
         self.desc.clear();
@@ -339,7 +349,7 @@ impl<R: ByteSource> CursorDecoder<R> {
                 }
                 .into());
             }
-            let bytes = self.src.fetch(h.body_start, h.body_end - h.body_start)?;
+            let bytes = self.src.fetch(h.body_start - self.origin, h.body_end - h.body_start)?;
             let text = std::str::from_utf8(bytes).map_err(|_| DecodeError {
                 offset: h.body_start,
                 message: "invalid UTF-8 text".into(),
@@ -374,20 +384,21 @@ impl<R: ByteSource> CursorDecoder<R> {
     /// Fetches the byte range of a saved context in one pull (pending
     /// readback) and resumes a cursor over those lent bytes alone: the
     /// readback pulls nothing more from this cursor's source. The
-    /// returned cursor counts positions and error offsets from
-    /// `ctx.start`; it borrows this one, so it ends before the next
+    /// returned cursor's positions and error offsets are absolute, as
+    /// this one's are; it borrows this one, so it ends before the next
     /// navigation call.
     pub fn read_range(
         &mut self,
         ctx: &DecoderContext,
     ) -> Result<CursorDecoder<SliceSource<'_>>, R::Error> {
-        let len = ctx
-            .end
-            .checked_sub(ctx.start)
-            .ok_or_else(|| DecodeError { offset: ctx.start, message: "inverted range".into() })?;
-        let bytes = self.src.fetch(ctx.start, len)?;
-        let rebased = DecoderContext { start: 0, end: len, ..ctx.clone() };
-        Ok(CursorDecoder::resume(SliceSource(bytes), rebased))
+        let outside = || DecodeError { offset: ctx.start, message: "range outside source".into() };
+        let at = ctx.start.checked_sub(self.origin).ok_or_else(outside)?;
+        let len = ctx.end.checked_sub(ctx.start).ok_or_else(outside)?;
+        let bytes = self.src.fetch(at, len)?;
+        Ok(CursorDecoder {
+            origin: ctx.start,
+            ..CursorDecoder::resume(SliceSource(bytes), ctx.clone())
+        })
     }
 }
 
@@ -723,6 +734,54 @@ mod tests {
         assert!(resumed(&enc.bytes[..ctx.end - 1], &ctx).is_err());
         let inverted = DecoderContext { start: ctx.end, end: ctx.start, ..ctx };
         assert!(d.read_range(&inverted).is_err());
+    }
+
+    /// A readback reports positions and errors in absolute offsets, as
+    /// a whole-document walk does: for every single-bit flip inside a
+    /// saved range that ends where its parent ends, decoding the range
+    /// through `read_range` fails (or succeeds) exactly as walking the
+    /// whole flipped document does — including a header cut off by the
+    /// range end.
+    #[test]
+    fn readback_errors_carry_whole_document_offsets() {
+        for xml in [
+            "<a><x>lead</x><b><c>some text</c><d><e>more</e>tail</d></b></a>",
+            "<a><x>l</x><x/><b><c>s</c><d><e>m</e><e/><d/>t</d><c>u</c><f/><c/><e>v</e></b></a>",
+            "<a><x/><b><c>1</c><d>2</d><e>3</e><f>4</f><g>5</g><h/><i/><j>6</j><k/><l/></b></a>",
+        ] {
+            let doc = Document::parse(xml).unwrap();
+            let enc = encode_document(&doc, Encoding::TCSBR);
+            let mut d = cursor(&enc.bytes, doc.dict.len());
+            d.next().unwrap(); // a
+            let ctx = loop {
+                let Some(Event::Open(tag)) = d.next().unwrap() else { continue };
+                if doc.dict.name(tag) == "b" {
+                    break d.last_element_context().unwrap();
+                }
+                d.skip_current();
+            };
+            assert_eq!(ctx.end, enc.bytes.len(), "`b` must end where the root does");
+            let mut errors = 0;
+            for bit in ctx.start * 8..ctx.end * 8 {
+                let mut flipped = enc.bytes.clone();
+                flipped[bit / 8] ^= 0x80 >> (bit % 8);
+                let mut outer = cursor(&flipped, doc.dict.len());
+                let mut range = outer.read_range(&ctx).unwrap();
+                assert_eq!(range.position(), ctx.start);
+                let readback = drain(&mut range).err();
+                let mut walk = cursor(&flipped, doc.dict.len());
+                let whole = loop {
+                    match walk.next() {
+                        Ok(Some(_)) => {}
+                        Ok(None) => break None,
+                        Err(e) => break Some(e),
+                    }
+                };
+                assert_eq!(readback, whole, "{xml}, bit {bit}: readback and walk disagree");
+                errors += readback.is_some() as usize;
+            }
+            assert!(errors > 0, "{xml}: some flip must break the range");
+        }
     }
 
     #[test]

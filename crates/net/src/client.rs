@@ -1,4 +1,5 @@
-//! The dissemination client: [`connect`] performs the handshake and
+//! The dissemination client: [`connect`] performs the handshake — one
+//! `Hello` round trip, whose reply is the document's encoded meta — and
 //! returns a [`ServerDoc`]`<`[`RemoteStore`]`>` — a document whose
 //! ciphertext lives on the other end of a socket.
 //!
@@ -33,12 +34,11 @@
 //! * a **transient** transport failure (reset connection, timed-out
 //!   read, peer gone between or inside a frame, a desynchronized
 //!   response stream) triggers a bounded **reconnect**: the client
-//!   re-dials, replays the `Hello`/`GetMeta` handshake, verifies the
-//!   returned metadata is *byte-identical* to the one the session
-//!   started with (a mismatch is a typed
-//!   [`StoreError::IdentityChanged`] — never a silent re-sync onto
-//!   different dissemination material), and re-issues only the
-//!   in-flight `GetChunks` batch;
+//!   re-dials, replays the `Hello` handshake, verifies the returned
+//!   metadata is *byte-identical* to the one the session started with
+//!   (a mismatch is a typed [`StoreError::IdentityChanged`] — never a
+//!   silent re-sync onto different dissemination material), and
+//!   re-issues only the in-flight `GetChunks` batch;
 //! * retries are bounded ([`RetryConfig::max_retries`]) with
 //!   exponential backoff and deterministic, seedable jitter, all
 //!   surfaced in [`RemoteStats`] (`reconnects`, `retried_chunks`,
@@ -51,8 +51,8 @@
 
 use crate::server::ServiceSnapshot;
 use crate::wire::{
-    self, AdminOp, AdminReply, ChunkSpan, Fault, HelloInfo, Request, Response, WireError,
-    DEFAULT_CLIENT_MAX_FRAME, PROTOCOL_VERSION,
+    self, AdminOp, AdminReply, Fault, Request, Response, WireError, DEFAULT_CLIENT_MAX_FRAME,
+    PROTOCOL_VERSION,
 };
 use std::fmt;
 use std::io;
@@ -106,7 +106,7 @@ pub struct ClientConfig {
     /// sequential read-ahead depth). 1 disables read-ahead.
     pub batch_chunks: usize,
     /// Largest response frame accepted (allocation guard; must cover the
-    /// document's `Meta` frame).
+    /// `Hello` reply, which carries the document's meta).
     pub max_frame: usize,
     /// TCP dial deadline ([`TcpStream::connect_timeout`]) for the
     /// initial connect and every reconnect — a non-routable server
@@ -142,9 +142,6 @@ pub enum ConnectError {
     /// The server answered with a typed fault (unknown doc id, version
     /// mismatch, …).
     Rejected(Fault),
-    /// The server's meta payload is inconsistent with its `Hello`
-    /// announcement — a lying or confused server, refused up front.
-    MetaMismatch(&'static str),
 }
 
 impl fmt::Display for ConnectError {
@@ -153,9 +150,6 @@ impl fmt::Display for ConnectError {
             ConnectError::Io(e) => write!(f, "connect failed: {e}"),
             ConnectError::Wire(e) => write!(f, "handshake failed: {e}"),
             ConnectError::Rejected(fault) => write!(f, "server rejected the session: {fault}"),
-            ConnectError::MetaMismatch(what) => {
-                write!(f, "server meta inconsistent with its Hello: {what}")
-            }
         }
     }
 }
@@ -241,14 +235,12 @@ pub struct RemoteStats {
 pub struct RemoteStore {
     state: Mutex<ConnState>,
     window: ChunkWindow,
-    doc_len: usize,
-    chunk_count: u64,
     batch_chunks: usize,
     max_frame: usize,
     /// Resolved server addresses, kept for re-dialing.
     targets: Vec<SocketAddr>,
     doc_id: String,
-    /// SHA-1 of the raw `GetMeta` payload from the session's first
+    /// SHA-1 of the raw meta payload from the session's first
     /// handshake. A reconnect whose meta hashes differently is refused
     /// typed-ly: the session must never continue onto different
     /// dissemination material. (The digest — not the payload — is kept,
@@ -316,9 +308,9 @@ impl RemoteStore {
         }
     }
 
-    /// Re-dials the server and replays the `Hello`/`GetMeta` handshake.
-    /// The returned metadata must hash identically to the session's
-    /// original — on success the state holds a live connection again.
+    /// Re-dials the server and replays the `Hello` handshake. The
+    /// returned metadata must hash identically to the session's original
+    /// — on success the state holds a live connection again.
     fn reconnect_locked(&self, state: &mut ConnState) -> Result<(), StoreError> {
         let to_store = |e: ConnectError| -> StoreError {
             match e {
@@ -327,15 +319,11 @@ impl RemoteStore {
                 }
                 ConnectError::Wire(w) => wire_to_store(w, 0),
                 ConnectError::Rejected(fault) => fault.into_store_error(0),
-                ConnectError::MetaMismatch(what) => StoreError::IdentityChanged {
-                    what: format!("reconnect handshake inconsistent: {what}"),
-                },
             }
         };
         let stream = dial(&self.targets, self.dial_timeout, self.io_timeout).map_err(to_store)?;
         let mut conn = Conn { stream, buf: Vec::new() };
-        let (_, meta_bytes) =
-            handshake(&mut conn, &self.doc_id, self.max_frame).map_err(to_store)?;
+        let meta_bytes = handshake(&mut conn, &self.doc_id, self.max_frame).map_err(to_store)?;
         if sha1(&meta_bytes) != self.meta_sha1 {
             return Err(StoreError::IdentityChanged {
                 what: "document metadata returned by the reconnect handshake is not \
@@ -403,7 +391,7 @@ impl RemoteStore {
                 )));
             }
             let ci = ci as usize;
-            if ci >= self.chunk_count as usize || bytes.len() != self.window.chunk_len(ci) {
+            if ci >= self.window.chunk_count() || bytes.len() != self.window.chunk_len(ci) {
                 return Err(desync(format!("server sent a mis-sized or out-of-range chunk {ci}")));
             }
             out.push((ci, bytes));
@@ -435,10 +423,9 @@ impl RemoteStore {
         }
         let window_cap = (self.window.window_bytes() / self.window.chunk_size()).max(1);
         let want =
-            want.min(window_cap).min((self.chunk_count as usize).saturating_sub(need_ci)).max(1)
+            want.min(window_cap).min(self.window.chunk_count().saturating_sub(need_ci)).max(1)
                 as u32;
-        let req =
-            Request::GetChunks { spans: vec![ChunkSpan { first: need_ci as u64, count: want }] };
+        let req = Request::GetChunks { first: need_ci as u64, count: want };
 
         let mut attempt: u32 = 0;
         // One more transient failure is absorbed per iteration until the
@@ -505,7 +492,7 @@ impl RemoteStore {
 
 impl ChunkStore for RemoteStore {
     fn len(&self) -> usize {
-        self.doc_len
+        self.window.doc_len()
     }
 
     fn read_at(&self, offset: usize, buf: &mut [u8]) -> Result<(), StoreError> {
@@ -563,37 +550,24 @@ fn dial(
     })))
 }
 
-/// Replays the protocol opening on a fresh connection: `Hello` (version
-/// and doc-id negotiation) then `GetMeta`. Returns the server's `Hello`
-/// announcement and the *raw* meta payload (decoded and validated by the
-/// caller; hashed for identity checks on reconnect).
-fn handshake(
-    conn: &mut Conn,
-    doc_id: &str,
-    max_frame: usize,
-) -> Result<(HelloInfo, Vec<u8>), ConnectError> {
+/// Replays the protocol opening on a fresh connection: one `Hello`
+/// (version and doc-id negotiation). Returns the *raw* meta payload of
+/// the reply (decoded and validated by the caller; hashed for identity
+/// checks on reconnect).
+fn handshake(conn: &mut Conn, doc_id: &str, max_frame: usize) -> Result<Vec<u8>, ConnectError> {
     let hello = Request::Hello { version: PROTOCOL_VERSION, doc_id: doc_id.to_owned() };
-    let info: HelloInfo = match conn.call(&hello, max_frame)? {
-        Response::Hello(info) => info,
-        Response::Err(fault) => return Err(ConnectError::Rejected(fault)),
-        _ => return Err(ConnectError::Wire(WireError::Unexpected("non-Hello reply to Hello"))),
-    };
-    if info.version != PROTOCOL_VERSION {
-        return Err(ConnectError::Rejected(Fault::VersionMismatch { server: info.version }));
+    match conn.call(&hello, max_frame)? {
+        Response::Hello(meta_bytes) => Ok(meta_bytes),
+        Response::Err(fault) => Err(ConnectError::Rejected(fault)),
+        _ => Err(ConnectError::Wire(WireError::Unexpected("non-Hello reply to Hello"))),
     }
-    let meta_bytes = match conn.call(&Request::GetMeta, max_frame)? {
-        Response::Meta(bytes) => bytes,
-        Response::Err(fault) => return Err(ConnectError::Rejected(fault)),
-        _ => return Err(ConnectError::Wire(WireError::Unexpected("non-Meta reply to GetMeta"))),
-    };
-    Ok((info, meta_bytes))
 }
 
 /// Connects to a [`ChunkServer`](crate::server::ChunkServer), negotiates
-/// the protocol, pulls the document metadata, and assembles a servable
-/// [`ServerDoc`] over a [`RemoteStore`] — ready for
-/// [`run_session_shared`](xsac_soe::run_session_shared) or a client-side
-/// [`DocServer`](xsac_soe::DocServer), unchanged.
+/// the protocol and receives the document metadata in one round trip,
+/// and assembles a servable [`ServerDoc`] over a [`RemoteStore`] — ready
+/// for [`run_session_shared`](xsac_soe::run_session_shared) or a
+/// client-side [`DocServer`](xsac_soe::DocServer), unchanged.
 pub fn connect(
     addr: impl ToSocketAddrs,
     doc_id: &str,
@@ -603,32 +577,13 @@ pub fn connect(
     let stream = dial(&targets, config.dial_timeout, config.io_timeout)?;
     let mut conn = Conn { stream, buf: Vec::new() };
 
-    let (info, meta_bytes) = handshake(&mut conn, doc_id, config.max_frame)?;
+    let meta_bytes = handshake(&mut conn, doc_id, config.max_frame)?;
     let meta_sha1 = sha1(&meta_bytes);
+    // `decode_meta` refuses inconsistent geometry, lengths and digest
+    // tables as typed errors; malice beyond that is caught by the
+    // integrity layer during reads.
     let meta = crate::meta::decode_meta(&meta_bytes)?;
     drop(meta_bytes);
-
-    // The meta must agree with the Hello announcement — both came from
-    // the same (untrusted) server, so this catches confusion, not
-    // malice; malice is caught by the integrity layer during reads.
-    if meta.scheme != info.scheme {
-        return Err(ConnectError::MetaMismatch("integrity scheme"));
-    }
-    if meta.layout.chunk_size != info.chunk_size as usize
-        || meta.layout.fragment_size != info.fragment_size as usize
-    {
-        return Err(ConnectError::MetaMismatch("chunk geometry"));
-    }
-    if meta.ciphertext_len != info.ciphertext_len as usize {
-        return Err(ConnectError::MetaMismatch("ciphertext length"));
-    }
-    let chunk_count = meta.ciphertext_len.div_ceil(meta.layout.chunk_size);
-    if chunk_count != info.chunk_count as usize {
-        return Err(ConnectError::MetaMismatch("chunk count"));
-    }
-    if meta.scheme.tamper_resistant() && meta.digests.len() != chunk_count {
-        return Err(ConnectError::MetaMismatch("digest table length"));
-    }
 
     // The frame buffer just held the meta payload (proportional to the
     // document); drop that capacity before the steady state, where
@@ -644,8 +599,6 @@ pub fn connect(
             rng: config.retry.jitter_seed | 1,
         }),
         window: ChunkWindow::new(meta.ciphertext_len, meta.layout.chunk_size, config.window_bytes),
-        doc_len: meta.ciphertext_len,
-        chunk_count: chunk_count as u64,
         batch_chunks: config.batch_chunks.max(1),
         max_frame: config.max_frame,
         targets,

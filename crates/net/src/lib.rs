@@ -9,10 +9,10 @@
 //! made the ciphertext fetch path fallible and backend-generic); this
 //! crate adds the wire:
 //!
-//! * [`wire`] — a small length-prefixed binary protocol (versioned
-//!   `Hello`, `GetMeta`, batched `GetChunks`, typed fault frames) with a
-//!   max-frame guard so a malicious peer can never force unbounded
-//!   allocation;
+//! * [`wire`] — a small length-prefixed binary protocol (a versioned
+//!   `Hello` answered with the document's meta, batched `GetChunks`,
+//!   typed fault frames) with a max-frame guard so a malicious peer can
+//!   never force unbounded allocation;
 //! * [`registry`] — [`DocRegistry`]: the multi-tenant routing table
 //!   mapping doc-ids to served documents (resident or lazily opened
 //!   file-backed, all drawing chunk residency from one shared
@@ -30,7 +30,8 @@
 //!   [`ChunkWindow`](xsac_crypto::ChunkWindow) as the file backend) and
 //!   sequential read-ahead;
 //! * [`meta`] — serialization of the
-//!   [`DocMeta`](xsac_soe::DocMeta) dissemination payload.
+//!   [`DocMeta`](xsac_soe::DocMeta) dissemination payload the `Hello`
+//!   reply carries.
 //!
 //! Because the session layer is store-generic, a complete TCSBR session —
 //! skip-index navigation, 3DES decryption, MHT/digest verification,
@@ -47,7 +48,7 @@
 //! frames, so both ends carry an explicit failure policy:
 //!
 //! * the client retries **transient** transport failures — re-dial,
-//!   replay the `Hello`/`GetMeta` handshake, verify the returned
+//!   replay the one-frame `Hello` handshake, verify the returned
 //!   metadata is *byte-identical* to the one the session started with
 //!   (any divergence is a typed, permanent
 //!   [`IdentityChanged`](xsac_crypto::store::StoreError::IdentityChanged)
@@ -83,7 +84,7 @@ pub use client::{
 #[cfg(any(test, feature = "fault-injection"))]
 pub use fault::{FaultPlan, FaultTransport, NetFault};
 pub use registry::{DocRegistry, DocRow, OpenError, RegistrySnapshot, ServedDoc};
-pub use server::{ChunkServer, ServerConfig, ServerHandle, ServiceSnapshot, WireLimits};
+pub use server::{ChunkServer, ServerConfig, ServerHandle, ServiceSnapshot};
 pub use stats::{decode_snapshot, encode_snapshot, render_json, render_text, SNAPSHOT_VERSION};
 pub use wire::{AdminOp, AdminReply, Fault, WireError, PROTOCOL_VERSION};
 
@@ -440,9 +441,9 @@ mod tests {
             .spawn("127.0.0.1:0")
             .unwrap();
         let proxy = fault::FaultTransport::spawn(handle.addr()).unwrap();
-        // First connection dies 3 response frames in (mid-scan); the
-        // replacement is clean.
-        proxy.push_plan(fault::FaultPlan::faulty(fault::NetFault::DropAfter(3)));
+        // First connection dies 2 response frames in (the Hello reply
+        // and one chunk batch: mid-scan); the replacement is clean.
+        proxy.push_plan(fault::FaultPlan::faulty(fault::NetFault::DropAfter(2)));
         let remote = connect(
             proxy.addr(),
             "doc",
@@ -536,13 +537,12 @@ mod tests {
             wire::read_frame(sock, 1 << 20, buf).unwrap();
             wire::Response::decode(buf).unwrap()
         };
-        let first_chunk =
-            wire::Request::GetChunks { spans: vec![wire::ChunkSpan { first: 0, count: 1 }] };
+        let first_chunk = wire::Request::GetChunks { first: 0, count: 1 };
         for (id, want) in [("a", &want_a), ("b", &want_b), ("a", &want_a)] {
             let hello = wire::Request::Hello { version: PROTOCOL_VERSION, doc_id: id.to_owned() };
             match call(&hello, &mut sock, &mut buf) {
-                wire::Response::Hello(info) => {
-                    assert_eq!(info.ciphertext_len as usize, want.protected.ciphertext_len())
+                wire::Response::Hello(bytes) => {
+                    assert_eq!(bytes, meta::encode_meta(&want.meta()), "Hello for {id}")
                 }
                 other => panic!("expected Hello for {id}, got {other:?}"),
             }
@@ -678,15 +678,113 @@ mod tests {
             .unwrap();
         let mut sock = std::net::TcpStream::connect(handle.addr()).unwrap();
         let hello = |version| wire::Request::Hello { version, doc_id: "doc".to_owned() };
-        match call(&mut sock, &hello(1)) {
-            wire::Response::Err(Fault::VersionMismatch { server: 2 }) => {}
-            other => panic!("expected VersionMismatch {{ server: 2 }}, got {other:?}"),
+        assert_eq!(PROTOCOL_VERSION, 3);
+        for old in [1, 2] {
+            match call(&mut sock, &hello(old)) {
+                wire::Response::Err(Fault::VersionMismatch { server: 3 }) => {}
+                other => panic!("expected VersionMismatch {{ server: 3 }}, got {other:?}"),
+            }
         }
         match call(&mut sock, &hello(PROTOCOL_VERSION)) {
-            wire::Response::Hello(info) => assert_eq!(info.version, 2),
+            wire::Response::Hello(bytes) => {
+                assert_eq!(bytes, meta::encode_meta(&prepared(&xml, IntegrityScheme::Ecb).meta()))
+            }
             other => panic!("a correct Hello must succeed after a mismatch, got {other:?}"),
         }
         handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn get_chunks_guards_draw_typed_faults_and_connection_survives() {
+        let xml = wide_xml();
+        let doc = prepared(&xml, IntegrityScheme::Ecb);
+        let n = doc.protected.chunk_count() as u64;
+        let handle = ChunkServer::new(doc, "doc").spawn("127.0.0.1:0").unwrap();
+        let mut sock = std::net::TcpStream::connect(handle.addr()).unwrap();
+        sock.set_nodelay(true).unwrap();
+        let hello = wire::Request::Hello { version: PROTOCOL_VERSION, doc_id: "doc".to_owned() };
+        assert!(matches!(call(&mut sock, &hello), wire::Response::Hello(_)));
+        let run = |first, count| wire::Request::GetChunks { first, count };
+        for (first, count) in
+            [(0, 0), (0, wire::MAX_CHUNKS_PER_REQUEST + 1), (n - 1, 2), (u64::MAX - 1, 4)]
+        {
+            match call(&mut sock, &run(first, count)) {
+                wire::Response::Err(Fault::BadRequest { .. }) if count == 0 => {}
+                wire::Response::Err(Fault::BadRequest { .. })
+                    if count > wire::MAX_CHUNKS_PER_REQUEST => {}
+                wire::Response::Err(Fault::OutOfBounds { .. })
+                    if (1..=wire::MAX_CHUNKS_PER_REQUEST).contains(&count) => {}
+                other => panic!("run {first}+{count}: expected a typed fault, got {other:?}"),
+            }
+            // The same connection serves a valid run right after.
+            match call(&mut sock, &run(n - 1, 1)) {
+                wire::Response::Chunks(chunks) => assert_eq!(chunks.len(), 1),
+                other => panic!("valid run after {first}+{count} refused: {other:?}"),
+            }
+        }
+        assert_eq!(handle.service_snapshot().fault_frames, 4);
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn handshake_is_one_request_and_a_reconnect_adds_one() {
+        let xml = wide_xml();
+        let handle = ChunkServer::new(prepared(&xml, IntegrityScheme::Ecb), "doc")
+            .spawn("127.0.0.1:0")
+            .unwrap();
+        let requests = |handle: &ServerHandle| {
+            let snap = handle.service_snapshot();
+            (snap.requests, snap.registry.docs[0].requests)
+        };
+        let config = ClientConfig {
+            batch_chunks: 1,
+            retry: client::RetryConfig {
+                backoff_base: std::time::Duration::from_millis(1),
+                ..client::RetryConfig::default()
+            },
+            ..ClientConfig::default()
+        };
+        let direct = connect(handle.addr(), "doc", config).unwrap();
+        assert_eq!(requests(&handle), (1, 1), "connect is one Hello");
+        drop(direct);
+        // Through the proxy, the first connection forwards the Hello
+        // reply and dies on the chunk response: the client reconnects
+        // (one Hello) and re-issues its one-chunk batch.
+        let proxy = fault::FaultTransport::spawn(handle.addr()).unwrap();
+        proxy.push_plan(fault::FaultPlan::faulty(fault::NetFault::DropAfter(1)));
+        let remote = connect(proxy.addr(), "doc", config).unwrap();
+        assert_eq!(requests(&handle), (2, 2));
+        let mut buf = [0u8; 8];
+        remote.protected.store.read_at(0, &mut buf).unwrap();
+        assert_eq!(remote.protected.store.stats().reconnects, 1);
+        // Two GetChunks (the lost one and its replay) and one more Hello.
+        assert_eq!(requests(&handle), (5, 5));
+        proxy.shutdown();
+        handle.shutdown().unwrap();
+    }
+
+    #[test]
+    fn truncated_or_inconsistent_hello_meta_is_typed_malformed() {
+        let good = meta::encode_meta(&prepared(&wide_xml(), IntegrityScheme::EcbMht).meta());
+        let mut inconsistent = meta::decode_meta(&good).unwrap();
+        inconsistent.ciphertext_len += 8;
+        for payload in [good[..good.len() - 1].to_vec(), meta::encode_meta(&inconsistent)] {
+            // A stub server answers the Hello with a bad meta.
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap();
+            let stub = std::thread::spawn(move || {
+                let (mut s, _) = listener.accept().unwrap();
+                let mut buf = Vec::new();
+                wire::read_frame(&mut s, 1 << 20, &mut buf).unwrap();
+                wire::write_frame(&mut s, &wire::Response::Hello(payload).encode()).unwrap();
+            });
+            match connect(addr, "doc", ClientConfig::default()) {
+                Err(ConnectError::Wire(WireError::Malformed(_))) => {}
+                Err(other) => panic!("expected Wire(Malformed), got {other:?}"),
+                Ok(_) => panic!("a bad meta must not connect"),
+            }
+            stub.join().unwrap();
+        }
     }
 
     #[test]
@@ -730,7 +828,9 @@ mod tests {
             other => panic!("expected a typed I/O fault, got {other:?}"),
         }
         match call(&mut sock, &hello("whole")) {
-            wire::Response::Hello(info) => assert!(info.ciphertext_len > 0),
+            wire::Response::Hello(bytes) => {
+                assert!(meta::decode_meta(&bytes).unwrap().ciphertext_len > 0)
+            }
             other => panic!("the connection must still route, got {other:?}"),
         }
         let snap = handle.service_snapshot();

@@ -1,4 +1,4 @@
-//! Serialization of [`DocMeta`] — the `GetMeta` payload.
+//! Serialization of [`DocMeta`] — the payload of the `Hello` reply.
 //!
 //! The format is a straight field-by-field binary layout using the wire
 //! primitives (little-endian integers, length-prefixed strings/byte
@@ -9,7 +9,9 @@
 //! digest table; the encoded document itself never travels, the SOE
 //! streams it back out of the ciphertext. Every document is TCSBR-encoded,
 //! so no encoding selector travels either: protocol version 1 carried one
-//! byte for it after the dictionary, and version 2 dropped it.
+//! byte for it after the dictionary, and version 2 dropped it. Since
+//! version 3 this payload is the only statement of the document's
+//! geometry on the wire: the `Hello` reply carries it whole.
 //!
 //! The *integrity* of the material does not rest on this layer — the
 //! digest table is encrypted and position-bound, so a server lying here
@@ -34,7 +36,7 @@ pub fn encode_meta(meta: &DocMeta) -> Vec<u8> {
         out.extend_from_slice(name.as_bytes());
     }
     // Scheme + geometry + lengths.
-    out.push(crate::wire::scheme_code(meta.scheme));
+    out.push(scheme_code(meta.scheme));
     out.extend_from_slice(&(meta.layout.chunk_size as u32).to_le_bytes());
     out.extend_from_slice(&(meta.layout.fragment_size as u32).to_le_bytes());
     out.extend_from_slice(&(meta.plain_len as u64).to_le_bytes());
@@ -47,7 +49,7 @@ pub fn encode_meta(meta: &DocMeta) -> Vec<u8> {
     out
 }
 
-/// Parses a `GetMeta` payload, enforcing internal consistency: the
+/// Parses a meta payload, enforcing internal consistency: the
 /// announced geometry, lengths and digest-table size must agree with each
 /// other exactly as honest preparation would produce them. A disagreeing
 /// payload is a typed [`WireError::Malformed`], so the connection layer
@@ -67,7 +69,7 @@ pub fn decode_meta(body: &[u8]) -> Result<DocMeta, WireError> {
             return Err(WireError::Malformed("dictionary entries out of order"));
         }
     }
-    let scheme = crate::wire::scheme_from_code(c.u8()?)?;
+    let scheme = scheme_from_code(c.u8()?)?;
     let layout = ChunkLayout { chunk_size: c.u32()? as usize, fragment_size: c.u32()? as usize };
     if layout.chunk_size == 0
         || layout.fragment_size == 0
@@ -103,6 +105,25 @@ pub fn decode_meta(body: &[u8]) -> Result<DocMeta, WireError> {
     }
     c.finish("trailing meta bytes")?;
     Ok(DocMeta { dict, scheme, layout, digests, plain_len, ciphertext_len })
+}
+
+fn scheme_code(s: IntegrityScheme) -> u8 {
+    match s {
+        IntegrityScheme::Ecb => 0,
+        IntegrityScheme::CbcSha => 1,
+        IntegrityScheme::CbcShac => 2,
+        IntegrityScheme::EcbMht => 3,
+    }
+}
+
+fn scheme_from_code(code: u8) -> Result<IntegrityScheme, WireError> {
+    Ok(match code {
+        0 => IntegrityScheme::Ecb,
+        1 => IntegrityScheme::CbcSha,
+        2 => IntegrityScheme::CbcShac,
+        3 => IntegrityScheme::EcbMht,
+        _ => return Err(WireError::Malformed("unknown integrity scheme")),
+    })
 }
 
 #[cfg(test)]

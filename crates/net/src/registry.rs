@@ -67,7 +67,8 @@ pub(crate) struct DocMetrics {
 }
 
 /// One open document as the server serves it: the reassembled
-/// [`ServerDoc`], its pre-encoded `GetMeta` payload, and its counters.
+/// [`ServerDoc`], its pre-encoded meta (the `Hello` reply payload), and
+/// its counters.
 /// Connections hold it by `Arc`, so a registry close never invalidates
 /// an in-flight session.
 pub struct ServedDoc {
@@ -273,9 +274,9 @@ impl DocRegistry {
     /// Registers a lazy file-backed tenant: `meta` (as produced by
     /// [`ServerDoc::meta`] after `prepare_to_store_with_stats`) plus the
     /// ciphertext `path`. Nothing is opened until the first `Hello`
-    /// routes here; the `GetMeta` payload is encoded once now, so every
-    /// open — and every reconnecting client's identity check — sees
-    /// byte-identical metadata.
+    /// routes here; the meta the `Hello` reply carries is encoded once
+    /// now, so every open — and every reconnecting client's identity
+    /// check — sees byte-identical metadata.
     pub fn insert_file(&self, doc_id: impl Into<String>, meta: DocMeta, path: impl Into<PathBuf>) {
         let meta_bytes = Arc::new(crate::meta::encode_meta(&meta));
         let chunk_size = meta.layout.chunk_size;

@@ -1,7 +1,9 @@
 //! The dissemination server: a [`ChunkServer`] publishes the documents
 //! of a [`DocRegistry`] over TCP to any number of concurrent clients.
 //!
-//! The `Hello` frame's doc-id routes through the registry, so one
+//! The `Hello` frame's doc-id routes through the registry, and the
+//! reply carries the routed document's encoded meta (pre-encoded once
+//! per registration), so one round trip binds a connection. One
 //! server process is a **multi-tenant service**: resident in-memory
 //! documents and lazy file-backed ones (opened on demand, all drawing
 //! chunk residency from the registry's one shared
@@ -31,7 +33,7 @@
 //! **read/write deadlines** ([`ServerConfig`]), so a peer that stalls
 //! mid-request (or stops draining responses) is evicted when its
 //! deadline fires, and every connection has a **frame budget**
-//! (generalizing the per-frame [`WireLimits::max_frame`] guard to the
+//! (generalizing the per-frame [`DEFAULT_SERVER_MAX_FRAME`] guard to the
 //! whole conversation) after which it is closed. Past
 //! [`ServerConfig::max_conns`] live connections the server stops
 //! admitting: excess peers are answered with one typed
@@ -43,8 +45,8 @@
 
 use crate::registry::{DocRegistry, OpenError, RegistrySnapshot, ServedDoc};
 use crate::wire::{
-    self, AdminOp, AdminReply, ChunkSpan, Fault, HelloInfo, Request, Response, WireError,
-    DEFAULT_SERVER_MAX_FRAME, PROTOCOL_VERSION,
+    self, AdminOp, AdminReply, Fault, Request, Response, WireError, DEFAULT_SERVER_MAX_FRAME,
+    MAX_CHUNKS_PER_REQUEST, PROTOCOL_VERSION,
 };
 use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -61,29 +63,13 @@ use xsac_soe::ServerDoc;
 /// tenants through [`ChunkServer::registry`].
 const SINGLE_DOC_POOL_BUDGET: usize = 8 << 20;
 
-/// Per-connection protocol limits enforced by the server.
-#[derive(Clone, Copy, Debug)]
-pub struct WireLimits {
-    /// Largest request frame accepted (requests are tiny; the bound is a
-    /// hostile-peer allocation guard).
-    pub max_frame: usize,
-    /// Most chunks one `GetChunks` batch may request.
-    pub max_chunks_per_request: u64,
-}
-
-impl Default for WireLimits {
-    fn default() -> WireLimits {
-        WireLimits { max_frame: DEFAULT_SERVER_MAX_FRAME, max_chunks_per_request: 256 }
-    }
-}
-
-/// Per-connection resource policy: protocol limits, socket deadlines,
-/// the lifetime frame budget, and the admission cap. The defaults serve
-/// patient, legitimate clients; tighten them for hostile networks.
+/// Per-connection resource policy: socket deadlines, the lifetime frame
+/// budget, and the admission cap (the frame-size and batch bounds are
+/// the wire constants [`DEFAULT_SERVER_MAX_FRAME`] and
+/// [`MAX_CHUNKS_PER_REQUEST`]). The defaults serve patient, legitimate
+/// clients; tighten them for hostile networks.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Frame-level limits (size and batch bounds).
-    pub limits: WireLimits,
     /// Read deadline per socket: a connection idle (or trickling) longer
     /// than this between frames is evicted as a slow peer. `None`
     /// removes the deadline (not recommended: one stalled client then
@@ -94,7 +80,7 @@ pub struct ServerConfig {
     pub write_timeout: Option<Duration>,
     /// Most request frames one connection may send over its lifetime —
     /// the whole-conversation generalization of
-    /// [`WireLimits::max_frame`]. Exceeding it closes the connection
+    /// [`DEFAULT_SERVER_MAX_FRAME`]. Exceeding it closes the connection
     /// (counted in [`ServiceSnapshot::budget_evictions`]); a legitimate
     /// long-lived client simply reconnects.
     pub max_frames_per_conn: u64,
@@ -117,7 +103,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            limits: WireLimits::default(),
             read_timeout: Some(Duration::from_secs(30)),
             write_timeout: Some(Duration::from_secs(30)),
             max_frames_per_conn: 1 << 20,
@@ -157,7 +142,7 @@ pub struct ServiceSnapshot {
     /// Chunks shipped across all tenants.
     pub chunks_served: u64,
     /// Ciphertext payload bytes shipped across all tenants (chunk
-    /// bodies only, not framing or meta).
+    /// bodies only, not framing or the meta in `Hello` replies).
     pub bytes_served: u64,
     /// Typed fault frames sent.
     pub fault_frames: u64,
@@ -238,8 +223,8 @@ impl ChunkServer {
         }
     }
 
-    /// Overrides the whole per-connection policy: limits, deadlines,
-    /// frame budget, admission cap.
+    /// Overrides the whole per-connection policy: deadlines, frame
+    /// budget, admission cap.
     pub fn with_config(mut self, config: ServerConfig) -> ChunkServer {
         self.config = config;
         self
@@ -350,7 +335,7 @@ impl ChunkServer {
                 self.metrics.budget_evictions.fetch_add(1, Ordering::Relaxed);
                 return;
             }
-            match wire::read_frame(&mut stream, self.config.limits.max_frame, &mut buf) {
+            match wire::read_frame(&mut stream, DEFAULT_SERVER_MAX_FRAME, &mut buf) {
                 Ok(()) => {}
                 Err(e) => {
                     // A fired read deadline is a slow-peer eviction; a
@@ -409,32 +394,16 @@ impl ChunkServer {
                     }
                     Err(OpenError::Store(e)) => return Response::Err(Fault::from_store(&e)),
                 };
-                let p = &doc.doc.protected;
-                let hello = Response::Hello(HelloInfo {
-                    version: PROTOCOL_VERSION,
-                    scheme: p.scheme,
-                    chunk_size: p.layout.chunk_size as u32,
-                    fragment_size: p.layout.fragment_size as u32,
-                    chunk_count: p.chunk_count() as u64,
-                    ciphertext_len: p.ciphertext_len() as u64,
-                });
+                let hello = Response::Hello(doc.meta_bytes.as_ref().clone());
                 // Rebinding: a second Hello moves this connection to
                 // another tenant (interleaved doc-ids per connection).
                 *bound = Some(doc);
                 hello
             }
-            Request::GetMeta | Request::GetChunks { .. } | Request::Report { .. }
-                if bound.is_none() =>
-            {
-                out_of_order()
-            }
-            Request::GetMeta => {
-                let doc = bound.as_ref().expect("bound checked above");
-                Response::Meta(doc.meta_bytes.as_ref().clone())
-            }
-            Request::GetChunks { spans } => {
+            Request::GetChunks { .. } | Request::Report { .. } if bound.is_none() => out_of_order(),
+            Request::GetChunks { first, count } => {
                 let doc = Arc::clone(bound.as_ref().expect("bound checked above"));
-                self.get_chunks(&doc, &spans)
+                self.get_chunks(&doc, first, count)
             }
             Request::Stats => {
                 Response::Stats(crate::stats::encode_snapshot(&self.service_snapshot()))
@@ -451,42 +420,35 @@ impl ChunkServer {
         }
     }
 
-    fn get_chunks(&self, doc: &ServedDoc, spans: &[ChunkSpan]) -> Response {
+    fn get_chunks(&self, doc: &ServedDoc, first: u64, count: u32) -> Response {
         let p = &doc.doc.protected;
-        let chunk_count = p.chunk_count() as u64;
-        let total: u64 = spans.iter().map(|s| s.count as u64).sum();
-        if total == 0 || total > self.config.limits.max_chunks_per_request {
+        if count == 0 || count > MAX_CHUNKS_PER_REQUEST {
             return Response::Err(Fault::BadRequest {
-                reason: format!(
-                    "batch of {total} chunks (limit {})",
-                    self.config.limits.max_chunks_per_request
-                ),
+                reason: format!("batch of {count} chunks (limit {MAX_CHUNKS_PER_REQUEST})"),
             });
         }
-        let mut chunks = Vec::with_capacity(total as usize);
-        for span in spans {
-            let end = span.first.saturating_add(span.count as u64);
-            if end > chunk_count {
-                // Saturating: a hostile span near u64::MAX must produce
-                // a fault frame, not an overflow panic in this thread.
-                return Response::Err(Fault::OutOfBounds {
-                    offset: span.first.saturating_mul(p.layout.chunk_size as u64),
-                    len: (span.count as u64).saturating_mul(p.layout.chunk_size as u64),
-                    doc_len: p.ciphertext_len() as u64,
-                });
+        let end = first.saturating_add(count as u64);
+        if end > p.chunk_count() as u64 {
+            // Saturating: a hostile run near u64::MAX must produce a
+            // fault frame, not an overflow panic in this thread.
+            return Response::Err(Fault::OutOfBounds {
+                offset: first.saturating_mul(p.layout.chunk_size as u64),
+                len: (count as u64).saturating_mul(p.layout.chunk_size as u64),
+                doc_len: p.ciphertext_len() as u64,
+            });
+        }
+        let mut chunks = Vec::with_capacity(count as usize);
+        for ci in first..end {
+            let range = p.chunk_range(ci as usize);
+            let mut bytes = vec![0u8; range.len()];
+            if let Err(e) = p.store.read_at(range.start, &mut bytes) {
+                return Response::Err(Fault::from_store(&e));
             }
-            for ci in span.first..end {
-                let range = p.chunk_range(ci as usize);
-                let mut bytes = vec![0u8; range.len()];
-                if let Err(e) = p.store.read_at(range.start, &mut bytes) {
-                    return Response::Err(Fault::from_store(&e));
-                }
-                self.metrics.chunks_served.fetch_add(1, Ordering::Relaxed);
-                self.metrics.bytes_served.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                doc.metrics.chunks_served.fetch_add(1, Ordering::Relaxed);
-                doc.metrics.bytes_served.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                chunks.push((ci, bytes));
-            }
+            self.metrics.chunks_served.fetch_add(1, Ordering::Relaxed);
+            self.metrics.bytes_served.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            doc.metrics.chunks_served.fetch_add(1, Ordering::Relaxed);
+            doc.metrics.bytes_served.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+            chunks.push((ci, bytes));
         }
         Response::Chunks(chunks)
     }

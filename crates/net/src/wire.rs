@@ -15,9 +15,8 @@
 //!
 //! | request | response | paper role |
 //! |---|---|---|
-//! | `Hello` | `Hello` | doc id + scheme/geometry negotiation |
-//! | `GetMeta` | `Meta` | the Figure-2 material: dictionary, skip index, digest table |
-//! | `GetChunks` | `Chunks` | batched ciphertext fetch — one round trip, many chunks |
+//! | `Hello` | `Hello` | doc id + version negotiation, answered with the Figure-2 material: the encoded [`DocMeta`](xsac_soe::DocMeta) (dictionary, scheme, geometry, digest table) |
+//! | `GetChunks` | `Chunks` | batched ciphertext fetch — one round trip, one run of chunks |
 //! | `Stats` | `Stats` | the serialized [`ServiceSnapshot`](crate::ServiceSnapshot) |
 //! | `Admin` | `Admin` | close a tenant (off unless [`ServerConfig::admin`](crate::ServerConfig) is set) |
 //! | `Report` | `Report` | client pushes its session's phase profile to the bound doc |
@@ -31,20 +30,24 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use xsac_crypto::store::StoreError;
-use xsac_crypto::IntegrityScheme;
 use xsac_obs::{Phase, PhaseProfile};
 
 /// Protocol version spoken by this build (negotiated in `Hello`).
-/// Version 2 dropped the encoding byte from the `GetMeta` payload.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// Version 2 dropped the encoding byte from the meta payload; version 3
+/// made the `Hello` reply carry the meta, retiring `GetMeta`, and made
+/// `GetChunks` ask for one run of chunks.
+pub const PROTOCOL_VERSION: u16 = 3;
 
-/// Default maximum frame a client accepts (must cover the `Meta` frame
-/// of the largest document it expects to open).
+/// Default maximum frame a client accepts (must cover the `Hello` reply,
+/// which carries the meta of the largest document it expects to open).
 pub const DEFAULT_CLIENT_MAX_FRAME: usize = 64 << 20;
 
-/// Default maximum frame a server accepts — requests are tiny, so the
-/// bound is tight.
+/// Maximum frame a server accepts — requests are tiny, so the bound is
+/// a tight hostile-peer allocation guard.
 pub const DEFAULT_SERVER_MAX_FRAME: usize = 64 << 10;
+
+/// Most chunks one `GetChunks` run may ask for.
+pub const MAX_CHUNKS_PER_REQUEST: u32 = 256;
 
 /// A wire-level failure: transport I/O, framing violations, or a typed
 /// fault frame sent by the peer.
@@ -77,7 +80,7 @@ pub enum WireError {
     /// The frame's body does not parse as a message.
     Malformed(&'static str),
     /// A structurally valid message that is not the one expected here
-    /// (e.g. a `Chunks` response to a `GetMeta`).
+    /// (e.g. a `Chunks` response to a `Hello`).
     Unexpected(&'static str),
     /// A typed fault frame sent by the peer.
     Fault(Fault),
@@ -280,15 +283,6 @@ impl Fault {
     }
 }
 
-/// One contiguous run of chunks in a [`Request::GetChunks`] batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkSpan {
-    /// First chunk index.
-    pub first: u64,
-    /// Number of consecutive chunks.
-    pub count: u32,
-}
-
 /// One management operation in a [`Request::Admin`] frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdminOp {
@@ -303,20 +297,21 @@ pub enum AdminOp {
 /// Client → server messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
-    /// Opens the conversation: protocol version + requested document.
+    /// Opens the conversation: protocol version + requested document,
+    /// answered with the document's encoded meta.
     Hello {
         /// The client's [`PROTOCOL_VERSION`].
         version: u16,
         /// Which published document the client wants.
         doc_id: String,
     },
-    /// Requests the document's [`DocMeta`](xsac_soe::DocMeta).
-    GetMeta,
-    /// Batched ciphertext fetch: any number of chunk runs, one round
-    /// trip.
+    /// Batched ciphertext fetch: one run of consecutive chunks, one
+    /// round trip.
     GetChunks {
-        /// The requested chunk runs.
-        spans: Vec<ChunkSpan>,
+        /// First chunk index.
+        first: u64,
+        /// Number of consecutive chunks (1 to [`MAX_CHUNKS_PER_REQUEST`]).
+        count: u32,
     },
     /// Requests the server's
     /// [`ServiceSnapshot`](crate::ServiceSnapshot) — counters, per-doc
@@ -338,24 +333,6 @@ pub enum Request {
     },
 }
 
-/// What a server announces about its document in the `Hello` response —
-/// enough for the client to size its window and sanity-check the meta.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HelloInfo {
-    /// The server's protocol version.
-    pub version: u16,
-    /// Integrity scheme of the served document.
-    pub scheme: IntegrityScheme,
-    /// Chunk size in bytes.
-    pub chunk_size: u32,
-    /// Fragment size in bytes.
-    pub fragment_size: u32,
-    /// Number of ciphertext chunks.
-    pub chunk_count: u64,
-    /// Stored ciphertext length.
-    pub ciphertext_len: u64,
-}
-
 /// The successful answer to a [`Request::Admin`] operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AdminReply {
@@ -369,11 +346,9 @@ pub enum AdminReply {
 /// Server → client messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
-    /// Successful handshake.
-    Hello(HelloInfo),
-    /// The serialized document metadata (decoded by
-    /// [`meta`](crate::meta)).
-    Meta(Vec<u8>),
+    /// Successful handshake: the bound document's serialized metadata
+    /// (decoded by [`meta`](crate::meta)).
+    Hello(Vec<u8>),
     /// Fetched chunks: `(chunk index, ciphertext bytes)` per chunk, in
     /// request order.
     Chunks(Vec<(u64, Vec<u8>)>),
@@ -389,14 +364,14 @@ pub enum Response {
 }
 
 // ---- message tags ----
+// (0x02/0x82 stay unassigned: a version-2 peer's `GetMeta`/`Meta`
+// must parse as an unknown tag, never as another message.)
 const REQ_HELLO: u8 = 0x01;
-const REQ_GET_META: u8 = 0x02;
 const REQ_GET_CHUNKS: u8 = 0x03;
 const REQ_STATS: u8 = 0x04;
 const REQ_ADMIN: u8 = 0x05;
 const REQ_REPORT: u8 = 0x06;
 const RESP_HELLO: u8 = 0x81;
-const RESP_META: u8 = 0x82;
 const RESP_CHUNKS: u8 = 0x83;
 const RESP_STATS: u8 = 0x84;
 const RESP_ADMIN: u8 = 0x85;
@@ -548,25 +523,6 @@ pub(crate) fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-pub(crate) fn scheme_code(s: IntegrityScheme) -> u8 {
-    match s {
-        IntegrityScheme::Ecb => 0,
-        IntegrityScheme::CbcSha => 1,
-        IntegrityScheme::CbcShac => 2,
-        IntegrityScheme::EcbMht => 3,
-    }
-}
-
-pub(crate) fn scheme_from_code(code: u8) -> Result<IntegrityScheme, WireError> {
-    Ok(match code {
-        0 => IntegrityScheme::Ecb,
-        1 => IntegrityScheme::CbcSha,
-        2 => IntegrityScheme::CbcShac,
-        3 => IntegrityScheme::EcbMht,
-        _ => return Err(WireError::Malformed("unknown integrity scheme")),
-    })
-}
-
 impl Request {
     /// Serializes the request into a frame body.
     pub fn encode(&self) -> Vec<u8> {
@@ -577,14 +533,10 @@ impl Request {
                 put_u16(&mut out, *version);
                 put_str(&mut out, doc_id);
             }
-            Request::GetMeta => out.push(REQ_GET_META),
-            Request::GetChunks { spans } => {
+            Request::GetChunks { first, count } => {
                 out.push(REQ_GET_CHUNKS);
-                put_u16(&mut out, u16::try_from(spans.len()).expect("span count fits u16"));
-                for s in spans {
-                    put_u64(&mut out, s.first);
-                    put_u32(&mut out, s.count);
-                }
+                put_u64(&mut out, *first);
+                put_u32(&mut out, *count);
             }
             Request::Stats => out.push(REQ_STATS),
             Request::Admin(op) => {
@@ -610,15 +562,7 @@ impl Request {
                 let doc_id = c.str()?.to_owned();
                 Request::Hello { version, doc_id }
             }
-            REQ_GET_META => Request::GetMeta,
-            REQ_GET_CHUNKS => {
-                let n = c.u16()? as usize;
-                let mut spans = Vec::with_capacity(n);
-                for _ in 0..n {
-                    spans.push(ChunkSpan { first: c.u64()?, count: c.u32()? });
-                }
-                Request::GetChunks { spans }
-            }
+            REQ_GET_CHUNKS => Request::GetChunks { first: c.u64()?, count: c.u32()? },
             REQ_STATS => Request::Stats,
             REQ_ADMIN => match c.u8()? {
                 ADMIN_CLOSE_DOC => {
@@ -663,18 +607,9 @@ impl Response {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self {
-            Response::Hello(h) => {
+            Response::Hello(meta) => {
                 out.push(RESP_HELLO);
-                put_u16(&mut out, h.version);
-                out.push(scheme_code(h.scheme));
-                put_u32(&mut out, h.chunk_size);
-                put_u32(&mut out, h.fragment_size);
-                put_u64(&mut out, h.chunk_count);
-                put_u64(&mut out, h.ciphertext_len);
-            }
-            Response::Meta(bytes) => {
-                out.push(RESP_META);
-                out.extend_from_slice(bytes);
+                out.extend_from_slice(meta);
             }
             Response::Chunks(chunks) => {
                 out.push(RESP_CHUNKS);
@@ -728,23 +663,10 @@ impl Response {
         let mut c = Cursor::new(body);
         let resp = match c.u8()? {
             RESP_HELLO => {
-                let version = c.u16()?;
-                let scheme = scheme_from_code(c.u8()?)?;
-                let hello = HelloInfo {
-                    version,
-                    scheme,
-                    chunk_size: c.u32()?,
-                    fragment_size: c.u32()?,
-                    chunk_count: c.u64()?,
-                    ciphertext_len: c.u64()?,
-                };
-                Response::Hello(hello)
-            }
-            RESP_META => {
                 // The meta payload is opaque at this layer; `meta`
                 // decodes it.
                 let rest = c.take(body.len() - 1, "meta body")?;
-                return Ok(Response::Meta(rest.to_vec()));
+                return Ok(Response::Hello(rest.to_vec()));
             }
             RESP_CHUNKS => {
                 let n = c.u16()? as usize;
@@ -756,7 +678,7 @@ impl Response {
                 Response::Chunks(chunks)
             }
             RESP_STATS => {
-                // Like Meta, the snapshot payload is opaque here; the
+                // Like the meta, the snapshot payload is opaque here; the
                 // `stats` module decodes (and version-checks) it.
                 let rest = c.take(body.len() - 1, "stats body")?;
                 return Ok(Response::Stats(rest.to_vec()));
@@ -801,10 +723,7 @@ mod tests {
     fn request_roundtrip() {
         for req in [
             Request::Hello { version: PROTOCOL_VERSION, doc_id: "hospital".to_owned() },
-            Request::GetMeta,
-            Request::GetChunks {
-                spans: vec![ChunkSpan { first: 0, count: 4 }, ChunkSpan { first: 1000, count: 1 }],
-            },
+            Request::GetChunks { first: 1000, count: 4 },
             Request::Stats,
             Request::Admin(AdminOp::CloseDoc { doc_id: "cold-tenant".to_owned() }),
             Request::Report { phases: PhaseProfile::from_nanos([7, 6, 5, 4, 3, 2, 1]) },
@@ -825,15 +744,7 @@ mod tests {
     #[test]
     fn response_roundtrip() {
         for resp in [
-            Response::Hello(HelloInfo {
-                version: 1,
-                scheme: IntegrityScheme::EcbMht,
-                chunk_size: 2048,
-                fragment_size: 128,
-                chunk_count: 34,
-                ciphertext_len: 67992,
-            }),
-            Response::Meta(vec![1, 2, 3]),
+            Response::Hello(vec![1, 2, 3]),
             Response::Chunks(vec![(0, vec![9u8; 16]), (7, vec![1u8; 8])]),
             Response::Err(Fault::OutOfBounds { offset: 10, len: 20, doc_len: 15 }),
             Response::Err(Fault::ShortRead { offset: 1, wanted: 2, got: 0 }),
@@ -841,7 +752,7 @@ mod tests {
             Response::Err(Fault::UnknownDoc { requested: "nope".to_owned() }),
             Response::Err(Fault::VersionMismatch { server: 2 }),
             Response::Err(Fault::Busy { live: 1024, max: 1024 }),
-            Response::Err(Fault::BadRequest { reason: "too many spans".to_owned() }),
+            Response::Err(Fault::BadRequest { reason: "batch too long".to_owned() }),
             Response::Err(Fault::AdminDisabled),
             Response::Stats(vec![1, 9, 9, 4]),
             Response::Admin(AdminReply::Closed { closed: true }),
@@ -889,9 +800,11 @@ mod tests {
         evil.extend_from_slice(&1000u32.to_le_bytes());
         assert!(matches!(Request::decode(&evil), Err(WireError::Malformed(_))));
         // Trailing garbage is rejected.
-        let mut ok = Request::GetMeta.encode();
+        let mut ok = Request::Stats.encode();
         ok.push(0);
         assert!(matches!(Request::decode(&ok), Err(WireError::Malformed(_))));
+        // The retired `GetMeta` tag (0x02) is an unknown request.
+        assert!(matches!(Request::decode(&[0x02]), Err(WireError::Malformed(_))));
     }
 
     #[test]

@@ -131,7 +131,7 @@ impl ServerDoc<FileStore> {
 
 /// Everything a client needs — besides the ciphertext itself — to run
 /// sessions against a published document: the dissemination payload of
-/// `GetMeta` in the networked front (`xsac-net`).
+/// the `Hello` reply in the networked front (`xsac-net`).
 ///
 /// Two kinds of material travel together here, mirroring Figure 2:
 ///

@@ -4,10 +4,11 @@
 //! The publisher prepares the hospital document once and hands it to a
 //! `ChunkServer` — the untrusted party: it holds ciphertext, encrypted
 //! digests and the public skip-index material, but no keys. A client
-//! connects, pulls the metadata, and runs ordinary sessions through a
-//! `RemoteStore`-backed `DocServer`: every ciphertext byte crosses the
-//! socket, is verified and decrypted client-side, and the delivered view
-//! is exactly what the policy allows — the server never sees it.
+//! connects (one `Hello` round trip, answered with the metadata) and
+//! runs ordinary sessions through a `RemoteStore`-backed `DocServer`:
+//! every ciphertext byte crosses the socket, is verified and decrypted
+//! client-side, and the delivered view is exactly what the policy
+//! allows — the server never sees it.
 //!
 //!     cargo run --release --example remote_session
 

@@ -16,7 +16,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use xsac::crypto::chunk::ChunkLayout;
 use xsac::crypto::{sha1, IntegrityScheme, TripleDes};
-use xsac::net::wire::{self, ChunkSpan, Request, Response};
+use xsac::net::wire::{self, Request, Response};
 use xsac::net::{ChunkServer, DocRegistry, Fault, ServerHandle, PROTOCOL_VERSION};
 use xsac::soe::ServerDoc;
 use xsac::xml::Document;
@@ -133,7 +133,7 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 24, ..Default::default() })]
 
     /// Routing is total and typed: every doc-id string either routes to
-    /// its registered tenant (Hello announcing that tenant's geometry)
+    /// its registered tenant (Hello carrying that tenant's meta)
     /// or draws `Fault::UnknownDoc` echoing the requested id — on a
     /// connection that stays usable for a correct retry.
     #[test]
@@ -143,10 +143,9 @@ proptest! {
         for id in &ids {
             let hello = Request::Hello { version: PROTOCOL_VERSION, doc_id: id.clone() };
             match (TENANT_IDS.iter().position(|t| t == id), call(&mut sock, &hello)) {
-                (Some(i), Response::Hello(info)) => {
+                (Some(i), Response::Hello(bytes)) => {
                     prop_assert_eq!(
-                        info.ciphertext_len as usize,
-                        fx.docs[i].protected.ciphertext_len(),
+                        &bytes, &fx.meta_bytes[i],
                         "doc id {:?} routed to the wrong tenant", id
                     );
                 }
@@ -209,7 +208,7 @@ proptest! {
         fx.handle.shutdown().unwrap();
     }
 
-    /// The compact `GetMeta` decode is total and typed over hostile
+    /// The compact meta decode is total and typed over hostile
     /// payloads: announced lengths, geometry and digest table must agree
     /// exactly as honest preparation produces them, or the decode is a
     /// typed `WireError` — never a panic, never an inconsistent
@@ -279,12 +278,8 @@ proptest! {
             version: PROTOCOL_VERSION,
             doc_id: TENANT_IDS[tenant].to_string(),
         }) {
-            Response::Hello(_) => {}
+            Response::Hello(bytes) => prop_assert_eq!(&bytes, good_bytes),
             other => return Err(TestCaseError::fail(format!("Hello failed: {other:?}"))),
-        }
-        match call(&mut sock, &Request::GetMeta) {
-            Response::Meta(bytes) => prop_assert_eq!(&bytes, good_bytes),
-            other => return Err(TestCaseError::fail(format!("GetMeta failed: {other:?}"))),
         }
         fx.handle.shutdown().unwrap();
     }
@@ -292,9 +287,9 @@ proptest! {
     /// Cross-tenant isolation, pinned by SHA-1: over a random schedule
     /// of interleaved re-Hellos and chunk reads on one connection, every
     /// delivered chunk hashes to the owning tenant's expected ciphertext
-    /// chunk, and every meta payload is byte-identical to the owning
-    /// tenant's encoding — zero bytes of document B on a session bound
-    /// to document A.
+    /// chunk, and every `Hello` reply's meta payload is byte-identical
+    /// to the owning tenant's encoding — zero bytes of document B on a
+    /// session bound to document A.
     #[test]
     fn sessions_never_receive_other_tenants_bytes(
         ops in prop::collection::vec((any::<bool>(), any::<u16>(), 1u8..4), 1..24)
@@ -309,26 +304,20 @@ proptest! {
                     version: PROTOCOL_VERSION,
                     doc_id: TENANT_IDS[tenant].to_string(),
                 }) {
-                    Response::Hello(_) => bound = Some(tenant),
+                    Response::Hello(bytes) => prop_assert_eq!(
+                        &bytes,
+                        &fx.meta_bytes[tenant],
+                        "meta for tenant {} is not the owner's encoding", tenant
+                    ),
                     other => return Err(TestCaseError::fail(format!("Hello failed: {other:?}"))),
                 }
+                bound = Some(tenant);
             }
             let owner = bound.expect("bound after Hello");
             let n_chunks = fx.docs[owner].protected.chunk_count() as u64;
             let first = (pick as u64).wrapping_mul(7) % n_chunks;
             let count = u32::from(count).min(u32::try_from(n_chunks - first).unwrap());
-            let meta = call(&mut sock, &Request::GetMeta);
-            match meta {
-                Response::Meta(bytes) => prop_assert_eq!(
-                    &bytes,
-                    &fx.meta_bytes[owner],
-                    "meta for tenant {} is not the owner's encoding", owner
-                ),
-                other => return Err(TestCaseError::fail(format!("GetMeta failed: {other:?}"))),
-            }
-            match call(&mut sock, &Request::GetChunks {
-                spans: vec![ChunkSpan { first, count }],
-            }) {
+            match call(&mut sock, &Request::GetChunks { first, count }) {
                 Response::Chunks(chunks) => {
                     prop_assert_eq!(chunks.len(), count as usize);
                     for (ci, bytes) in chunks {

@@ -108,10 +108,10 @@ fn document_larger_than_frame_guard_serves_with_o_layout_meta() {
     // whose *encoded plaintext* exceeds the 64 KiB frame guard still
     // protects, connects and serves byte-identical Figure-10 views —
     // because no frame in either direction ever carries the document
-    // whole. `GetMeta` is O(layout) (dictionary + geometry + digest
-    // table), and ciphertext moves in bounded chunk batches. The client
-    // is configured to *reject* any frame over the guard, so an
-    // O(plaintext) meta would fail the handshake loudly.
+    // whole. The meta in the `Hello` reply is O(layout) (dictionary +
+    // geometry + digest table), and ciphertext moves in bounded chunk
+    // batches. The client is configured to *reject* any frame over the
+    // guard, so an O(plaintext) meta would fail the handshake loudly.
     use xsac::net::wire::DEFAULT_SERVER_MAX_FRAME;
     let doc = hospital_document(&HospitalConfig { folders: 40, ..Default::default() }, 11);
     let layout = ChunkLayout::default();
@@ -124,7 +124,7 @@ fn document_larger_than_frame_guard_serves_with_o_layout_meta() {
     let meta_wire = xsac::net::meta::encode_meta(&mem.meta()).len();
     assert!(
         meta_wire < DEFAULT_SERVER_MAX_FRAME,
-        "GetMeta payload must stay under the frame guard: {meta_wire} bytes"
+        "the Hello meta payload must stay under the frame guard: {meta_wire} bytes"
     );
     let served = ServerDoc::prepare(&doc, &key(), IntegrityScheme::EcbMht, layout);
     let handle = ChunkServer::new(served, "big").spawn("127.0.0.1:0").expect("spawn");

@@ -68,13 +68,14 @@ fn recoverable_fault_schedule_yields_byte_identical_session() {
     let served = ServerDoc::prepare(&doc, &key(), IntegrityScheme::EcbMht, tiny_layout());
     let handle = ChunkServer::new(served, "hospital").spawn("127.0.0.1:0").expect("spawn");
     let proxy = FaultTransport::spawn(handle.addr()).expect("proxy");
-    // Frames are server→client responses: 0 = Hello, 1 = Meta, 2… =
-    // Chunks. Connection 1 dies on the 3rd chunk response, connection 2
-    // truncates its 2nd, connection 3 duplicates its 2nd (desyncing the
-    // response stream), connection 4 (empty queue) is clean.
-    proxy.push_plan(FaultPlan::faulty(NetFault::DropAfter(4)));
-    proxy.push_plan(FaultPlan::faulty(NetFault::TruncateAfter(3)));
-    proxy.push_plan(FaultPlan::faulty(NetFault::DuplicateAt(3)));
+    // Frames are server→client responses: 0 = Hello (carrying the
+    // meta), 1… = Chunks. Connection 1 dies on the 3rd chunk response,
+    // connection 2 truncates its 2nd, connection 3 duplicates its 2nd
+    // (desyncing the response stream), connection 4 (empty queue) is
+    // clean.
+    proxy.push_plan(FaultPlan::faulty(NetFault::DropAfter(3)));
+    proxy.push_plan(FaultPlan::faulty(NetFault::TruncateAfter(2)));
+    proxy.push_plan(FaultPlan::faulty(NetFault::DuplicateAt(2)));
     let remote = connect(proxy.addr(), "hospital", chatty_client()).expect("connect");
 
     let mut dict = mem.dict.clone();
@@ -115,7 +116,7 @@ fn reconnect_onto_different_document_is_typed_identity_error() {
     // Connection 1 (to server A) dies after two chunk responses; every
     // later connection is routed to server B, whose metadata cannot
     // hash-match the session's original.
-    proxy.push_plan(FaultPlan::faulty(NetFault::DropAfter(4)));
+    proxy.push_plan(FaultPlan::faulty(NetFault::DropAfter(3)));
     let remote = connect(proxy.addr(), "hospital", chatty_client()).expect("connect");
     proxy.set_backend(handle_b.addr());
 
@@ -143,10 +144,10 @@ fn persistent_drops_exhaust_retries_into_typed_error() {
     let served = ServerDoc::prepare(&doc, &key(), IntegrityScheme::Ecb, tiny_layout());
     let handle = ChunkServer::new(served, "hospital").spawn("127.0.0.1:0").expect("spawn");
     let proxy = FaultTransport::spawn(handle.addr()).expect("proxy");
-    // Every connection survives its handshake (frames 0 and 1) and dies
-    // on the first chunk response — no retry budget can outlast that.
+    // Every connection survives its handshake (frame 0) and dies on the
+    // first chunk response — no retry budget can outlast that.
     for _ in 0..12 {
-        proxy.push_plan(FaultPlan::faulty(NetFault::DropAfter(2)));
+        proxy.push_plan(FaultPlan::faulty(NetFault::DropAfter(1)));
     }
     let mut config = chatty_client();
     config.retry.max_retries = 3;
@@ -179,7 +180,7 @@ fn stalled_server_times_out_into_typed_error() {
     let proxy = FaultTransport::spawn(handle.addr()).expect("proxy");
     // Connection 1 dies after the handshake; every replacement stalls
     // during its own handshake, so the read deadline decides.
-    proxy.push_plan(FaultPlan::faulty(NetFault::DropAfter(2)));
+    proxy.push_plan(FaultPlan::faulty(NetFault::DropAfter(1)));
     for _ in 0..8 {
         proxy.push_plan(FaultPlan::faulty(NetFault::Stall));
     }
