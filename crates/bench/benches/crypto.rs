@@ -1,10 +1,12 @@
-//! Criterion: crypto primitive throughput (3DES, SHA-1, protected
-//! reads), including the SP-table vs bit-by-bit reference comparison
-//! that gates the fast path. Results land in `BENCH_crypto.json`.
+//! Criterion: crypto primitive throughput (3DES, SHA-1 at 64 KiB and at
+//! fragment and combine size, protected reads), including the SP-table
+//! vs bit-by-bit reference comparison that gates the fast path. Results
+//! land in `BENCH_crypto.json`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use xsac_crypto::chunk::{ChunkLayout, ProtectedDoc};
 use xsac_crypto::des::reference;
+use xsac_crypto::merkle::combine;
 use xsac_crypto::modes::{
     ecb_decrypt_in_place, posxor_decrypt, posxor_decrypt_in_place, posxor_encrypt,
 };
@@ -37,6 +39,28 @@ fn bench_primitives(c: &mut Criterion) {
         })
     });
     group.bench_function("sha1", |b| b.iter(|| sha1(&data)));
+    group.finish();
+}
+
+/// SHA-1 at the two sizes an ECB-MHT session hashes, beside the 64 KiB
+/// `crypto/primitives/sha1` row (the per-byte rate of long runs):
+///
+/// * `fragment-128`: one 128-byte fragment, the digest the SOE computes
+///   per fetch and the terminal per leaf — three compressions (two data
+///   blocks and a padding block) for 128 metered bytes;
+/// * `combine-40`: one Merkle combine of two child digests, a single
+///   pre-padded block for 40 metered bytes.
+///
+/// Each also pays the fixed cost of a call: setting up the chaining
+/// state and laying out the padding.
+fn bench_sha1_sizes(c: &mut Criterion) {
+    let fragment: Vec<u8> = (0..128u32).map(|i| (i * 7 % 251) as u8).collect();
+    let mut group = c.benchmark_group("crypto/sha1");
+    group.throughput(Throughput::Bytes(fragment.len() as u64));
+    group.bench_function("fragment-128", |b| b.iter(|| sha1(&fragment)));
+    let (left, right) = (sha1(b"left"), sha1(b"right"));
+    group.throughput(Throughput::Bytes(40));
+    group.bench_function("combine-40", |b| b.iter(|| combine(&left, &right)));
     group.finish();
 }
 
@@ -147,6 +171,7 @@ fn bench_mht_fragment(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_primitives,
+    bench_sha1_sizes,
     bench_fast_vs_reference,
     bench_protected_reads,
     bench_mht_fragment

@@ -31,14 +31,18 @@
 //! Both sides agree on one left-complete shape (`left_leaves`) and walk
 //! the same pre-order node table.
 
-use crate::sha1::{sha1, Digest, Sha1};
+use crate::sha1::{sha1, sha1_padded, Digest, DIGEST_LEN};
 
-/// Combines two child digests.
+/// Combines two child digests: SHA-1 of `left ‖ right`. The 40-byte
+/// message and its padding fill exactly one block, laid out here and
+/// compressed once.
 pub fn combine(left: &Digest, right: &Digest) -> Digest {
-    let mut h = Sha1::new();
-    h.update(left);
-    h.update(right);
-    h.finish()
+    let mut block = [0u8; 64];
+    block[..DIGEST_LEN].copy_from_slice(left);
+    block[DIGEST_LEN..2 * DIGEST_LEN].copy_from_slice(right);
+    block[2 * DIGEST_LEN] = 0x80;
+    block[56..].copy_from_slice(&(2 * DIGEST_LEN as u64 * 8).to_be_bytes());
+    sha1_padded(&block)
 }
 
 /// Leaf digests of a chunk: one SHA-1 per fragment (over ciphertext).
@@ -229,6 +233,7 @@ fn climb(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sha1::Sha1;
     use std::ops::Range;
 
     fn leaves(n: usize) -> Vec<Digest> {
@@ -393,12 +398,52 @@ mod tests {
         assert!(v.verify_leaf(3, l[3], &proof));
     }
 
+    /// Random bytes from a seed (xorshift64*).
+    fn noise(seed: u64, len: usize) -> Vec<u8> {
+        let mut x = seed | 1;
+        (0..len)
+            .map(|_| {
+                x ^= x >> 12;
+                x ^= x << 25;
+                x ^= x >> 27;
+                (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 56) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn combine_is_sha1_of_the_concatenation() {
+        for seed in 1..200 {
+            let bytes = noise(seed, 2 * DIGEST_LEN);
+            let (l, r) = bytes.split_at(DIGEST_LEN);
+            let (l, r): (Digest, Digest) = (l.try_into().unwrap(), r.try_into().unwrap());
+            assert_eq!(combine(&l, &r), sha1(&bytes), "seed {seed}");
+            let mut staged = Sha1::new();
+            staged.update(&l);
+            staged.update(&r);
+            assert_eq!(combine(&l, &r), staged.finish(), "seed {seed}");
+        }
+    }
+
     #[test]
     fn fragment_hashing_partial_tail() {
         let data = vec![9u8; 700];
         let hashes = fragment_hashes(&data, 256);
         assert_eq!(hashes.len(), 3);
         assert_eq!(hashes[2], sha1(&data[512..700]));
+        // Whole 128-byte fragments, then a short last one of every length
+        // class: under one block, past the padding boundary, one byte
+        // short of a fragment. Each leaf equals a staged hasher's digest.
+        for (seed, len) in [(1, 2048), (2, 2048 - 90), (3, 2048 - 70), (4, 2047), (5, 100)] {
+            let data = noise(seed, len);
+            let got = fragment_hashes(&data, 128);
+            assert_eq!(got.len(), len.div_ceil(128));
+            for (i, (digest, fragment)) in got.iter().zip(data.chunks(128)).enumerate() {
+                let mut staged = Sha1::new();
+                staged.update(fragment);
+                assert_eq!(*digest, staged.finish(), "len {len} fragment {i}");
+            }
+        }
     }
 
     #[test]

@@ -395,18 +395,20 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
         // contract (and error payload) as every backend's `read_at`.
         crate::store::check_bounds(offset, len, self.doc.store.len())?;
         let end = offset + len;
+        // Served spans are appended in order, so the output is written
+        // once per byte.
         self.out.clear();
-        self.out.resize(len, 0);
         // A request starting before the working buffer but overlapping it
         // would overwrite the buffer while fetching its own head and then
         // re-transfer bytes that were resident at entry. Serve the overlap
-        // into its place in the output first; the fetch loop skips it, so
-        // the channel (and the refetch audit) only see the bytes that
-        // actually move.
+        // into its place in the output first (the one case that sizes the
+        // output up front); the fetch loop skips it, so the channel (and
+        // the refetch audit) only see the bytes that actually move.
         let cached = self.cache_start..self.cache_start + self.cache.len();
         let held = if !self.cache.is_empty() && offset < cached.start && end > cached.start {
             let take = end.min(cached.end) - cached.start;
             self.decipher(0, take);
+            self.out.resize(len, 0);
             self.out[cached.start - offset..][..take].copy_from_slice(&self.cache[..take]);
             cached.start..cached.start + take
         } else {
@@ -421,7 +423,13 @@ impl<'a, S: ChunkStore> SoeReader<'a, S> {
                 let take = (end - pos).min(cached.end - pos);
                 let lo = pos - self.cache_start;
                 self.decipher(lo, lo + take);
-                self.out[pos - offset..][..take].copy_from_slice(&self.cache[lo..lo + take]);
+                let span = &self.cache[lo..lo + take];
+                if self.out.len() > pos - offset {
+                    // The head of a held request, in front of the held span.
+                    self.out[pos - offset..][..take].copy_from_slice(span);
+                } else {
+                    self.out.extend_from_slice(span);
+                }
                 take
             } else {
                 // Clamp the fetch extent so an ECB unit (whose extent

@@ -4,12 +4,42 @@
 //! compute a digest of each chunk" (§6). Incremental hashing matters: the
 //! terminal hands the SOE *intermediate* hash states so that the SOE only
 //! hashes the bytes it actually reads (Appendix A).
+//!
+//! # Which kernel runs
+//!
+//! Every compression goes through one private dispatcher, which hands a
+//! whole run of 64-byte blocks to one kernel call, so the chaining state
+//! stays in registers from block to block:
+//!
+//! * **SHA extensions** (`shani`). On an x86-64 CPU that reports `sha`
+//!   (with SSSE3 and SSE4.1, which every such CPU has), each block is 20
+//!   `sha1rnds4` steps of four rounds, the message schedule is expanded
+//!   four words at a time by `sha1msg1`/`sha1msg2`, and `sha1nexte`
+//!   carries E between steps. The check is made at run time, on every
+//!   call, from the standard library's cached CPUID probe.
+//! * **Portable** (`portable`). Everywhere else — no SHA extension, or
+//!   not x86-64 — the fully unrolled scalar rounds below run. It is also
+//!   the hardware kernel's differential reference, block for block, in
+//!   the tests at the end of this file, as `des::reference` is for 3DES.
+//!
+//! Nothing selects the kernel but the CPU, and both produce the same
+//! digest for every input.
+//!
+//! A hasher compresses the input's whole blocks straight from the slice,
+//! then lays its tail and padding out in one or two blocks on the stack:
+//! a 128-byte ECB-MHT fragment costs three compressions (two data blocks
+//! and a padding block), in two kernel calls. A Merkle combine is 40
+//! bytes, so `merkle::combine` lays it out as a single pre-padded block
+//! and compresses it once.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 20;
 
 /// A SHA-1 digest.
 pub type Digest = [u8; DIGEST_LEN];
+
+/// The initial chaining state (FIPS 180-1 §7).
+const IV: [u32; 5] = [0x6745_2301, 0xEFCD_AB89, 0x98BA_DCFE, 0x1032_5476, 0xC3D2_E1F0];
 
 /// Incremental SHA-1 hasher.
 #[derive(Clone)]
@@ -30,12 +60,7 @@ impl Default for Sha1 {
 impl Sha1 {
     /// Fresh hasher.
     pub fn new() -> Sha1 {
-        Sha1 {
-            state: [0x6745_2301, 0xEFCD_AB89, 0x98BA_DCFE, 0x1032_5476, 0xC3D2_E1F0],
-            len: 0,
-            buf: [0; 64],
-            buf_len: 0,
-        }
+        Sha1 { state: IV, len: 0, buf: [0; 64], buf_len: 0 }
     }
 
     /// Resumes from a saved compression state (used by the cooperative
@@ -52,74 +77,114 @@ impl Sha1 {
         (self.state, self.len / 64)
     }
 
-    /// Feeds bytes. Whole 64-byte blocks of `data` are compressed
-    /// directly from the input slice — no intermediate copy; only a
-    /// sub-block tail is staged in the internal buffer.
-    pub fn update(&mut self, mut data: &[u8]) {
+    /// Feeds bytes. The whole 64-byte blocks of `data` go to the kernel
+    /// in one call, straight from the input slice — no intermediate copy;
+    /// only a sub-block tail is staged in the internal buffer.
+    pub fn update(&mut self, data: &[u8]) {
+        self.update_with(compress, data);
+    }
+
+    /// Finishes, producing the digest: the staged tail and the padding
+    /// are laid out in one or two blocks and compressed in one call.
+    pub fn finish(self) -> Digest {
+        self.finish_with(compress)
+    }
+
+    fn update_with(&mut self, kernel: impl Fn(&mut [u32; 5], &[u8]), mut data: &[u8]) {
         self.len += data.len() as u64;
         if self.buf_len > 0 {
             let take = (64 - self.buf_len).min(data.len());
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
             self.buf_len += take;
             data = &data[take..];
-            if self.buf_len == 64 {
-                compress(&mut self.state, &self.buf);
-                self.buf_len = 0;
-            }
-            if data.is_empty() {
-                // Everything was absorbed into the buffer; the tail
-                // assignment below must not clobber `buf_len`.
+            if self.buf_len < 64 {
+                // Everything was absorbed into the buffer.
                 return;
             }
+            kernel(&mut self.state, &self.buf);
+            self.buf_len = 0;
         }
-        let mut whole = data.chunks_exact(64);
-        for block in whole.by_ref() {
-            compress(&mut self.state, block.try_into().expect("64"));
+        let whole = data.len() - data.len() % 64;
+        if whole > 0 {
+            kernel(&mut self.state, &data[..whole]);
         }
-        data = whole.remainder();
-        self.buf[..data.len()].copy_from_slice(data);
-        self.buf_len = data.len();
+        self.buf[..data.len() - whole].copy_from_slice(&data[whole..]);
+        self.buf_len = data.len() - whole;
     }
 
-    /// Finishes, producing the digest. Padding is laid out directly in
-    /// the internal buffer (at most two compressions, no per-byte loop).
-    pub fn finish(mut self) -> Digest {
-        let bit_len = self.len * 8;
-        self.buf[self.buf_len] = 0x80;
-        if self.buf_len + 1 > 56 {
-            // No room for the length suffix: pad out this block and
-            // compress, then the length goes in a second, zero block.
-            self.buf[self.buf_len + 1..].fill(0);
-            compress(&mut self.state, &self.buf);
-            self.buf = [0; 64];
-        } else {
-            self.buf[self.buf_len + 1..56].fill(0);
-        }
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        compress(&mut self.state, &self.buf);
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, w) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&w.to_be_bytes());
-        }
-        out
+    fn finish_with(mut self, kernel: impl Fn(&mut [u32; 5], &[u8])) -> Digest {
+        let tail = self.buf_len;
+        let mut pad = [0u8; 128];
+        pad[..tail].copy_from_slice(&self.buf[..tail]);
+        pad[tail] = 0x80;
+        // The length suffix fits after a tail of up to 55 bytes;
+        // otherwise it takes a second block.
+        let n = if tail < 56 { 64 } else { 128 };
+        pad[n - 8..n].copy_from_slice(&(self.len * 8).to_be_bytes());
+        kernel(&mut self.state, &pad[..n]);
+        to_digest(&self.state)
     }
 }
 
-/// The SHA-1 compression function. A free function over disjoint borrows
-/// so callers can compress straight out of input slices or the staging
-/// buffer without copying the block first.
+fn to_digest(state: &[u32; 5]) -> Digest {
+    let mut out = [0u8; DIGEST_LEN];
+    for (o, w) in out.chunks_exact_mut(4).zip(state) {
+        o.copy_from_slice(&w.to_be_bytes());
+    }
+    out
+}
+
+/// One-shot SHA-1.
+pub fn sha1(data: &[u8]) -> Digest {
+    let mut h = Sha1::new();
+    h.update(data);
+    h.finish()
+}
+
+/// The digest of a message the caller has already laid out with its
+/// padding, as whole blocks: one kernel call from the initial state. A
+/// 40-byte Merkle combine is one such block.
+pub(crate) fn sha1_padded(blocks: &[u8]) -> Digest {
+    let mut state = IV;
+    compress(&mut state, blocks);
+    to_digest(&state)
+}
+
+/// Compresses a run of whole 64-byte blocks into `state`: with the SHA
+/// extensions when the CPU has them, with [`portable`] otherwise.
+fn compress(state: &mut [u32; 5], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0, "whole blocks only");
+    #[cfg(target_arch = "x86_64")]
+    if shani::detected() {
+        // SAFETY: the CPU reports every feature `shani::compress` is
+        // compiled for (`sha`, `ssse3`, `sse4.1`).
+        unsafe { shani::compress(state, blocks) };
+        return;
+    }
+    portable(state, blocks);
+}
+
+/// The portable kernel: [`compress_block`] over each block of the run.
+fn portable(state: &mut [u32; 5], blocks: &[u8]) {
+    for block in blocks.chunks_exact(64) {
+        compress_block(state, block.try_into().expect("64"));
+    }
+}
+
+/// The SHA-1 compression function over one block, in portable Rust.
 ///
 /// The 80 rounds are fully unrolled with the message schedule kept as a
 /// 16-word circular buffer (`w[t] = w[t & 15]`, expanded in place), and
 /// the five working variables rotate through the round macro's argument
 /// order instead of being shuffled — no 80-word schedule array, no
-/// per-round `match`, no register moves. ECB-MHT sessions are hash-bound
-/// (every fragment fetched is hashed, plus two digests per proof sibling),
-/// so this loop is the terminal *and* SOE hot path.
+/// per-round `match`, no register moves. On a CPU without the SHA
+/// extensions, this loop is the terminal *and* SOE hot path of ECB-MHT
+/// sessions (every fragment fetched is hashed, plus one combine per proof
+/// sibling).
 // The ring writes of the final five expansions are never read again; the
 // expansion macro stays uniform (and the optimizer drops the dead stores).
 #[allow(unused_assignments)]
-fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
+fn compress_block(state: &mut [u32; 5], block: &[u8; 64]) {
     let mut w = [0u32; 16];
     for (i, chunk) in block.chunks_exact(4).enumerate() {
         w[i] = u32::from_be_bytes(chunk.try_into().expect("4"));
@@ -207,11 +272,81 @@ fn compress(state: &mut [u32; 5], block: &[u8; 64]) {
     state[4] = state[4].wrapping_add(e);
 }
 
-/// One-shot SHA-1.
-pub fn sha1(data: &[u8]) -> Digest {
-    let mut h = Sha1::new();
-    h.update(data);
-    h.finish()
+/// The SHA-extension kernel (x86-64).
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use std::arch::x86_64::*;
+
+    /// Does this CPU have every feature [`compress`] is compiled for?
+    #[inline]
+    pub(super) fn detected() -> bool {
+        is_x86_feature_detected!("sha")
+            && is_x86_feature_detected!("ssse3")
+            && is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Compresses a run of whole 64-byte blocks into `state`.
+    ///
+    /// ABCD live in one vector (A in the top lane); E rides in the top
+    /// lane of the vector that `sha1rnds4` adds to the round inputs. A
+    /// block is 20 steps of four rounds. Step 0 adds E to W0..3; step
+    /// g ≥ 1 derives its E from the ABCD that entered step g − 1
+    /// (`sha1nexte`: E after four rounds is that A rotated by 30). From
+    /// step 4 on, the four message words of step g are expanded from those
+    /// of steps g − 4 .. g − 1, kept in a four-vector ring.
+    #[target_feature(enable = "sha,ssse3,sse4.1")]
+    pub(super) fn compress(state: &mut [u32; 5], blocks: &[u8]) {
+        // Reverses the 16 bytes of a load: four big-endian words, W0 in
+        // the top lane.
+        let bswap = _mm_set_epi64x(0x0001_0203_0405_0607, 0x0809_0A0B_0C0D_0E0F);
+        let [a, b, c, d, e] = state.map(|x| x as i32);
+        let mut abcd = _mm_set_epi32(a, b, c, d);
+        let mut e0 = _mm_set_epi32(e, 0, 0, 0);
+        for block in blocks.chunks_exact(64) {
+            let load = |i: usize| {
+                let bytes = &block[16 * i..16 * i + 16];
+                // SAFETY: `bytes` is 16 readable bytes, and `loadu`
+                // has no alignment requirement.
+                _mm_shuffle_epi8(unsafe { _mm_loadu_si128(bytes.as_ptr().cast()) }, bswap)
+            };
+            let mut w = [load(0), load(1), load(2), load(3)];
+            let (abcd_in, e_in) = (abcd, e0);
+            // `prev`: the ABCD that entered the previous step.
+            let mut prev = abcd;
+            // Step g runs rounds 4g..4g + 3 with round function g / 5.
+            macro_rules! steps {
+                ($($g:literal)*) => {$(
+                    let x = if $g == 0 {
+                        _mm_add_epi32(e0, w[0])
+                    } else {
+                        if $g >= 4 {
+                            w[$g % 4] = _mm_sha1msg2_epu32(
+                                _mm_xor_si128(
+                                    _mm_sha1msg1_epu32(w[$g % 4], w[($g + 1) % 4]),
+                                    w[($g + 2) % 4],
+                                ),
+                                w[($g + 3) % 4],
+                            );
+                        }
+                        _mm_sha1nexte_epu32(prev, w[$g % 4])
+                    };
+                    prev = abcd;
+                    abcd = _mm_sha1rnds4_epu32(abcd, x, $g / 5);
+                )*};
+            }
+            steps!(0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19);
+            abcd = _mm_add_epi32(abcd, abcd_in);
+            e0 = _mm_sha1nexte_epu32(prev, e_in);
+        }
+        *state = [
+            _mm_extract_epi32(abcd, 3),
+            _mm_extract_epi32(abcd, 2),
+            _mm_extract_epi32(abcd, 1),
+            _mm_extract_epi32(abcd, 0),
+            _mm_extract_epi32(e0, 3),
+        ]
+        .map(|x| x as u32);
+    }
 }
 
 #[cfg(test)]
@@ -222,48 +357,135 @@ mod tests {
         d.iter().map(|b| format!("{b:02x}")).collect()
     }
 
+    /// The two kernels the dispatcher chooses between. `compress` runs
+    /// the SHA-extension kernel whenever the CPU reports `sha`, so every
+    /// test below compares the hardware kernel with the portable one
+    /// there, and the portable one with itself elsewhere.
+    const KERNELS: [(&str, Kernel); 2] = [("dispatched", compress), ("portable", portable)];
+
+    type Kernel = fn(&mut [u32; 5], &[u8]);
+
+    /// xorshift64*: random states, blocks and messages, reproducibly.
+    fn rng(mut x: u64) -> impl FnMut() -> u64 {
+        move || {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+    }
+
+    fn bytes(next: &mut impl FnMut() -> u64, len: usize) -> Vec<u8> {
+        (0..len).map(|_| next() as u8).collect()
+    }
+
+    /// Hashes `data` through `kernel` in updates split at `splits`.
+    fn hash_with(kernel: Kernel, data: &[u8], splits: &[usize]) -> Digest {
+        let mut h = Sha1::new();
+        let mut at = 0;
+        for &split in splits.iter().chain([&data.len()]) {
+            h.update_with(kernel, &data[at..split]);
+            at = split;
+        }
+        h.finish_with(kernel)
+    }
+
+    /// Random messages of every length 0..=300 and 64 KiB, each with the
+    /// split points and resume blocks to try: all of them for the short
+    /// messages; the block and padding boundaries at each end and the
+    /// middle of the long one.
+    fn messages() -> impl Iterator<Item = (Vec<u8>, Vec<usize>, Vec<usize>)> {
+        let mut next = rng(0xD16E57);
+        (0..=300).chain([64 * 1024]).map(move |len| {
+            let data = bytes(&mut next, len);
+            if len <= 300 {
+                (data, (0..=len).collect(), (0..=len / 64).collect())
+            } else {
+                let edges = vec![0, 1, 55, 56, 63, 64, 65, len / 2, len - 64, len - 1, len];
+                (data, edges, vec![0, 1, len / 128, len / 64 - 1, len / 64])
+            }
+        })
+    }
+
     #[test]
     fn fips_vectors() {
-        assert_eq!(hex(&sha1(b"abc")), "a9993e364706816aba3e25717850c26c9cd0d89d");
-        assert_eq!(hex(&sha1(b"")), "da39a3ee5e6b4b0d3255bfef95601890afd80709");
-        assert_eq!(
-            hex(&sha1(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq")),
-            "84983e441c3bd26ebaae4aa1f95129e5e54670f1"
-        );
+        for (name, kernel) in KERNELS {
+            let sha1 = |data: &[u8]| hex(&hash_with(kernel, data, &[]));
+            assert_eq!(sha1(b"abc"), "a9993e364706816aba3e25717850c26c9cd0d89d", "{name}");
+            assert_eq!(sha1(b""), "da39a3ee5e6b4b0d3255bfef95601890afd80709", "{name}");
+            assert_eq!(
+                sha1(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
+                "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+                "{name}"
+            );
+        }
     }
 
     #[test]
     fn million_a() {
-        let mut h = Sha1::new();
-        let chunk = [b'a'; 1000];
-        for _ in 0..1000 {
-            h.update(&chunk);
+        for (name, kernel) in KERNELS {
+            let mut h = Sha1::new();
+            let chunk = [b'a'; 1000];
+            for _ in 0..1000 {
+                h.update_with(kernel, &chunk);
+            }
+            let digest = hex(&h.finish_with(kernel));
+            assert_eq!(digest, "34aa973cd4c4daa4f61eeb2bdbad27316534016f", "{name}");
         }
-        assert_eq!(hex(&h.finish()), "34aa973cd4c4daa4f61eeb2bdbad27316534016f");
+    }
+
+    #[test]
+    fn hardware_kernel_matches_portable_block_for_block() {
+        let mut next = rng(0x5EED);
+        for runs in 0..500 {
+            let mut state = [0u32; 5].map(|_| next() as u32);
+            let blocks = bytes(&mut next, 64 * (1 + runs % 4));
+            let mut want = state;
+            let mut got = state;
+            portable(&mut want, &blocks);
+            compress(&mut got, &blocks);
+            assert_eq!(got, want, "run of {} blocks", blocks.len() / 64);
+            // The same run one block per call: the state carried between
+            // calls equals the state carried in registers.
+            for block in blocks.chunks_exact(64) {
+                compress(&mut state, block);
+            }
+            assert_eq!(state, want, "block by block");
+        }
     }
 
     #[test]
     fn incremental_equals_oneshot() {
-        let data: Vec<u8> = (0..1000u32).map(|i| (i % 251) as u8).collect();
-        for split in [0, 1, 63, 64, 65, 500, 999, 1000] {
-            let mut h = Sha1::new();
-            h.update(&data[..split]);
-            h.update(&data[split..]);
-            assert_eq!(h.finish(), sha1(&data), "split at {split}");
+        for (data, splits, _) in messages() {
+            let want = hash_with(portable, &data, &[]);
+            assert_eq!(sha1(&data), want, "len {}", data.len());
+            for (name, kernel) in KERNELS {
+                for &split in &splits {
+                    let got = hash_with(kernel, &data, &[split]);
+                    assert_eq!(got, want, "{name}: len {} split at {split}", data.len());
+                }
+            }
         }
     }
 
     #[test]
     fn resume_from_intermediate_state() {
-        // Terminal hashes the first two blocks; SOE resumes and hashes the
+        // Terminal hashes the first blocks; SOE resumes and hashes the
         // rest — final digest must match a full hash.
-        let data: Vec<u8> = (0..256u32).map(|i| i as u8).collect();
-        let mut terminal = Sha1::new();
-        terminal.update(&data[..128]);
-        let (state, blocks) = terminal.state();
-        let mut soe = Sha1::resume(state, blocks);
-        soe.update(&data[128..]);
-        assert_eq!(soe.finish(), sha1(&data));
+        for (data, _, resumes) in messages() {
+            let want = sha1(&data);
+            for (name, kernel) in KERNELS {
+                for &blocks in &resumes {
+                    let mut terminal = Sha1::new();
+                    terminal.update_with(kernel, &data[..64 * blocks]);
+                    let (state, n) = terminal.state();
+                    let mut soe = Sha1::resume(state, n);
+                    soe.update_with(kernel, &data[64 * blocks..]);
+                    let got = soe.finish_with(kernel);
+                    assert_eq!(got, want, "{name}: len {} resume at {blocks}", data.len());
+                }
+            }
+        }
     }
 
     #[test]

@@ -57,6 +57,30 @@ proptest! {
         prop_assert_eq!(h.finish(), sha1(&data));
     }
 
+    /// Split and resume invariance at the lengths where the padding
+    /// changes shape: a tail that leaves room for the length suffix (55),
+    /// one that does not (56, 63, 119, 120), whole blocks (64, 128).
+    #[test]
+    fn sha1_split_and_resume_at_block_and_padding_boundaries(data in prop::collection::vec(any::<u8>(), 128..129), cut in any::<u16>()) {
+        for len in [55, 56, 63, 64, 119, 120, 128] {
+            let data = &data[..len];
+            let want = sha1(data);
+            let split = cut as usize % (len + 1);
+            let mut h = Sha1::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            prop_assert_eq!(h.finish(), want, "len {} split {}", len, split);
+            let at = split / 64 * 64;
+            let mut terminal = Sha1::new();
+            terminal.update(&data[..at]);
+            let (state, blocks) = terminal.state();
+            let mut soe = Sha1::resume(state, blocks);
+            soe.update(&data[at..split]);
+            soe.update(&data[split..]);
+            prop_assert_eq!(soe.finish(), want, "len {} resume at {}", len, at);
+        }
+    }
+
     /// Protected reads return exactly the plaintext for every scheme,
     /// offset and length.
     #[test]

@@ -612,6 +612,8 @@ impl Response {
                 out.extend_from_slice(meta);
             }
             Response::Chunks(chunks) => {
+                // Tag, count, then an index and a length before each chunk.
+                out.reserve(3 + chunks.iter().map(|(_, b)| 12 + b.len()).sum::<usize>());
                 out.push(RESP_CHUNKS);
                 put_u16(&mut out, u16::try_from(chunks.len()).expect("chunk count fits u16"));
                 for (ci, bytes) in chunks {
