@@ -21,12 +21,12 @@ use std::fmt::Write as _;
 use std::time::Instant;
 use xsac_bench::demo_key;
 use xsac_crypto::chunk::ChunkLayout;
-use xsac_crypto::store::TempPath;
 use xsac_crypto::{AccessCost, ChunkStore, IntegrityScheme};
 use xsac_datagen::{hospital::physician_name, Dataset, Profile};
 use xsac_net::{connect, ChunkServer, ClientConfig};
 use xsac_obs::{Phase, PhaseProfile};
 use xsac_soe::{DocServer, ServerDoc, SessionResult, SessionSpec};
+use xsac_testkit::TempPath;
 
 const SESSIONS_PER_BATCH: usize = 8;
 const ROUNDS: usize = 25;

@@ -133,8 +133,8 @@ impl MinimizeStats {
 ///    shadowed next to an ancestor deny-rest, duplicate/mutually-contained
 ///    same-signed rules — are dropped before any automaton is laid out,
 ///    shrinking the bank every event is run against. Recorded in
-///    [`MinimizeStats`]; disabled by
-///    [`CompiledPolicy::without_minimization`] for differential testing.
+///    [`MinimizeStats`]; disabled by [`CompilerMode::Unminimized`] (through
+///    [`CompiledPolicy::with_mode`]) for differential testing.
 /// 2. **Flat IR**: the surviving automata are merged into one contiguous
 ///    [`InstrSeq`] with `USER`-resolved comparison literals indexed by
 ///    global predicate id.
@@ -159,12 +159,6 @@ impl CompiledPolicy {
     /// Compiles a policy with minimization on (the production path).
     pub fn compile(policy: &Policy) -> CompiledPolicy {
         Self::with_mode(policy, CompilerMode::Minimized)
-    }
-
-    /// Compiles every rule as written — the escape hatch differential
-    /// tests hold against the minimized build.
-    pub fn without_minimization(policy: &Policy) -> CompiledPolicy {
-        Self::with_mode(policy, CompilerMode::Unminimized)
     }
 
     /// Compiles a policy under an explicit [`CompilerMode`].

@@ -16,7 +16,7 @@
 //! already in memory and collects the chunks into a [`MemStore`].
 
 use crate::des::TripleDes;
-use crate::merkle::{fragment_hashes, merkle_root};
+use crate::merkle::chunk_tree;
 use crate::modes::{cbc_encrypt_in_place, posxor_decrypt_in_place, posxor_encrypt_in_place, BLOCK};
 use crate::protocol::IntegrityScheme;
 use crate::sha1::{sha1, Digest};
@@ -77,10 +77,10 @@ const DIGEST_DOMAIN: u64 = 1 << 40;
 ///
 /// The default backend is the in-memory [`MemStore`]; [`FileStore`] keeps
 /// the ciphertext out of core behind a small resident window, and the
-/// test-only [`FaultStore`](crate::store::FaultStore) wraps either to
-/// inject storage failures. Every consumer reads through the
-/// [`ChunkStore`] trait, so the choice is invisible to the protocol —
-/// the `streaming_differential` harness pins byte-identical behaviour.
+/// tests wrap either to inject storage failures. Every consumer reads
+/// through the [`ChunkStore`] trait, so the choice is invisible to the
+/// protocol — the `streaming_differential` harness pins byte-identical
+/// behaviour.
 #[derive(Clone)]
 pub struct ProtectedDoc<S: ChunkStore = MemStore> {
     /// The integrity scheme in force.
@@ -191,9 +191,7 @@ impl<'k, E, F: FnMut(&[u8]) -> Result<(), E>> ChunkProtector<'k, E, F> {
             IntegrityScheme::Ecb => None,
             IntegrityScheme::CbcSha => plain_digest,
             IntegrityScheme::CbcShac => Some(sha1(&self.buf)),
-            IntegrityScheme::EcbMht => {
-                Some(merkle_root(&fragment_hashes(&self.buf, self.layout.fragment_size)))
-            }
+            IntegrityScheme::EcbMht => Some(chunk_tree(&self.buf, self.layout.fragment_size)[0]),
         };
         self.phases.record(Phase::Hash, t);
         if let Some(d) = digest {
@@ -265,8 +263,8 @@ impl ProtectedDoc {
 
     /// Re-homes this document's ciphertext (bytes as stored — including
     /// any tampering) into a file-backed store with the given resident
-    /// window. The differential and fault-injection harnesses use this to
-    /// run the *same* protected bytes through both backends.
+    /// window. The differential and fault harnesses use this to run the
+    /// *same* protected bytes through both backends.
     pub fn to_file_backed(
         &self,
         path: &Path,
@@ -286,8 +284,9 @@ impl ProtectedDoc {
 
 impl<S: ChunkStore> ProtectedDoc<S> {
     /// Re-homes the document onto a backend built from the current one —
-    /// e.g. `doc.map_store(FaultStore::new)` wraps the ciphertext in the
-    /// fault-injection test store without touching the other fields.
+    /// e.g. `doc.map_store(FaultStore::new)` (from `xsac-testkit`) wraps
+    /// the ciphertext in a fault-injecting store without touching the
+    /// other fields.
     pub fn map_store<T: ChunkStore>(self, f: impl FnOnce(S) -> T) -> ProtectedDoc<T> {
         ProtectedDoc {
             scheme: self.scheme,
@@ -348,7 +347,7 @@ pub fn chunk_iv(chunk_index: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::TempPath;
+    use xsac_testkit::TempPath;
 
     fn key() -> TripleDes {
         TripleDes::new(*b"0123456789abcdefghijklmn")

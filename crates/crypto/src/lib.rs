@@ -20,9 +20,8 @@
 //!   chunk-at-a-time protection core shared by the in-memory and
 //!   file-backed paths;
 //! * [`store`] — ciphertext storage backends behind the [`ChunkStore`]
-//!   trait: in-memory ([`MemStore`]), out-of-core file-backed with a
-//!   metered resident window ([`FileStore`]), and a fault-injecting test
-//!   wrapper ([`store::FaultStore`]);
+//!   trait: in-memory ([`MemStore`]) and out-of-core file-backed with a
+//!   metered resident window ([`FileStore`]);
 //! * [`merkle`] — per-chunk Merkle trees over ciphertext fragments;
 //! * [`protocol`] — the four integrity schemes of Figure 11 (ECB,
 //!   CBC-SHA, CBC-SHAC, ECB-MHT) with SOE/terminal cost accounting; the

@@ -10,8 +10,8 @@
 //! recomputes the root and compares it to the (encrypted) ChunkDigest."
 //!
 //! Division of labour: the *terminal* builds each visited chunk's whole
-//! tree once — [`merkle_tree`] over its [`fragment_hashes`], 2n−1 node
-//! digests in pre-order from n leaf hashes and n−1 combines — after which
+//! tree once — [`chunk_tree`]: 2n−1 node digests in pre-order, each
+//! fragment hashed straight into its leaf slot, then n−1 combines — after which
 //! [`SoeReader`](crate::SoeReader) reads every proof out of that table
 //! with [`leaf_proof`] (copies, no hashing). The *SOE* hashes only the
 //! fragments it actually reads and never trusts a terminal-computed
@@ -32,6 +32,7 @@
 //! the same pre-order node table.
 
 use crate::sha1::{sha1, sha1_padded, Digest, DIGEST_LEN};
+use std::ops::Range;
 
 /// Combines two child digests: SHA-1 of `left ‖ right`. The 40-byte
 /// message and its padding fill exactly one block, laid out here and
@@ -45,39 +46,43 @@ pub fn combine(left: &Digest, right: &Digest) -> Digest {
     sha1_padded(&block)
 }
 
-/// Leaf digests of a chunk: one SHA-1 per fragment (over ciphertext).
-pub fn fragment_hashes(chunk: &[u8], fragment_size: usize) -> Vec<Digest> {
-    chunk.chunks(fragment_size).map(sha1).collect()
+/// The whole Merkle tree over a chunk's ciphertext, one leaf per
+/// `fragment_size` fragment (the last may be short): 2n−1 node digests in
+/// pre-order (node, left subtree, right subtree), so `tree[0]` is the
+/// root (the ChunkDigest) and a node over k leaves at index i has its
+/// left child at i + 1 and its right child at i + 2·(left leaves). One
+/// allocation: each fragment is hashed straight into its leaf slot, then
+/// n−1 combines fill the inner nodes. The terminal builds one per
+/// *visited chunk*, not per fragment fetch; the publisher keeps the root.
+pub fn chunk_tree(chunk: &[u8], fragment_size: usize) -> Vec<Digest> {
+    let n = chunk.len().div_ceil(fragment_size);
+    tree_of(n, |i| sha1(&chunk[i * fragment_size..chunk.len().min((i + 1) * fragment_size)]))
 }
 
-/// The whole Merkle tree over `leaves`: 2n−1 node digests in pre-order
-/// (node, left subtree, right subtree), so `tree[0]` is the root and a
-/// node over k leaves at index i has its left child at i + 1 and its right
-/// child at i + 2·(left leaves). Built with n−1 combines; the terminal
-/// builds one per *visited chunk*, not per fragment fetch.
+/// The same tree over ready-made leaf digests.
 pub fn merkle_tree(leaves: &[Digest]) -> Vec<Digest> {
-    assert!(!leaves.is_empty(), "cannot hash an empty chunk");
-    let mut tree = vec![Digest::default(); 2 * leaves.len() - 1];
-    fill(&mut tree, leaves);
+    tree_of(leaves.len(), |i| leaves[i])
+}
+
+/// The pre-order table over `n` leaves, leaf `i` being `leaf(i)`.
+fn tree_of(n: usize, leaf: impl Fn(usize) -> Digest) -> Vec<Digest> {
+    assert!(n > 0, "cannot hash an empty chunk");
+    let mut tree = vec![Digest::default(); 2 * n - 1];
+    fill(&mut tree, 0..n, &leaf);
     tree
 }
 
-/// Fills the pre-order table `nodes` of the subtree over `leaves`;
-/// returns its root.
-fn fill(nodes: &mut [Digest], leaves: &[Digest]) -> Digest {
-    nodes[0] = if leaves.len() == 1 {
-        leaves[0]
+/// Fills the pre-order table `nodes` of the subtree over the leaves in
+/// `span`; returns its root.
+fn fill(nodes: &mut [Digest], span: Range<usize>, leaf: &impl Fn(usize) -> Digest) -> Digest {
+    nodes[0] = if span.len() == 1 {
+        leaf(span.start)
     } else {
-        let left = left_leaves(leaves.len());
-        let (l, r) = nodes[1..].split_at_mut(2 * left - 1);
-        combine(&fill(l, &leaves[..left]), &fill(r, &leaves[left..]))
+        let mid = span.start + left_leaves(span.len());
+        let (l, r) = nodes[1..].split_at_mut(2 * (mid - span.start) - 1);
+        combine(&fill(l, span.start..mid, leaf), &fill(r, mid..span.end, leaf))
     };
     nodes[0]
-}
-
-/// Merkle root of a leaf list. A single leaf is its own root.
-pub fn merkle_root(leaves: &[Digest]) -> Digest {
-    merkle_tree(leaves)[0]
 }
 
 /// Leaves under the left child of a node over `len` ≥ 2 leaves: the
@@ -234,10 +239,19 @@ fn climb(
 mod tests {
     use super::*;
     use crate::sha1::Sha1;
-    use std::ops::Range;
 
     fn leaves(n: usize) -> Vec<Digest> {
         (0..n).map(|i| sha1(&[i as u8])).collect()
+    }
+
+    /// Leaf digests of a chunk, one SHA-1 per fragment: the leaves
+    /// [`chunk_tree`] hashes in place.
+    fn fragment_hashes(chunk: &[u8], fragment_size: usize) -> Vec<Digest> {
+        chunk.chunks(fragment_size).map(sha1).collect()
+    }
+
+    fn merkle_root(leaves: &[Digest]) -> Digest {
+        merkle_tree(leaves)[0]
     }
 
     /// The recursive derivation the node table replaced: a leaf's full
@@ -443,6 +457,20 @@ mod tests {
                 staged.update(fragment);
                 assert_eq!(*digest, staged.finish(), "len {len} fragment {i}");
             }
+        }
+    }
+
+    #[test]
+    fn chunk_tree_is_the_tree_over_its_fragment_hashes() {
+        // Whole and short last fragments, one-leaf chunks, odd leaf counts.
+        for (seed, len, fs) in [(1, 2048, 128), (2, 2047, 128), (3, 700, 256), (4, 5, 128)] {
+            let data = noise(seed, len);
+            let want = merkle_tree(&fragment_hashes(&data, fs));
+            assert_eq!(chunk_tree(&data, fs), want, "len {len} fragment {fs}");
+        }
+        for len in 1..=9 * 8 {
+            let data = noise(len as u64, len);
+            assert_eq!(chunk_tree(&data, 8), merkle_tree(&fragment_hashes(&data, 8)), "len {len}");
         }
     }
 

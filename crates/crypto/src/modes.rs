@@ -19,17 +19,6 @@ use crate::des::TripleDes;
 /// Block size of the underlying cipher.
 pub const BLOCK: usize = 8;
 
-/// Pads data to a whole number of blocks with zero bytes (the document
-/// formats carry their own lengths, so zero padding is unambiguous).
-pub fn pad_blocks(data: &[u8]) -> Vec<u8> {
-    let mut out = data.to_vec();
-    let rem = out.len() % BLOCK;
-    if rem != 0 {
-        out.resize(out.len() + BLOCK - rem, 0);
-    }
-    out
-}
-
 fn to_block(bytes: &[u8]) -> u64 {
     u64::from_be_bytes(bytes.try_into().expect("8-byte block"))
 }
@@ -40,8 +29,7 @@ fn put_block(bytes: &mut [u8], v: u64) {
 
 // ---------------------------------------------------------------------
 // In-place primitives — the zero-copy decrypt pipeline's workhorses.
-// Every mode transforms whole blocks inside one caller-provided buffer;
-// the `Vec`-returning wrappers below cost exactly one allocation.
+// Every mode transforms whole blocks inside one caller-provided buffer.
 
 /// Blocks per interleaved cipher call (see [`crate::des`], "Lanes").
 const LANES: usize = 2;
@@ -128,52 +116,6 @@ pub fn cbc_decrypt_in_place(cipher: &TripleDes, data: &mut [u8], iv: u64) {
     run_blocks(cipher, true, data, |_, x| x, |_, x, y| y ^ std::mem::replace(&mut prev, x));
 }
 
-// ---------------------------------------------------------------------
-// Allocating wrappers (one `Vec` per call).
-
-/// Encrypts whole blocks in ECB mode.
-pub fn ecb_encrypt(cipher: &TripleDes, data: &[u8]) -> Vec<u8> {
-    let mut out = data.to_vec();
-    ecb_encrypt_in_place(cipher, &mut out);
-    out
-}
-
-/// Decrypts whole blocks in ECB mode.
-pub fn ecb_decrypt(cipher: &TripleDes, data: &[u8]) -> Vec<u8> {
-    let mut out = data.to_vec();
-    ecb_decrypt_in_place(cipher, &mut out);
-    out
-}
-
-/// Position-XOR ECB encryption: block `i` (counting from `first_block`) is
-/// encrypted as `E_k(b_i ⊕ (first_block + i))`.
-pub fn posxor_encrypt(cipher: &TripleDes, data: &[u8], first_block: u64) -> Vec<u8> {
-    let mut out = data.to_vec();
-    posxor_encrypt_in_place(cipher, &mut out, first_block);
-    out
-}
-
-/// Position-XOR ECB decryption.
-pub fn posxor_decrypt(cipher: &TripleDes, data: &[u8], first_block: u64) -> Vec<u8> {
-    let mut out = data.to_vec();
-    posxor_decrypt_in_place(cipher, &mut out, first_block);
-    out
-}
-
-/// CBC encryption (used by the CBC-SHA / CBC-SHAC baselines of Figure 11).
-pub fn cbc_encrypt(cipher: &TripleDes, data: &[u8], iv: u64) -> Vec<u8> {
-    let mut out = data.to_vec();
-    cbc_encrypt_in_place(cipher, &mut out, iv);
-    out
-}
-
-/// CBC decryption.
-pub fn cbc_decrypt(cipher: &TripleDes, data: &[u8], iv: u64) -> Vec<u8> {
-    let mut out = data.to_vec();
-    cbc_decrypt_in_place(cipher, &mut out, iv);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -186,23 +128,22 @@ mod tests {
         TripleDes::new(key)
     }
 
-    #[test]
-    fn pad_to_block() {
-        assert_eq!(pad_blocks(&[1, 2, 3]).len(), 8);
-        assert_eq!(pad_blocks(&[0; 8]).len(), 8);
-        assert_eq!(pad_blocks(&[0; 9]).len(), 16);
-        assert_eq!(pad_blocks(&[]).len(), 0);
+    /// `mode` applied to a copy of `data`.
+    fn run(data: &[u8], mode: impl FnOnce(&mut [u8])) -> Vec<u8> {
+        let mut out = data.to_vec();
+        mode(&mut out);
+        out
     }
 
     #[test]
     fn ecb_roundtrip_and_determinism() {
         let c = cipher();
-        let data = pad_blocks(b"identical blocks identical blocks");
-        let enc = ecb_encrypt(&c, &data);
-        assert_eq!(ecb_decrypt(&c, &enc), data);
+        let data = *b"identical blocks identical blocks\0\0\0\0\0\0\0";
+        let enc = run(&data, |b| ecb_encrypt_in_place(&c, b));
+        assert_eq!(run(&enc, |b| ecb_decrypt_in_place(&c, b)), data);
         // ECB leaks equality of blocks:
         let two = [0x42u8; 16];
-        let e = ecb_encrypt(&c, &two);
+        let e = run(&two, |b| ecb_encrypt_in_place(&c, b));
         assert_eq!(e[0..8], e[8..16], "ECB: identical plaintexts → identical ciphertexts");
     }
 
@@ -210,9 +151,9 @@ mod tests {
     fn posxor_hides_equal_blocks() {
         let c = cipher();
         let two = [0x42u8; 16];
-        let e = posxor_encrypt(&c, &two, 0);
+        let e = run(&two, |b| posxor_encrypt_in_place(&c, b, 0));
         assert_ne!(e[0..8], e[8..16], "position XOR must break ECB equality leak");
-        assert_eq!(posxor_decrypt(&c, &e, 0), two);
+        assert_eq!(run(&e, |b| posxor_decrypt_in_place(&c, b, 0)), two);
     }
 
     #[test]
@@ -220,8 +161,8 @@ mod tests {
         // Decrypting only the second block works given its position.
         let c = cipher();
         let data: Vec<u8> = (0..32).collect();
-        let enc = posxor_encrypt(&c, &data, 100);
-        let second = posxor_decrypt(&c, &enc[8..16], 101);
+        let enc = run(&data, |b| posxor_encrypt_in_place(&c, b, 100));
+        let second = run(&enc[8..16], |b| posxor_decrypt_in_place(&c, b, 101));
         assert_eq!(second, &data[8..16]);
     }
 
@@ -231,7 +172,7 @@ mod tests {
         // substitution attack of §6).
         let c = cipher();
         let data: Vec<u8> = (0..16).collect();
-        let mut enc = posxor_encrypt(&c, &data, 0);
+        let mut enc = run(&data, |b| posxor_encrypt_in_place(&c, b, 0));
         enc.swap(0, 8);
         enc.swap(1, 9);
         enc.swap(2, 10);
@@ -240,25 +181,37 @@ mod tests {
         enc.swap(5, 13);
         enc.swap(6, 14);
         enc.swap(7, 15);
-        let dec = posxor_decrypt(&c, &enc, 0);
+        let dec = run(&enc, |b| posxor_decrypt_in_place(&c, b, 0));
         assert_ne!(dec, data);
     }
 
     #[test]
-    fn in_place_matches_allocating() {
+    fn in_place_matches_block_at_a_time() {
         let c = cipher();
         let data: Vec<u8> = (0..64).collect();
+        let blocks: Vec<u64> = data.chunks_exact(BLOCK).map(to_block).collect();
+        let serial = |f: &dyn Fn(usize, u64) -> u64| -> Vec<u8> {
+            blocks.iter().enumerate().flat_map(|(i, &b)| f(i, b).to_be_bytes()).collect()
+        };
         let mut buf = data.clone();
         posxor_encrypt_in_place(&c, &mut buf, 7);
-        assert_eq!(buf, posxor_encrypt(&c, &data, 7));
+        assert_eq!(buf, serial(&|i, b| c.encrypt_block(b ^ (7 + i as u64))));
         posxor_decrypt_in_place(&c, &mut buf, 7);
         assert_eq!(buf, data);
         cbc_encrypt_in_place(&c, &mut buf, 99);
-        assert_eq!(buf, cbc_encrypt(&c, &data, 99));
+        let mut prev = 99;
+        let cbc: Vec<u8> = blocks
+            .iter()
+            .flat_map(|&b| {
+                prev = c.encrypt_block(b ^ prev);
+                prev.to_be_bytes()
+            })
+            .collect();
+        assert_eq!(buf, cbc);
         cbc_decrypt_in_place(&c, &mut buf, 99);
         assert_eq!(buf, data);
         ecb_encrypt_in_place(&c, &mut buf);
-        assert_eq!(buf, ecb_encrypt(&c, &data));
+        assert_eq!(buf, serial(&|_, b| c.encrypt_block(b)));
         ecb_decrypt_in_place(&c, &mut buf);
         assert_eq!(buf, data);
     }
@@ -267,11 +220,11 @@ mod tests {
     fn cbc_roundtrip_and_chaining() {
         let c = cipher();
         let data = [0x42u8; 24];
-        let enc = cbc_encrypt(&c, &data, 0xDEAD_BEEF);
-        assert_eq!(cbc_decrypt(&c, &enc, 0xDEAD_BEEF), data);
+        let enc = run(&data, |b| cbc_encrypt_in_place(&c, b, 0xDEAD_BEEF));
+        assert_eq!(run(&enc, |b| cbc_decrypt_in_place(&c, b, 0xDEAD_BEEF)), data);
         assert_ne!(enc[0..8], enc[8..16], "CBC hides equal blocks");
         // Wrong IV corrupts only the first block.
-        let dec = cbc_decrypt(&c, &enc, 0);
+        let dec = run(&enc, |b| cbc_decrypt_in_place(&c, b, 0));
         assert_ne!(dec[0..8], data[0..8]);
         assert_eq!(dec[8..24], data[8..24]);
     }

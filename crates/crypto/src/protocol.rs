@@ -29,8 +29,8 @@
 //! Every ciphertext byte reaches the reader through the document's
 //! [`ChunkStore`] — in-memory ([`MemStore`]),
 //! file-backed behind a bounded resident window
-//! ([`FileStore`](crate::store::FileStore)), or a fault-injecting test
-//! wrapper ([`FaultStore`](crate::store::FaultStore)). The fetch unit is
+//! ([`FileStore`](crate::store::FileStore)), or any wrapper over them
+//! (the tests inject faults through one). The fetch unit is
 //! bounded for every scheme (covering blocks clipped to one chunk for
 //! ECB, one fragment for ECB-MHT, one chunk for the CBC schemes), so a
 //! session's resident state is O(chunk), whatever the document size.
@@ -41,7 +41,7 @@
 
 use crate::chunk::{decrypt_digest, ProtectedDoc, DIGEST_RECORD};
 use crate::des::TripleDes;
-use crate::merkle::{fragment_hashes, leaf_proof, merkle_tree, VerifiedNodes};
+use crate::merkle::{chunk_tree, leaf_proof, VerifiedNodes};
 use crate::modes::{cbc_decrypt_in_place, posxor_decrypt_in_place, BLOCK};
 use crate::sha1::{sha1, Digest};
 use crate::store::{ChunkStore, MemStore, StoreError};
@@ -81,11 +81,6 @@ impl IntegrityScheme {
             IntegrityScheme::CbcShac => "CBC-SHAC",
             IntegrityScheme::EcbMht => "ECB-MHT",
         }
-    }
-
-    /// Does the scheme detect tampering at all?
-    pub fn tamper_resistant(self) -> bool {
-        self != IntegrityScheme::Ecb
     }
 }
 
@@ -190,7 +185,7 @@ impl AccessCost {
 /// serving the same [`ProtectedDoc`].
 ///
 /// One lazily-initialized slot per chunk holding the chunk's whole tree
-/// ([`merkle_tree`]: 2n−1 digests, about 300 bytes more than its n leaves
+/// ([`chunk_tree`]: 2n−1 digests, about 300 bytes more than its n leaves
 /// at the default layout): the first session to fetch any fragment of a
 /// chunk builds (and is metered for) it; every other fetch — same session
 /// or a concurrent one — reads its Merkle proof out of the cached table
@@ -229,7 +224,7 @@ impl LeafCache {
         let mut computed = false;
         let tree = self.chunks[ci].get_or_init(|| {
             computed = true;
-            merkle_tree(&fragment_hashes(chunk, fragment_size))
+            chunk_tree(chunk, fragment_size)
         });
         if computed {
             charge(chunk.len() as u64);
@@ -799,8 +794,9 @@ use tests::note_deciphered;
 mod tests {
     use super::*;
     use crate::chunk::ChunkLayout;
-    use crate::store::{FaultStore, InjectedFault, TempPath};
     use std::cell::Cell;
+    use std::sync::Mutex;
+    use xsac_testkit::TempPath;
 
     thread_local! {
         static DECIPHERED: Cell<u64> = const { Cell::new(0) };
@@ -877,25 +873,6 @@ mod tests {
             }
             // The reader survives: a valid read still works.
             assert!(r.read(0, 8).is_ok());
-        }
-    }
-
-    #[test]
-    fn store_fault_surfaces_and_no_partial_delivery() {
-        for scheme in IntegrityScheme::ALL {
-            let (p, data) = doc(scheme, 8192);
-            let k = key();
-            let faulty = p.map_store(FaultStore::new);
-            let mut r = SoeReader::new(&faulty, &k);
-            r.read(0, 16).unwrap(); // warm: read 0 (+ leaf chunk read for MHT)
-            let n_warm = faulty.store.reads_seen();
-            faulty.store.fail_read(n_warm, InjectedFault::Io);
-            // Spanning request: the first unit comes from the warm working
-            // buffer, the next store read fails — the read lends nothing.
-            let err = r.read(0, 4100).unwrap_err();
-            assert!(matches!(err, ReadError::Store(StoreError::Io { .. })), "{scheme:?}: {err:?}");
-            // The reader recovers once the (transient) fault passes.
-            assert_eq!(r.read(0, 4100).unwrap(), &data[0..4100], "{scheme:?}");
         }
     }
 
@@ -1066,14 +1043,41 @@ mod tests {
         (r.verified_chunk, nodes.collect())
     }
 
-    /// `p` behind a [`FaultStore`], with a terminal tree cache already
-    /// warmed over every chunk: sessions sharing it stage each fragment
-    /// from the store, not from the copy of a chunk read for a cold tree
-    /// build, so corruption injected mid-session reaches them.
-    fn faulty_with_warm_trees(
-        p: &ProtectedDoc,
-    ) -> (ProtectedDoc<FaultStore<MemStore>>, Arc<LeafCache>) {
-        let faulty = p.clone().map_store(FaultStore::new);
+    /// An in-memory store whose medium goes bad on demand: a corrupted
+    /// byte reads flipped from then on, for every read covering it.
+    struct Corrupting {
+        inner: MemStore,
+        flips: Mutex<Vec<(usize, u8)>>,
+    }
+
+    impl Corrupting {
+        fn corrupt(&self, offset: usize, mask: u8) {
+            self.flips.lock().unwrap().push((offset, mask));
+        }
+    }
+
+    impl ChunkStore for Corrupting {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+
+        fn read_at(&self, offset: usize, buf: &mut [u8]) -> Result<(), StoreError> {
+            self.inner.read_at(offset, buf)?;
+            for &(pos, mask) in self.flips.lock().unwrap().iter() {
+                if (offset..offset + buf.len()).contains(&pos) {
+                    buf[pos - offset] ^= mask;
+                }
+            }
+            Ok(())
+        }
+    }
+
+    /// `p` behind a [`Corrupting`] store, with a terminal tree cache
+    /// already warmed over every chunk: sessions sharing it stage each
+    /// fragment from the store, not from the copy of a chunk read for a
+    /// cold tree build, so corruption injected mid-session reaches them.
+    fn faulty_with_warm_trees(p: &ProtectedDoc) -> (ProtectedDoc<Corrupting>, Arc<LeafCache>) {
+        let faulty = p.clone().map_store(|inner| Corrupting { inner, flips: Mutex::default() });
         let cache = Arc::new(LeafCache::for_doc(&faulty));
         let k = key();
         let mut warm = SoeReader::with_leaf_cache(&faulty, &k, Arc::clone(&cache));

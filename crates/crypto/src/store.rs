@@ -6,7 +6,7 @@
 //! crosses into the SOE a bounded unit at a time. [`ChunkStore`] models
 //! that boundary: a fallible, bounded, `Sync` read interface the
 //! [`SoeReader`](crate::SoeReader) pulls every ciphertext byte through.
-//! Three backends:
+//! Two backends:
 //!
 //! * [`MemStore`] — the whole ciphertext in one `Vec<u8>` (documents
 //!   that fit in RAM).
@@ -14,9 +14,10 @@
 //!   a small, metered **resident window** of recently-read chunks is held
 //!   in memory. N concurrent sessions over one shared `FileStore` stay
 //!   O(window), not O(document) — [`ResidencyMeter`] proves it.
-//! * [`FaultStore`] — a test-only wrapper injecting short reads, I/O
-//!   errors and byte corruption on a schedule, so the fault paths of the
-//!   whole read pipeline are exercised deterministically.
+//!
+//! The fault paths of the whole read pipeline are exercised through
+//! `xsac-testkit`'s `FaultStore`, a wrapper over any backend that
+//! injects short reads, I/O errors and byte corruption on a schedule.
 //!
 //! Storage failures surface as typed [`StoreError`]s (never a panic) and
 //! flow through [`ReadError`](crate::protocol::ReadError) next to
@@ -26,7 +27,7 @@
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::{fmt, io};
@@ -287,8 +288,8 @@ struct PoolInner {
 }
 
 /// An opaque ticket naming one document registered in a [`WindowPool`]
-/// (obtained from [`ChunkWindow::pool_doc`], consumed by
-/// [`WindowPool::purge_doc`]).
+/// (obtained from [`WindowPool::register`], consumed by
+/// [`ChunkWindow::in_pool`] and [`WindowPool::purge_doc`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolDoc(u32);
 
@@ -373,37 +374,27 @@ impl WindowPool {
         self.inner.lock().expect("window pool").lru.len()
     }
 
-    /// Registers a document of `chunk_count` chunks; the returned id
-    /// keys its slots and bitmap.
-    fn register(&self, chunk_count: usize) -> u32 {
+    /// Registers a document of `doc_len` ciphertext bytes in chunks of
+    /// `chunk_size`; the returned ticket keys its slots, bitmap and
+    /// counters. Every window built from the ticket
+    /// ([`ChunkWindow::in_pool`]) shares them, so a registry that
+    /// registers a tenant once and builds a window per open keeps the
+    /// ever-fetched bitmap across close/reopen cycles: post-reopen
+    /// fetches meter as refetches (the honest cost of the close).
+    pub fn register(&self, doc_len: usize, chunk_size: usize) -> PoolDoc {
+        assert!(chunk_size > 0, "chunk size must be positive");
         let mut inner = self.inner.lock().expect("window pool");
         inner.docs.push(DocState {
-            ever: vec![0; chunk_count.div_ceil(64)],
+            ever: vec![0; doc_len.div_ceil(chunk_size).div_ceil(64)],
             fetches: 0,
             refetches: 0,
         });
-        u32::try_from(inner.docs.len() - 1).expect("pool document count fits u32")
-    }
-
-    /// Re-attaches an existing registration for a document of
-    /// `chunk_count` chunks: the ever-fetched bitmap (and the
-    /// fetch/refetch counters) survive, growing the bitmap if the
-    /// backing file grew between opens. The close/reopen path —
-    /// repeated cycles must not accumulate `DocState`s the way a fresh
-    /// [`register`](WindowPool::register) per reopen would.
-    fn rebind(&self, doc: PoolDoc, chunk_count: usize) {
-        let mut inner = self.inner.lock().expect("window pool");
-        let state = &mut inner.docs[doc.0 as usize];
-        let words = chunk_count.div_ceil(64);
-        if state.ever.len() < words {
-            state.ever.resize(words, 0);
-        }
+        PoolDoc(u32::try_from(inner.docs.len() - 1).expect("pool document count fits u32"))
     }
 
     /// Number of documents ever registered in this pool (registrations
-    /// are permanent; close/reopen cycles reuse their ticket via
-    /// [`ChunkWindow::rejoin_pool`], so this tracks *distinct*
-    /// documents, not open/close churn).
+    /// are permanent; close/reopen cycles reuse their ticket, so this
+    /// tracks *distinct* documents, not open/close churn).
     pub fn registered_docs(&self) -> usize {
         self.inner.lock().expect("window pool").docs.len()
     }
@@ -466,35 +457,25 @@ impl ChunkWindow {
     /// chunks of `chunk_size`, bounded by a private pool of
     /// `window_bytes`.
     pub fn new(doc_len: usize, chunk_size: usize, window_bytes: usize) -> ChunkWindow {
-        ChunkWindow::in_pool(&Arc::new(WindowPool::new(window_bytes)), doc_len, chunk_size)
+        let pool = Arc::new(WindowPool::new(window_bytes));
+        let doc = pool.register(doc_len, chunk_size);
+        ChunkWindow::in_pool(&pool, doc, doc_len, chunk_size)
     }
 
-    /// A window over a document of `doc_len` ciphertext bytes in chunks
-    /// of `chunk_size`, sharing `pool`'s global residency budget with
-    /// every other document registered there.
-    pub fn in_pool(pool: &Arc<WindowPool>, doc_len: usize, chunk_size: usize) -> ChunkWindow {
-        assert!(chunk_size > 0, "chunk size must be positive");
-        let doc = pool.register(doc_len.div_ceil(chunk_size));
-        ChunkWindow { pool: Arc::clone(pool), doc, doc_len, chunk_size }
-    }
-
-    /// A window that **rejoins** `pool` under an existing ticket — the
-    /// registry's close/reopen path. The document keeps its ever-fetched
-    /// bitmap and per-document counters, so post-reopen fetches meter as
-    /// refetches (the honest cost of the close) and reopen churn does
-    /// not grow the pool's registration table.
+    /// A window over the document `doc` registered in `pool` (as
+    /// `doc_len` ciphertext bytes in chunks of `chunk_size`), sharing
+    /// the pool's global residency budget with every other document
+    /// registered there.
     ///
-    /// `doc` must have come from a [`ChunkWindow::pool_doc`] of this
-    /// same pool; passing a ticket from another pool corrupts that
-    /// pool's accounting.
-    pub fn rejoin_pool(
+    /// `doc` must have come from [`WindowPool::register`] on this same
+    /// pool; a ticket from another pool corrupts that pool's accounting.
+    pub fn in_pool(
         pool: &Arc<WindowPool>,
         doc: PoolDoc,
         doc_len: usize,
         chunk_size: usize,
     ) -> ChunkWindow {
         assert!(chunk_size > 0, "chunk size must be positive");
-        pool.rebind(doc, doc_len.div_ceil(chunk_size));
         ChunkWindow { pool: Arc::clone(pool), doc: doc.0, doc_len, chunk_size }
     }
 
@@ -507,13 +488,6 @@ impl ChunkWindow {
     /// The pool this window draws residency from.
     pub fn pool(&self) -> &Arc<WindowPool> {
         &self.pool
-    }
-
-    /// This document's ticket in the pool (for
-    /// [`WindowPool::purge_doc`] after the window is type-erased or
-    /// dropped from a registry).
-    pub fn pool_doc(&self) -> PoolDoc {
-        PoolDoc(self.doc)
     }
 
     /// The chunk size the window is organized around.
@@ -795,136 +769,10 @@ impl ChunkStore for FileStore {
     }
 }
 
-/// Which failure a [`FaultStore`] injects for a scheduled read.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum InjectedFault {
-    /// The backend delivers fewer bytes than asked.
-    ShortRead,
-    /// The backend fails with a transient I/O error.
-    Io,
-}
-
-#[derive(Default)]
-struct FaultPlan {
-    /// `(read index, fault)` — fires when the matching read arrives.
-    scheduled: Vec<(u64, InjectedFault)>,
-    /// Persistently corrupted stored bytes: `(offset, xor mask)`.
-    corrupt: Vec<(usize, u8)>,
-}
-
-/// Test-only wrapper injecting storage faults on a deterministic
-/// schedule: short reads, transient I/O errors, and persistent byte
-/// corruption (a flipped bit on the medium, visible to *every* read that
-/// covers it). Wraps any backend.
-pub struct FaultStore<S: ChunkStore> {
-    inner: S,
-    reads: AtomicU64,
-    plan: Mutex<FaultPlan>,
-}
-
-impl<S: ChunkStore> FaultStore<S> {
-    /// Wraps a backend with an empty fault plan (behaves identically to
-    /// the backend until faults are scheduled).
-    pub fn new(inner: S) -> FaultStore<S> {
-        FaultStore { inner, reads: AtomicU64::new(0), plan: Mutex::new(FaultPlan::default()) }
-    }
-
-    /// Schedules `fault` for the `nth` store read (0-based, counted
-    /// across all sessions sharing the store).
-    pub fn fail_read(&self, nth: u64, fault: InjectedFault) {
-        self.plan.lock().expect("fault plan").scheduled.push((nth, fault));
-    }
-
-    /// Corrupts the stored byte at `offset` (XOR `mask`) for every
-    /// subsequent read covering it.
-    pub fn corrupt(&self, offset: usize, mask: u8) {
-        assert!(mask != 0, "a zero mask corrupts nothing");
-        self.plan.lock().expect("fault plan").corrupt.push((offset, mask));
-    }
-
-    /// Number of reads served (or failed) so far.
-    pub fn reads_seen(&self) -> u64 {
-        self.reads.load(Ordering::Relaxed)
-    }
-
-    /// The wrapped backend.
-    pub fn inner(&self) -> &S {
-        &self.inner
-    }
-}
-
-impl<S: ChunkStore> ChunkStore for FaultStore<S> {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    fn read_at(&self, offset: usize, buf: &mut [u8]) -> Result<(), StoreError> {
-        let idx = self.reads.fetch_add(1, Ordering::Relaxed);
-        let fault = {
-            let plan = self.plan.lock().expect("fault plan");
-            plan.scheduled.iter().find(|(n, _)| *n == idx).map(|(_, f)| *f)
-        };
-        match fault {
-            Some(InjectedFault::ShortRead) => {
-                return Err(StoreError::ShortRead { offset, wanted: buf.len(), got: buf.len() / 2 })
-            }
-            Some(InjectedFault::Io) => {
-                return Err(StoreError::Io {
-                    offset,
-                    kind: io::ErrorKind::Other,
-                    msg: "injected transient I/O error".to_owned(),
-                })
-            }
-            None => {}
-        }
-        self.inner.read_at(offset, buf)?;
-        let plan = self.plan.lock().expect("fault plan");
-        for &(pos, mask) in &plan.corrupt {
-            if pos >= offset && pos < offset + buf.len() {
-                buf[pos - offset] ^= mask;
-            }
-        }
-        Ok(())
-    }
-
-    fn meter(&self) -> Option<&ResidencyMeter> {
-        self.inner.meter()
-    }
-}
-
-/// A unique path under the system temp directory, removed on drop —
-/// shared cleanup helper for the file-backed tests, benches and
-/// examples (keeps the CI temp-dir hygiene check green without an
-/// external `tempfile` crate).
-pub struct TempPath {
-    path: PathBuf,
-}
-
-static TEMP_COUNTER: AtomicU64 = AtomicU64::new(0);
-
-impl TempPath {
-    /// A fresh `xsac-<label>-<pid>-<n>` path (not yet created).
-    pub fn new(label: &str) -> TempPath {
-        let n = TEMP_COUNTER.fetch_add(1, Ordering::Relaxed);
-        let path = std::env::temp_dir().join(format!("xsac-{label}-{}-{n}", std::process::id()));
-        TempPath { path }
-    }
-
-    /// The path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-}
-
-impl Drop for TempPath {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use xsac_testkit::TempPath;
 
     fn data(n: usize) -> Vec<u8> {
         (0..n).map(|i| (i * 13 % 251) as u8).collect()
@@ -1008,24 +856,6 @@ mod tests {
     }
 
     #[test]
-    fn fault_store_schedule_and_corruption() {
-        let s = FaultStore::new(MemStore::new(data(1000)));
-        s.fail_read(1, InjectedFault::Io);
-        s.fail_read(2, InjectedFault::ShortRead);
-        s.corrupt(500, 0x01);
-        let mut buf = [0u8; 8];
-        s.read_at(0, &mut buf).unwrap(); // read 0: clean
-        assert!(matches!(s.read_at(0, &mut buf), Err(StoreError::Io { .. })));
-        assert!(matches!(s.read_at(0, &mut buf), Err(StoreError::ShortRead { .. })));
-        s.read_at(496, &mut buf).unwrap(); // read 3: corrupted byte visible
-        assert_eq!(buf[4], data(1000)[500] ^ 0x01);
-        // And the corruption is persistent across reads.
-        s.read_at(496, &mut buf).unwrap();
-        assert_eq!(buf[4], data(1000)[500] ^ 0x01);
-        assert_eq!(s.reads_seen(), 5);
-    }
-
-    #[test]
     fn chunk_window_batched_fetch_and_refetch_stats() {
         // A miss may bring read-ahead chunks along; later reads of those
         // chunks hit the window (no new fetch). Refetches count only
@@ -1081,7 +911,10 @@ mod tests {
         std::fs::write(tb.path(), &db).unwrap();
         let open = |path: &Path, len| {
             let file = File::open(path).unwrap();
-            FileStore::from_open_file(file, ChunkWindow::in_pool(&pool, len, 512))
+            FileStore::from_open_file(
+                file,
+                ChunkWindow::in_pool(&pool, pool.register(len, 512), len, 512),
+            )
         };
         let (a, b) = (open(ta.path(), da.len()), open(tb.path(), db.len()));
         let mut buf = [0u8; 8];
@@ -1115,12 +948,13 @@ mod tests {
         let bytes = data(4 * 512);
         std::fs::write(tmp.path(), &bytes).unwrap();
         let file = File::open(tmp.path()).unwrap();
-        let s = FileStore::from_open_file(file, ChunkWindow::in_pool(&pool, bytes.len(), 512));
+        let token = pool.register(bytes.len(), 512);
+        let s =
+            FileStore::from_open_file(file, ChunkWindow::in_pool(&pool, token, bytes.len(), 512));
         let mut buf = vec![0u8; bytes.len()];
         s.read_at(0, &mut buf).unwrap();
         assert_eq!(buf, bytes);
         assert_eq!(pool.resident_chunks(), 4);
-        let token = s.window().pool_doc();
         pool.purge_doc(token);
         assert_eq!(pool.resident_chunks(), 0);
         assert_eq!(pool.meter().resident_bytes_now(), 0);
@@ -1135,8 +969,8 @@ mod tests {
 
     #[test]
     fn window_pool_rejoin_reuses_ticket_and_bitmap_across_reopen_churn() {
-        // The registry's close/reopen path: purge, then rejoin under the
-        // original ticket. The registration table must not grow with the
+        // The registry's close/reopen path: purge, then reopen a window
+        // under the original ticket. The registration table must not grow with the
         // churn, and every post-reopen fetch must meter as a refetch —
         // the honest round-trip cost of the close.
         let pool = Arc::new(WindowPool::new(8 * 512));
@@ -1145,16 +979,17 @@ mod tests {
         std::fs::write(tmp.path(), &bytes).unwrap();
         let mut buf = vec![0u8; bytes.len()];
         let file = File::open(tmp.path()).unwrap();
-        let s = FileStore::from_open_file(file, ChunkWindow::in_pool(&pool, bytes.len(), 512));
+        let token = pool.register(bytes.len(), 512);
+        let s =
+            FileStore::from_open_file(file, ChunkWindow::in_pool(&pool, token, bytes.len(), 512));
         s.read_at(0, &mut buf).unwrap();
         assert_eq!(buf, bytes);
-        let token = s.window().pool_doc();
         drop(s);
         pool.purge_doc(token);
         assert_eq!(pool.registered_docs(), 1);
         for cycle in 1..=3u64 {
             let file = std::fs::File::open(tmp.path()).unwrap();
-            let window = ChunkWindow::rejoin_pool(&pool, token, bytes.len(), 512);
+            let window = ChunkWindow::in_pool(&pool, token, bytes.len(), 512);
             let s = FileStore::from_open_file(file, window);
             s.read_at(0, &mut buf).unwrap();
             assert_eq!(buf, bytes, "reopen cycle {cycle} served the wrong bytes");
@@ -1212,16 +1047,5 @@ mod tests {
             let e = StoreError::Io { offset: 0, kind, msg: "blip".to_owned() };
             assert!(e.is_transient(), "{e} must be transient");
         }
-    }
-
-    #[test]
-    fn temp_path_removed_on_drop() {
-        let path = {
-            let tmp = TempPath::new("droptest");
-            std::fs::write(tmp.path(), b"x").unwrap();
-            assert!(tmp.path().exists());
-            tmp.path().to_path_buf()
-        };
-        assert!(!path.exists(), "TempPath must clean up after itself");
     }
 }

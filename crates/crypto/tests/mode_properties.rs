@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use xsac_crypto::chunk::{ChunkLayout, ProtectedDoc};
 use xsac_crypto::modes::{
-    cbc_decrypt, cbc_encrypt, ecb_decrypt, ecb_encrypt, pad_blocks, posxor_decrypt, posxor_encrypt,
+    cbc_decrypt_in_place, cbc_encrypt_in_place, ecb_decrypt_in_place, ecb_encrypt_in_place,
+    posxor_decrypt_in_place, posxor_encrypt_in_place, BLOCK,
 };
 use xsac_crypto::sha1::{sha1, Sha1};
 use xsac_crypto::{IntegrityScheme, SoeReader, TripleDes};
@@ -17,16 +18,27 @@ fn key(seed: u8) -> TripleDes {
     TripleDes::new(k)
 }
 
+/// `mode` applied to a copy of `data`.
+fn run(data: &[u8], mode: impl FnOnce(&mut [u8])) -> Vec<u8> {
+    let mut out = data.to_vec();
+    mode(&mut out);
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..Default::default() })]
 
     #[test]
     fn all_modes_roundtrip(data in prop::collection::vec(any::<u8>(), 0..256), seed in any::<u8>(), pos in 0u64..1_000_000, iv in any::<u64>()) {
         let k = key(seed);
-        let padded = pad_blocks(&data);
-        prop_assert_eq!(ecb_decrypt(&k, &ecb_encrypt(&k, &padded)), padded.clone());
-        prop_assert_eq!(posxor_decrypt(&k, &posxor_encrypt(&k, &padded, pos), pos), padded.clone());
-        prop_assert_eq!(cbc_decrypt(&k, &cbc_encrypt(&k, &padded, iv), iv), padded);
+        let mut padded = data;
+        padded.resize(padded.len().next_multiple_of(BLOCK), 0);
+        let ecb = run(&padded, |b| ecb_encrypt_in_place(&k, b));
+        prop_assert_eq!(run(&ecb, |b| ecb_decrypt_in_place(&k, b)), padded.clone());
+        let posxor = run(&padded, |b| posxor_encrypt_in_place(&k, b, pos));
+        prop_assert_eq!(run(&posxor, |b| posxor_decrypt_in_place(&k, b, pos)), padded.clone());
+        let cbc = run(&padded, |b| cbc_encrypt_in_place(&k, b, iv));
+        prop_assert_eq!(run(&cbc, |b| cbc_decrypt_in_place(&k, b, iv)), padded);
     }
 
     /// Position binding: the same plaintext encrypts differently at
@@ -35,10 +47,10 @@ proptest! {
     fn posxor_binds_positions(block in any::<[u8; 8]>(), p1 in 0u64..1000, p2 in 0u64..1000, seed in any::<u8>()) {
         prop_assume!(p1 != p2);
         let k = key(seed);
-        let c1 = posxor_encrypt(&k, &block, p1);
-        let c2 = posxor_encrypt(&k, &block, p2);
+        let c1 = run(&block, |b| posxor_encrypt_in_place(&k, b, p1));
+        let c2 = run(&block, |b| posxor_encrypt_in_place(&k, b, p2));
         prop_assert_ne!(&c1, &c2, "identical ciphertexts leak positions");
-        prop_assert_ne!(posxor_decrypt(&k, &c1, p2), block.to_vec());
+        prop_assert_ne!(run(&c1, |b| posxor_decrypt_in_place(&k, b, p2)), block.to_vec());
     }
 
     /// SHA-1 incremental == one-shot for arbitrary chunkings.

@@ -7,8 +7,9 @@
 //! memory.
 
 use xsac_crypto::chunk::ChunkLayout;
-use xsac_crypto::store::{FaultStore, InjectedFault, MemStore, StoreError, TempPath};
+use xsac_crypto::store::{MemStore, StoreError};
 use xsac_crypto::{IntegrityScheme, ProtectedDoc, ReadError, SoeReader, TripleDes};
+use xsac_testkit::{FaultStore, InjectedFault, TempPath};
 
 fn key() -> TripleDes {
     TripleDes::new(*b"fault-injection-key-24ab")
@@ -47,6 +48,27 @@ fn every_fault_mode_is_a_typed_error_for_every_scheme() {
             // …and the reader recovers once the transient fault passes.
             assert_eq!(r.read(0, 32).unwrap(), &data[0..32], "{scheme:?}/{fault:?}");
         }
+    }
+}
+
+#[test]
+fn store_fault_surfaces_and_no_partial_delivery() {
+    for scheme in IntegrityScheme::ALL {
+        // The default layout: a 4100-byte read spans the warm first unit.
+        let data: Vec<u8> = (0..8192).map(|i| (i * 7 % 251) as u8).collect();
+        let k = key();
+        let p = ProtectedDoc::protect(&data, &k, scheme, ChunkLayout::default());
+        let faulty = p.map_store(FaultStore::new);
+        let mut r = SoeReader::new(&faulty, &k);
+        r.read(0, 16).unwrap(); // warm: read 0 (+ leaf chunk read for MHT)
+        let n_warm = faulty.store.reads_seen();
+        faulty.store.fail_read(n_warm, InjectedFault::Io);
+        // Spanning request: the first unit comes from the warm working
+        // buffer, the next store read fails — the read lends nothing.
+        let err = r.read(0, 4100).unwrap_err();
+        assert!(matches!(err, ReadError::Store(StoreError::Io { .. })), "{scheme:?}: {err:?}");
+        // The reader recovers once the (transient) fault passes.
+        assert_eq!(r.read(0, 4100).unwrap(), &data[0..4100], "{scheme:?}");
     }
 }
 

@@ -60,17 +60,14 @@
 //! * the server arms every accepted socket with read/write deadlines
 //!   and a per-connection frame budget ([`ServerConfig`]), evicting
 //!   slow or greedy peers (counted in the [`ServiceSnapshot`]) instead of
-//!   letting them pin connection threads;
-//! * the `fault` module (test-only, behind the `fault-injection`
-//!   feature for external harnesses — not part of normal builds, so not
-//!   linkable here) is a chaos proxy used by
-//!   `tests/network_faults.rs` to prove recoverable fault schedules
-//!   yield byte-identical sessions and unrecoverable ones yield typed
-//!   errors with no partial plaintext.
+//!   letting them pin connection threads.
+//!
+//! `xsac-testkit`'s `FaultTransport`, a dev-only chaos proxy, drives
+//! `tests/network_faults.rs` to prove recoverable fault schedules yield
+//! byte-identical sessions and unrecoverable ones yield typed errors with
+//! no partial plaintext.
 
 pub mod client;
-#[cfg(any(test, feature = "fault-injection"))]
-pub mod fault;
 pub mod meta;
 pub mod registry;
 pub mod server;
@@ -81,11 +78,9 @@ pub use client::{
     admin_close_doc, connect, fetch_stats, ClientConfig, ConnectError, RemoteStats, RemoteStore,
     RetryConfig,
 };
-#[cfg(any(test, feature = "fault-injection"))]
-pub use fault::{FaultPlan, FaultTransport, NetFault};
 pub use registry::{DocRegistry, DocRow, OpenError, RegistrySnapshot, ServedDoc};
 pub use server::{ChunkServer, ServerConfig, ServerHandle, ServiceSnapshot};
-pub use stats::{decode_snapshot, encode_snapshot, render_json, render_text, SNAPSHOT_VERSION};
+pub use stats::{decode_snapshot, encode_snapshot, render_text, SNAPSHOT_VERSION};
 pub use wire::{AdminOp, AdminReply, Fault, WireError, PROTOCOL_VERSION};
 
 #[cfg(test)]
@@ -100,6 +95,7 @@ mod tests {
     use xsac_crypto::store::StoreError;
     use xsac_crypto::{ChunkStore, IntegrityScheme, TripleDes};
     use xsac_soe::{run_session_shared, CompiledPolicy, ServerDoc, SessionConfig};
+    use xsac_testkit::{FaultPlan, FaultTransport, NetFault, TempPath};
 
     fn key() -> TripleDes {
         TripleDes::new(*b"net-crate-test-key-24-ab")
@@ -307,7 +303,7 @@ mod tests {
         let doc = xsac_xml::Document::parse(&xml).unwrap();
         let mem = ServerDoc::prepare(&doc, &key(), IntegrityScheme::EcbMht, tiny_layout());
         let want = mem.protected.ciphertext().to_vec();
-        let tmp = xsac_crypto::store::TempPath::new("net-disk-to-socket");
+        let tmp = TempPath::new("net-disk-to-socket");
         let file = ServerDoc::prepare_to_store_with_stats(
             &doc,
             &key(),
@@ -420,7 +416,7 @@ mod tests {
             .spawn("127.0.0.1:0")
             .unwrap();
         let direct = connect(handle.addr(), "doc", ClientConfig::default()).unwrap();
-        let proxy = fault::FaultTransport::spawn(handle.addr()).unwrap();
+        let proxy = FaultTransport::spawn(handle.addr()).unwrap();
         let proxied = connect(proxy.addr(), "doc", ClientConfig::default()).unwrap();
         let mut a = vec![0u8; direct.protected.ciphertext_len()];
         let mut b = vec![0u8; proxied.protected.ciphertext_len()];
@@ -440,10 +436,10 @@ mod tests {
         let handle = ChunkServer::new(prepared(&xml, IntegrityScheme::Ecb), "doc")
             .spawn("127.0.0.1:0")
             .unwrap();
-        let proxy = fault::FaultTransport::spawn(handle.addr()).unwrap();
+        let proxy = FaultTransport::spawn(handle.addr()).unwrap();
         // First connection dies 2 response frames in (the Hello reply
         // and one chunk batch: mid-scan); the replacement is clean.
-        proxy.push_plan(fault::FaultPlan::faulty(fault::NetFault::DropAfter(2)));
+        proxy.push_plan(FaultPlan::faulty(NetFault::DropAfter(2)));
         let remote = connect(
             proxy.addr(),
             "doc",
@@ -611,7 +607,7 @@ mod tests {
         let mut tmps = Vec::new();
         let registry = Arc::new(DocRegistry::new(512).with_max_open_docs(1));
         for id in ["a", "b"] {
-            let tmp = xsac_crypto::store::TempPath::new("net-lazy-tenant");
+            let tmp = TempPath::new("net-lazy-tenant");
             let file = ServerDoc::prepare_to_store_with_stats(
                 &doc,
                 &key(),
@@ -750,8 +746,8 @@ mod tests {
         // Through the proxy, the first connection forwards the Hello
         // reply and dies on the chunk response: the client reconnects
         // (one Hello) and re-issues its one-chunk batch.
-        let proxy = fault::FaultTransport::spawn(handle.addr()).unwrap();
-        proxy.push_plan(fault::FaultPlan::faulty(fault::NetFault::DropAfter(1)));
+        let proxy = FaultTransport::spawn(handle.addr()).unwrap();
+        proxy.push_plan(FaultPlan::faulty(NetFault::DropAfter(1)));
         let remote = connect(proxy.addr(), "doc", config).unwrap();
         assert_eq!(requests(&handle), (2, 2));
         let mut buf = [0u8; 8];
@@ -797,7 +793,7 @@ mod tests {
         let registry = Arc::new(DocRegistry::new(1 << 20));
         let mut tmps = Vec::new();
         for id in ["cut", "whole"] {
-            let tmp = xsac_crypto::store::TempPath::new("net-truncated");
+            let tmp = TempPath::new("net-truncated");
             let layout = tiny_layout();
             let file = ServerDoc::prepare_to_store_with_stats(
                 &doc,
@@ -848,7 +844,7 @@ mod tests {
         let xml = wide_xml();
         let doc = xsac_xml::Document::parse(&xml).unwrap();
         let registry = DocRegistry::new(1 << 20);
-        let tmp = xsac_crypto::store::TempPath::new("net-reinsert");
+        let tmp = TempPath::new("net-reinsert");
         let file = ServerDoc::prepare_to_store_with_stats(
             &doc,
             &key(),

@@ -11,10 +11,11 @@
 //!   [`ChunkServer::new`](crate::ChunkServer::new) shape is a registry
 //!   with one resident entry;
 //! * **lazy file-backed** documents ([`DocRegistry::insert_file`]) —
-//!   registered as metadata + a ciphertext path, opened on first route
+//!   registered as metadata + a ciphertext path (and a ticket in the
+//!   registry's one shared [`WindowPool`]), opened on first route
 //!   through [`FileStore::from_open_file`] over a
 //!   [`ChunkWindow::in_pool`] window, so every tenant's resident
-//!   chunks draw from the registry's one shared [`WindowPool`] budget,
+//!   chunks draw from that pool's budget,
 //!   and closed again (LRU, [`max_open_docs`](DocRegistry::with_max_open_docs))
 //!   when too many lazy tenants are open at once.
 //!
@@ -112,18 +113,17 @@ enum Backing {
     /// Always open (in-memory or caller-managed store).
     Resident(Arc<ServedDoc>),
     /// Lazy file-backed: opened on first route, closable under LRU
-    /// pressure. `pool_doc` is the store's pool ticket: set at first
-    /// open and kept across close/reopen cycles, so a close can purge
-    /// the tenant's resident chunks and a reopen rejoins the pool under
-    /// the same ticket (the ever-fetched bitmap survives — post-reopen
-    /// traffic meters as refetches, and churn does not grow the pool's
-    /// registration table).
+    /// pressure. `pool_doc` is the tenant's pool ticket, taken at
+    /// registration: every open builds its window from it, so a close
+    /// can purge the tenant's resident chunks and a reopen keeps the
+    /// ever-fetched bitmap (post-reopen traffic meters as refetches, and
+    /// churn does not grow the pool's registration table).
     File {
         meta: Box<DocMeta>,
         path: PathBuf,
         chunk_size: usize,
         open: Option<Arc<ServedDoc>>,
-        pool_doc: Option<PoolDoc>,
+        pool_doc: PoolDoc,
     },
 }
 
@@ -280,6 +280,7 @@ impl DocRegistry {
     pub fn insert_file(&self, doc_id: impl Into<String>, meta: DocMeta, path: impl Into<PathBuf>) {
         let meta_bytes = Arc::new(crate::meta::encode_meta(&meta));
         let chunk_size = meta.layout.chunk_size;
+        let pool_doc = self.pool.register(meta.ciphertext_len, chunk_size);
         let doc_id = doc_id.into();
         let mut inner = self.inner.lock().expect("doc registry");
         // As in `insert`: replacing an open lazy tenant closes it first.
@@ -292,7 +293,7 @@ impl DocRegistry {
                     path: path.into(),
                     chunk_size,
                     open: None,
-                    pool_doc: None,
+                    pool_doc,
                 },
                 meta_bytes,
                 metrics: Arc::new(DocMetrics::default()),
@@ -367,15 +368,7 @@ impl DocRegistry {
                         // handle is stale — start over.
                         continue;
                     }
-                    // Reopens rejoin the pool under the original ticket:
-                    // the ever-fetched bitmap survives the close, so
-                    // post-reopen fetches meter as refetches and reopen
-                    // churn does not grow the pool's registration table.
-                    let window = match *pool_doc {
-                        Some(token) => ChunkWindow::rejoin_pool(&self.pool, token, len, chunk_size),
-                        None => ChunkWindow::in_pool(&self.pool, len, chunk_size),
-                    };
-                    *pool_doc = Some(window.pool_doc());
+                    let window = ChunkWindow::in_pool(&self.pool, *pool_doc, len, chunk_size);
                     let store = FileStore::from_open_file(file, window);
                     let served = Arc::new(ServedDoc {
                         doc: ServerDoc::from_meta((**meta).clone(), store).into_dyn(),
@@ -422,11 +415,9 @@ impl DocRegistry {
         if open.take().is_none() {
             return false;
         }
-        // Purge residency but keep the ticket: the reopen path rejoins
-        // the pool under it, preserving refetch accounting.
-        if let Some(token) = *pool_doc {
-            self.pool.purge_doc(token);
-        }
+        // Purge residency but keep the ticket: the reopen builds its
+        // window from it, preserving refetch accounting.
+        self.pool.purge_doc(*pool_doc);
         entry.metrics.closes.fetch_add(1, Ordering::Relaxed);
         self.closes.fetch_add(1, Ordering::Relaxed);
         true

@@ -1,13 +1,13 @@
 //! Serialization and exposition of the [`ServiceSnapshot`]: the
-//! payload of the wire `Stats` frame, a Prometheus-style text render
-//! for scraping, and a dependency-free JSON render for tooling.
+//! payload of the wire `Stats` frame and a Prometheus-style text render
+//! for scraping.
 //!
 //! Each snapshot level ([`ServiceSnapshot`], [`RegistrySnapshot`],
 //! [`DocRow`]) names its scalars **once**, in one table of counters and
-//! one of gauges. The encoder, the decoder and both renderings walk
+//! one of gauges. The encoder, the decoder and the text render walk
 //! those tables, so a counter cannot be shipped but not rendered, or
-//! decoded into the wrong field. A table name is the JSON key and the
-//! stem of the Prometheus series: `xsac_<name>_total` for a counter,
+//! decoded into the wrong field. A table name is the stem of the
+//! Prometheus series: `xsac_<name>_total` for a counter,
 //! `xsac_<name>` for a gauge, with `xsac_doc_` and a `doc` label for
 //! per-document rows.
 //!
@@ -70,7 +70,7 @@ impl Scalar for bool {
 }
 
 /// Declares one snapshot level's scalar tables, in wire order:
-/// `counters()` and `gauges()` drive the encoder and both renderings,
+/// `counters()` and `gauges()` drive the encoder and the text render,
 /// and `get_scalars` decodes the same entries in the same order.
 macro_rules! scalar_tables {
     ($ty:ty {
@@ -330,75 +330,6 @@ pub fn render_text(snap: &ServiceSnapshot) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// `"name":value` members for every entry, comma-separated.
-fn json_entries(entries: Vec<Entry>) -> String {
-    let fields: Vec<String> = entries.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
-    fields.join(",")
-}
-
-fn json_histogram(h: &Histogram) -> String {
-    format!(
-        "{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{}}}",
-        h.count(),
-        h.sum(),
-        h.max(),
-        h.p50(),
-        h.p90(),
-        h.p99()
-    )
-}
-
-fn json_phases(p: &PhaseProfile) -> String {
-    let fields: Vec<String> =
-        Phase::ALL.iter().map(|&ph| format!("\"{}\":{}", ph.name(), p.get(ph))).collect();
-    format!("{{{}}}", fields.join(","))
-}
-
-/// Renders the snapshot as one flat JSON object keyed by the table
-/// names, plus `phase_totals`, `request_latency` and a `docs` array
-/// (no external dependencies — hand-rolled).
-pub fn render_json(snap: &ServiceSnapshot) -> String {
-    let r = &snap.registry;
-    let docs: Vec<String> = r
-        .docs
-        .iter()
-        .map(|d| {
-            format!(
-                "{{\"doc_id\":\"{}\",{},\"phases\":{},\"request_latency\":{}}}",
-                json_escape(&d.doc_id),
-                json_entries([d.counters(), d.gauges()].concat()),
-                json_phases(&d.phases),
-                json_histogram(&d.request_latency)
-            )
-        })
-        .collect();
-    format!(
-        "{{{},\"phase_totals\":{},\"request_latency\":{},\"docs\":[{}]}}",
-        json_entries([snap.counters(), r.counters(), r.gauges()].concat()),
-        json_phases(&snap.phase_totals),
-        json_histogram(&snap.request_latency),
-        docs.join(",")
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -612,26 +543,5 @@ mod tests {
                 assert!(seen.contains(format!("{prefix}{name}").as_str()), "{name}");
             }
         }
-    }
-
-    #[test]
-    fn json_render_is_parseable_shape() {
-        let snap = sample();
-        let json = render_json(&snap);
-        // No serde in-tree: pin the structural anchors instead.
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        for needle in [
-            "\"connections\":26",
-            "\"admission_rejections\":47",
-            "\"pool_resident_bytes_peak\":700",
-            "\"phase_totals\":{\"fetch\":11",
-            "\"doc_id\":\"alpha\"",
-            "\"open_events\":3",
-            "\"doc_id\":\"beta \\\"quoted\\\"\"",
-            "\"p99\":",
-        ] {
-            assert!(json.contains(needle), "missing {needle:?} in:\n{json}");
-        }
-        assert_eq!(json.matches("\"doc_id\"").count(), 2);
     }
 }

@@ -223,7 +223,7 @@ impl<S: ChunkStore + Send + Sync + 'static> ServerDoc<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xsac_crypto::store::TempPath;
+    use xsac_testkit::TempPath;
 
     fn key() -> TripleDes {
         TripleDes::new(*b"secret-key-secret-key-24")

@@ -1,7 +1,7 @@
 //! A deterministic chaos proxy for network-fault testing.
 //!
 //! [`FaultTransport`] sits between a `RemoteStore` client and a
-//! [`ChunkServer`](crate::ChunkServer) on loopback and injects faults
+//! `ChunkServer` (both in `xsac-net`) on loopback and injects faults
 //! **per connection** according to a scripted [`FaultPlan`] queue:
 //! dropped connections after N frames, mid-frame truncation, duplicated
 //! frames, fixed per-frame delay, and full stalls. The
@@ -16,10 +16,6 @@
 //! ([`FaultTransport::set_backend`]) so harnesses can kill a server and
 //! restart it on a fresh port — loopback `TcpListener::bind` to a
 //! just-closed port would otherwise trip over `TIME_WAIT`.
-//!
-//! Test-only: compiled for this crate's own tests and for external
-//! harnesses behind the `fault-injection` cargo feature, which release
-//! builds never enable.
 
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
@@ -86,9 +82,8 @@ struct Shared {
     stop: AtomicBool,
     accepted: AtomicU64,
     /// Live proxied socket pairs `(client_side, server_side)`, kept so
-    /// [`reset_all`](FaultTransport::reset_all) and shutdown can sever
-    /// them; stale entries are harmless (shutdown on a dead fd errors
-    /// quietly).
+    /// shutdown can sever them; stale entries are harmless (shutdown on
+    /// a dead fd errors quietly).
     socks: Mutex<Vec<(TcpStream, TcpStream)>>,
     pumps: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -136,8 +131,7 @@ impl FaultTransport {
 
     /// Retargets *future* connections to a different backend — the
     /// "server died, another one took over" scenario. Live connections
-    /// keep their original backend; sever them with
-    /// [`reset_all`](FaultTransport::reset_all).
+    /// keep their original backend.
     pub fn set_backend(&self, backend: SocketAddr) {
         *self.shared.backend.lock().expect("backend addr") = backend;
     }
@@ -146,16 +140,6 @@ impl FaultTransport {
     /// count from the network's point of view).
     pub fn conn_count(&self) -> u64 {
         self.shared.accepted.load(Ordering::Relaxed)
-    }
-
-    /// Severs every live proxied connection at once — both the client
-    /// and the backend see a dead socket, exactly as if the network
-    /// partitioned mid-session.
-    pub fn reset_all(&self) {
-        for (c, s) in self.shared.socks.lock().expect("socket list").drain(..) {
-            let _ = c.shutdown(Shutdown::Both);
-            let _ = s.shutdown(Shutdown::Both);
-        }
     }
 
     /// Stops accepting, severs all connections, joins every pump

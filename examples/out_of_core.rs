@@ -11,11 +11,11 @@
 //!     cargo run --release --example out_of_core
 
 use xsac::crypto::chunk::ChunkLayout;
-use xsac::crypto::store::TempPath;
 use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::Profile;
 use xsac::soe::{DocServer, ServerDoc, SessionSpec};
+use xsac_testkit::TempPath;
 
 fn main() {
     let key = TripleDes::new(*b"out-of-core-example-24ab");

@@ -9,9 +9,9 @@
 //! pipeline, not just the chunk-serving half it can observe itself.
 //! A `Stats` round trip lists the tenants, the admin surface closes one,
 //! and a final `Stats` round trip prints the snapshot as Prometheus text
-//! exposition (or JSON with `--json`).
+//! exposition.
 //!
-//!     cargo run --release --example service_stats [-- --json]
+//!     cargo run --release --example service_stats
 
 use std::sync::Arc;
 use xsac::crypto::chunk::ChunkLayout;
@@ -19,14 +19,14 @@ use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::Profile;
 use xsac::net::{
-    admin_close_doc, connect, fetch_stats, render_json, render_text, ChunkServer, ClientConfig,
-    DocRegistry, ServerConfig,
+    admin_close_doc, connect, fetch_stats, render_text, ChunkServer, ClientConfig, DocRegistry,
+    ServerConfig,
 };
 use xsac::obs::PhaseProfile;
 use xsac::soe::{DocServer, ServerDoc, SessionSpec};
+use xsac_testkit::TempPath;
 
 fn main() {
-    let json = std::env::args().any(|a| a == "--json");
     let key = TripleDes::new(*b"stats-example-key-24-byt");
 
     // Two tenants share one registry (and one residency budget): one
@@ -39,7 +39,7 @@ fn main() {
         ServerDoc::prepare(&doc, &key, IntegrityScheme::EcbMht, ChunkLayout::default()),
     );
     let archive = hospital_document(&HospitalConfig { folders: 6, ..Default::default() }, 11);
-    let tmp = xsac::crypto::store::TempPath::new("service-stats-archive");
+    let tmp = TempPath::new("service-stats-archive");
     let file = ServerDoc::prepare_to_store_with_stats(
         &archive,
         &key,
@@ -55,9 +55,7 @@ fn main() {
         .with_config(ServerConfig { admin: true, ..ServerConfig::default() });
     let handle = server.spawn("127.0.0.1:0").expect("bind loopback");
     let addr = handle.addr();
-    if !json {
-        println!("stats-enabled chunk server on {addr} (admin surface on)\n");
-    }
+    println!("stats-enabled chunk server on {addr} (admin surface on)\n");
 
     // Run the Figure-9 roles against both tenants and report each
     // client's phase profile back — the only way decrypt/verify/evaluate
@@ -79,20 +77,14 @@ fn main() {
     // List what the service is routing (the read-only Stats rows), then
     // close a tenant through the admin surface; its row survives the close.
     let cfg = ClientConfig::default();
-    if !json {
-        for d in fetch_stats(addr, &cfg).expect("list docs").registry.docs {
-            println!("stats: doc {:?} open={} lazy={}", d.doc_id, d.open, d.lazy);
-        }
-        let closed = admin_close_doc(addr, "archive-2025", &cfg).expect("close doc");
-        println!("admin: closed archive-2025 = {closed}\n");
+    for d in fetch_stats(addr, &cfg).expect("list docs").registry.docs {
+        println!("stats: doc {:?} open={} lazy={}", d.doc_id, d.open, d.lazy);
     }
+    let closed = admin_close_doc(addr, "archive-2025", &cfg).expect("close doc");
+    println!("admin: closed archive-2025 = {closed}\n");
 
     // One read-only Stats round trip, rendered for scraping.
     let snap = fetch_stats(addr, &cfg).expect("fetch stats");
-    if json {
-        println!("{}", render_json(&snap));
-    } else {
-        print!("{}", render_text(&snap));
-    }
+    print!("{}", render_text(&snap));
     handle.shutdown().expect("shutdown");
 }

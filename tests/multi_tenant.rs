@@ -16,15 +16,13 @@ use std::sync::Arc;
 use xsac::core::oracle::oracle_view_string;
 use xsac::core::output::reassemble_to_string;
 use xsac::crypto::chunk::ChunkLayout;
-use xsac::crypto::store::TempPath;
 use xsac::crypto::{ChunkStore, IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::profiles::View;
-use xsac::net::{
-    connect, ChunkServer, ClientConfig, DocRegistry, FaultPlan, FaultTransport, RetryConfig,
-};
+use xsac::net::{connect, ChunkServer, ClientConfig, DocRegistry, RetryConfig};
 use xsac::soe::{run_session_shared, CompiledPolicy, DocMeta, ServerDoc, SessionConfig};
 use xsac::xml::Document;
+use xsac_testkit::{FaultPlan, FaultTransport, TempPath};
 
 const N_DOCS: usize = 8;
 const N_THREADS: usize = 16;

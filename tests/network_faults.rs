@@ -23,11 +23,10 @@ use xsac::crypto::store::StoreError;
 use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::profiles::View;
-use xsac::net::{
-    connect, ChunkServer, ClientConfig, FaultPlan, FaultTransport, NetFault, RetryConfig,
-};
+use xsac::net::{connect, ChunkServer, ClientConfig, RetryConfig};
 use xsac::soe::{run_session_shared, CompiledPolicy, ServerDoc, SessionConfig, SessionError};
 use xsac::xml::Document;
+use xsac_testkit::{FaultPlan, FaultTransport, NetFault};
 
 fn key() -> TripleDes {
     TripleDes::new(*b"network-fault-key-24-abc")

@@ -6,13 +6,13 @@
 
 use std::sync::Arc;
 use xsac::crypto::chunk::ChunkLayout;
-use xsac::crypto::store::{FaultStore, InjectedFault, TempPath};
 use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::Profile;
 use xsac::soe::{
     run_session_shared, CompiledPolicy, DocServer, ServerDoc, SessionError, SessionSpec,
 };
+use xsac_testkit::{FaultStore, InjectedFault, TempPath};
 
 fn key() -> TripleDes {
     TripleDes::new(*b"out-of-core-demo-key-24!")

@@ -16,13 +16,13 @@ use std::sync::Arc;
 use xsac::core::oracle::oracle_view_string;
 use xsac::core::output::reassemble_to_string;
 use xsac::crypto::chunk::ChunkLayout;
-use xsac::crypto::store::TempPath;
 use xsac::crypto::{IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::profiles::View;
 use xsac::soe::{
     run_session_shared, CompiledPolicy, ServerDoc, SessionConfig, Strategy as SoeStrategy,
 };
+use xsac_testkit::TempPath;
 
 fn key() -> TripleDes {
     TripleDes::new(*b"streaming-diff-key-24-ab")

@@ -23,7 +23,6 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 use xsac::crypto::chunk::ChunkLayout;
-use xsac::crypto::store::TempPath;
 use xsac::crypto::{ChunkStore as _, IntegrityScheme, TripleDes};
 use xsac::datagen::hospital::{hospital_document, physician_name, HospitalConfig};
 use xsac::datagen::profiles::View;
@@ -40,6 +39,7 @@ use xsac::soe::{
     run_session_shared, CompiledPolicy, DocServer, ServerDoc, SessionConfig, SessionSpec,
 };
 use xsac::xml::Document;
+use xsac_testkit::TempPath;
 
 fn key() -> TripleDes {
     TripleDes::new(*b"telemetry-test-key-24-ab")
